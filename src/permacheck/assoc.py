@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import defaults
 from .densities import marginal_quantile_grid, squared_pair_density
@@ -65,6 +64,9 @@ def _orthant(thresholds):
 
 
 def _soft_orthant(thresholds, slope):
+    # imported here, not at module scope, so the CLI starts without scipy
+    from scipy.special import expit
+
     t = np.asarray(thresholds, dtype=float)
 
     def f(x):

@@ -9,7 +9,6 @@ beta grid costs one polynomial evaluation per point.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,8 +142,7 @@ class PositivityReport:
         }
 
 
-def _poly_for(args):
-    ga, idx = args
+def _poly_for(ga, idx):
     sub = ga[np.ix_(idx, idx)]
     scale = float(np.max(np.abs(sub))) if sub.size else 0.0
     return cycle_polynomial(sub), scale
@@ -156,8 +154,10 @@ def beta_positivity_scan(G: KernelMatrix, betas=None, alphas=None,
 
     Fails with a witness on the first negative value in the canonical
     order (alpha ascending, then beta, then multisets by size and lex);
-    otherwise holds over the scanned range.  Output is independent of
-    the thread count.
+    otherwise holds over the scanned range.  ``threads`` is accepted and
+    ignored: the scan runs on one thread, because a thread pool over this
+    pure-Python dynamic program only contended for the interpreter lock
+    and measured slower.
     """
     betas = list(defaults.BETA_GRID if betas is None else betas)
     alphas = list(defaults.ALPHA_GRID if alphas is None else alphas)
@@ -174,12 +174,7 @@ def beta_positivity_scan(G: KernelMatrix, betas=None, alphas=None,
     scanned = 0
     for alpha in alphas:
         ga = resolvent(G, float(alpha)).entries
-        jobs = [(ga, list(idx)) for idx in sets]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                polys = list(pool.map(_poly_for, jobs))
-        else:
-            polys = [_poly_for(j) for j in jobs]
+        polys = [_poly_for(ga, list(idx)) for idx in sets]
         for beta in betas:
             powers = np.power(float(beta), np.arange(m_max + 1))
             for idx, (coef, scale) in zip(sets, polys):

@@ -3,7 +3,8 @@
 One binary, subcommand style; every run writes a JSON report (schema 1)
 that echoes the versioned defaults table, so results are reproducible
 and diffable.  Exit codes: 0 verdict holds, 1 fails, 2 usage or parse
-error, 3 numeric failure, 4 inconclusive.
+error, 3 numeric failure or any other error, 4 inconclusive.  Every
+error is reported as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 
@@ -50,8 +52,43 @@ __all__ = ["main", "parse_and_dispatch", "report_render"]
 _USAGE_ERRORS = (InputFormatError, InvalidIndexError, SchemaMismatchError)
 
 
+class UsageError(InputFormatError):
+    """Bad command line: unknown command, missing or malformed option."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit, so a
+    bad command line leaves only the JSON error object on stderr."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+# argparse types; argparse names the function in its message on a
+# ValueError, e.g. "invalid finite_float value: 'nan'"
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def uint64(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise ValueError(text)
+    return value
+
+
+def _number(token: str, text: str) -> float:
+    try:
+        return finite_float(token)
+    except ValueError as exc:
+        raise InputFormatError(f"{token.strip()!r} in {text!r} is not a finite number") from exc
+
+
 def _parse_list(text: str) -> list:
-    vals = [float(t) for t in text.split(",") if t.strip()]
+    vals = [_number(t, text) for t in text.split(",") if t.strip()]
     if not vals:
         raise InputFormatError(f"empty numeric list {text!r}")
     return vals
@@ -63,7 +100,7 @@ def _parse_grid(text: str) -> list:
         parts = text.split(":")
         if len(parts) != 3:
             raise InputFormatError(f"grid {text!r} is not start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_number(p, text) for p in parts)
         if step <= 0 or stop < start:
             raise InputFormatError(f"bad grid bounds in {text!r}")
         return [float(v) for v in np.arange(start, stop + step / 2, step)]
@@ -86,7 +123,10 @@ def _parse_r_pairs(text: str) -> list:
 
 def _parse_scalings(text: str, n: int, seed: int) -> list:
     if text.startswith("random:"):
-        count = int(text.split(":", 1)[1])
+        try:
+            count = int(text.split(":", 1)[1])
+        except ValueError as exc:
+            raise InputFormatError(f"scaling count in {text!r} is not an integer") from exc
         return random_scalings(n, count, seed)
     if text == "identity":
         return [np.ones(n)]
@@ -106,13 +146,14 @@ def _parse_scalings(text: str, n: int, seed: int) -> list:
 
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
+        return args.seed
     env = os.environ.get("PERMACHECK_SEED")
     if env is not None:
         try:
-            return int(env)
+            return uint64(env)
         except ValueError as exc:
-            raise InputFormatError(f"PERMACHECK_SEED must be an integer: {env!r}") from exc
+            raise InputFormatError(
+                f"PERMACHECK_SEED must be an integer in 0..2^64-1: {env!r}") from exc
     return defaults.DEFAULT_SEED
 
 
@@ -148,6 +189,8 @@ def _emit(report: dict, args, extra_stdout: str = None) -> None:
 
 def report_render(report: dict, fmt: str = "json") -> str:
     """Stable rendering of a schema-1 report; table mode is lossy."""
+    if not isinstance(report, dict):
+        raise InputFormatError("a report must be a JSON object")
     if report.get("schema") != defaults.SCHEMA_VERSION:
         raise SchemaMismatchError(
             f"report schema {report.get('schema')!r} is not {defaults.SCHEMA_VERSION}")
@@ -181,17 +224,17 @@ def report_render(report: dict, fmt: str = "json") -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="permacheck",
         description="Infinite-divisibility and positive-correlation checks "
                     "for squared Gaussian and permanental vectors.")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for parallel scans (results do not depend on it)")
+                   help="accepted and ignored: every command runs on one thread")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("check-id", help="infinite-divisibility verdict for a kernel")
     s.add_argument("--input", required=True, help="matrix CSV or JSON file")
-    s.add_argument("--beta", type=float, default=2.0)
+    s.add_argument("--beta", type=finite_float, default=2.0)
     s.add_argument("--betas", help="scan beta grid, list or start:stop:step")
     s.add_argument("--alphas", help="scan alpha grid, list or start:stop:step")
     s.add_argument("--m-max", type=int, dest="m_max")
@@ -199,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("perm", help="beta-permanent of a matrix")
     s.add_argument("--input", required=True)
-    s.add_argument("--beta", type=float, required=True)
+    s.add_argument("--beta", type=finite_float, required=True)
     s.add_argument("--exponent", choices=("cycles", "signature"), default="cycles")
     s.add_argument("--report")
 
@@ -224,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = gsub.add_parser("power", help="entrywise power with Green verdict")
     s.add_argument("--input", required=True)
-    s.add_argument("--beta", type=float, required=True)
+    s.add_argument("--beta", type=finite_float, required=True)
     s.add_argument("--out")
     s.add_argument("--report")
 
@@ -242,16 +285,16 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sample", help="draw a permanental sample batch")
     s.add_argument("--kernel", required=True)
     s.add_argument("--k", type=int, default=1, help="index beta = 2/k")
-    s.add_argument("--n", type=float, default=1000.0)
-    s.add_argument("--seed", type=int)
+    s.add_argument("--n", type=finite_float, default=1000.0)
+    s.add_argument("--seed", type=uint64)
     s.add_argument("--out", required=True, help="binary batch file")
     s.add_argument("--report")
 
     s = sub.add_parser("check-assoc", help="Monte Carlo association test")
     s.add_argument("--kernel", required=True)
     s.add_argument("--k", type=int, default=1)
-    s.add_argument("--n", type=float, default=1e5)
-    s.add_argument("--seed", type=int)
+    s.add_argument("--n", type=finite_float, default=1e5)
+    s.add_argument("--seed", type=uint64)
     s.add_argument("--report")
 
     s = sub.add_parser("scan-monotone", help="resolvent monotonicity scan")
@@ -261,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            f"{defaults.MONOTONE_ALPHA_MAX / (defaults.MONOTONE_ALPHA_POINTS - 1):g}")
     s.add_argument("--scalings", default="identity",
                    help='"identity", "random:COUNT", or semicolon-separated vectors')
-    s.add_argument("--seed", type=int)
+    s.add_argument("--seed", type=uint64)
     s.add_argument("--report")
 
     s = sub.add_parser("shifted-order", help="strong stochastic ordering of shifted pairs")
@@ -272,14 +315,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("check-fkg", help="FKG lattice test for a 2x2 kernel")
     s.add_argument("--kernel", required=True)
-    s.add_argument("--shift", type=float, default=0.0)
+    s.add_argument("--shift", type=finite_float, default=0.0)
     s.add_argument("--report")
 
     s = sub.add_parser("check-shifted-pair",
                        help="shift-stable ID test for a Gaussian pair")
-    s.add_argument("--vx", type=float, required=True)
-    s.add_argument("--c", type=float, required=True)
-    s.add_argument("--vy", type=float, required=True)
+    s.add_argument("--vx", type=finite_float, required=True)
+    s.add_argument("--c", type=finite_float, required=True)
+    s.add_argument("--vy", type=finite_float, required=True)
     s.add_argument("--report")
 
     s = sub.add_parser("render", help="re-render a report JSON")
@@ -312,8 +355,7 @@ def _cmd_scan(args) -> int:
     G = load_matrix(args.input)
     betas = _parse_grid(args.betas) if args.betas else None
     alphas = _parse_grid(args.alphas) if args.alphas else None
-    rep = beta_positivity_scan(G, betas=betas, alphas=alphas,
-                               m_max=args.m_max, threads=args.threads)
+    rep = beta_positivity_scan(G, betas=betas, alphas=alphas, m_max=args.m_max)
     inputs = {"input": args.input, "betas": betas, "alphas": alphas,
               "m_max": args.m_max}
     _emit(_report("scan", inputs, rep.to_dict()), args)
@@ -354,7 +396,10 @@ def _cmd_green(args) -> int:
                       rep.to_dict()), args)
         return _exit_code(rep.verdict)
     if args.green_command == "restrict":
-        keep = [int(v) for v in args.keep.split(",") if v.strip()]
+        try:
+            keep = [int(v) for v in args.keep.split(",") if v.strip()]
+        except ValueError as exc:
+            raise InputFormatError(f"--keep {args.keep!r} is not a list of indices") from exc
         sub = restriction(load_matrix(args.input), keep)
         verdict = is_green(sub)
         csv_text = dumps_matrix(sub)
@@ -439,7 +484,7 @@ def _cmd_render(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InputFormatError(f"bad report JSON: {exc}") from exc
     sys.stdout.write(report_render(report, args.format))
     return 0
@@ -470,32 +515,31 @@ def _error_object(exc: Exception) -> dict:
     return obj
 
 
+def _fail(error: dict, code: int) -> int:
+    sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
+    return code
+
+
 def parse_and_dispatch(argv) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code.
+
+    Exit code 1 only ever means "the property fails": an exception that
+    is not a usage or input error, including a defect in this package,
+    exits 3 with its type and message as the JSON error object.
+    """
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        if code not in (0, 2):
-            code = 2
-        if code == 2:
-            sys.stderr.write(json.dumps(
-                {"error": "UsageError", "message": "bad command line"},
-                sort_keys=True) + "\n")
-        return code
-    try:
+        args = _build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
+    except SystemExit as exc:  # --help; argparse errors raise UsageError
+        return exc.code if isinstance(exc.code, int) else 0
     except _USAGE_ERRORS as exc:
-        sys.stderr.write(json.dumps(_error_object(exc), sort_keys=True) + "\n")
-        return 2
+        return _fail(_error_object(exc), 2)
     except PermacheckError as exc:
-        sys.stderr.write(json.dumps(_error_object(exc), sort_keys=True) + "\n")
-        return 3
+        return _fail(_error_object(exc), 3)
     except OSError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)},
-            sort_keys=True) + "\n")
-        return 2
+        return _fail({"error": type(exc).__name__, "message": str(exc)}, 2)
+    except Exception as exc:
+        return _fail({"error": type(exc).__name__, "message": str(exc)}, 3)
 
 
 def main() -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import chi2, ncx2
 
 from . import defaults
 from .errors import InputFormatError, NotPositiveDefiniteError
@@ -83,8 +82,14 @@ def marginal_quantile_grid(variance: float, r: float = 0.0, size: int = None,
     """Geometric grid between quantiles of the (eta + r)^2 marginal.
 
     (eta + r)^2 / variance is noncentral chi-square with 1 degree of
-    freedom and noncentrality r^2 / variance (central when r = 0).
+    freedom and noncentrality r^2 / variance (central when r = 0).  The
+    quantiles come from the scipy.special kernels behind
+    scipy.stats.chi2/ncx2.ppf, bit for bit, branching like ncx2 on the
+    noncentrality itself, which can underflow to 0 for a tiny r.
     """
+    # imported here, not at module scope, so the CLI starts without scipy
+    from scipy.special import chndtrix, gammaincinv
+
     if variance <= 0:
         raise InputFormatError("variance must be positive")
     size = defaults.LATTICE_GRID_SIZE if size is None else int(size)
@@ -92,11 +97,9 @@ def marginal_quantile_grid(variance: float, r: float = 0.0, size: int = None,
     hi = defaults.QUANTILE_HI if hi is None else float(hi)
     if not (0 < lo < hi < 1) or size < 2:
         raise InputFormatError("need 0 < lo < hi < 1 and at least 2 grid points")
-    if r == 0.0:
-        qlo, qhi = chi2.ppf(lo, df=1), chi2.ppf(hi, df=1)
-    else:
-        nc = r * r / variance
-        qlo, qhi = ncx2.ppf(lo, df=1, nc=nc), ncx2.ppf(hi, df=1, nc=nc)
+    nc = r * r / variance
+    p = np.array([lo, hi])
+    qlo, qhi = 2.0 * gammaincinv(0.5, p) if nc == 0.0 else chndtrix(p, 1, nc)
     return np.geomspace(variance * qlo, variance * qhi, size)
 
 

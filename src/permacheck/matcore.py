@@ -39,7 +39,10 @@ __all__ = [
 
 
 def _as_square_array(entries) -> np.ndarray:
-    a = np.array(entries, dtype=float)
+    try:
+        a = np.array(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"matrix entries must be real numbers: {exc}") from exc
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InputFormatError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -290,8 +293,13 @@ def loads_matrix(text: str) -> KernelMatrix:
         if len(lengths) != 1:
             raise InputFormatError("ragged rows in matrix JSON")
         a = _as_square_array(rows)
-        if "dim" in obj and int(obj["dim"]) != a.shape[0]:
-            raise InputFormatError('"dim" does not match the entries')
+        if "dim" in obj:
+            try:
+                dim = int(obj["dim"])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputFormatError(f'"dim" must be an integer: {exc}') from exc
+            if dim != a.shape[0]:
+                raise InputFormatError('"dim" does not match the entries')
         declared = obj.get("symmetric")
         return kernel(a, symmetric=None if declared is None else bool(declared))
     rows = []
@@ -312,7 +320,11 @@ def loads_matrix(text: str) -> KernelMatrix:
 
 def load_matrix(path) -> KernelMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_matrix(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"matrix file is not UTF-8 text: {exc}") from exc
+    return loads_matrix(text)
 
 
 def dumps_matrix(G: KernelMatrix) -> str:

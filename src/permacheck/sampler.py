@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import defaults
 from .errors import InputFormatError, InvalidIndexError, NotPSDError
@@ -127,6 +126,9 @@ def _uniforms(seed: int, shape) -> np.ndarray:
 
 
 def _normals(seed: int, shape) -> np.ndarray:
+    # imported here, not at module scope, so the CLI starts without scipy
+    from scipy.special import ndtri
+
     return ndtri(_uniforms(seed, shape))
 
 

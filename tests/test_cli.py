@@ -101,6 +101,139 @@ class TestExitCodes:
         assert "error" in json.loads(err)
 
 
+def _one_json_error(err: str) -> dict:
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    obj = json.loads(lines[0])
+    assert isinstance(obj, dict) and {"error", "message"} <= set(obj), obj
+    return obj
+
+
+# (argv with {name} placeholders for fixture files, expected exit code)
+BAD_INPUTS = {
+    "check-id beta nan": (["check-id", "--input", "{g2}", "--beta", "nan"], 2),
+    "perm beta nan": (["perm", "--input", "{perm2}", "--beta", "nan"], 2),
+    "perm beta inf": (["perm", "--input", "{perm2}", "--beta", "inf"], 2),
+    "sample n nan": (["sample", "--kernel", "{g2}", "--n", "nan",
+                      "--out", "{dir}/x.bin"], 2),
+    "sample seed -1": (["sample", "--kernel", "{g2}", "--n", "10", "--seed", "-1",
+                        "--out", "{dir}/x.bin"], 2),
+    "sample seed 2^64": (["sample", "--kernel", "{g2}", "--n", "10",
+                          "--seed", str(2 ** 64), "--out", "{dir}/x.bin"], 2),
+    "check-assoc seed 1.5": (["check-assoc", "--kernel", "{g2}", "--n", "100",
+                              "--seed", "1.5"], 2),
+    "scan-monotone random:x": (["scan-monotone", "--kernel", "{g2}",
+                                "--scalings", "random:x"], 2),
+    "scan alphas 0:x:1": (["scan", "--input", "{g2}", "--alphas", "0:x:1"], 2),
+    "scan betas nan": (["scan", "--input", "{g2}", "--betas", "0.5,nan"], 2),
+    "check-fkg shift inf": (["check-fkg", "--kernel", "{g2}", "--shift", "inf"], 2),
+    "restrict keep a": (["green", "restrict", "--input", "{tri}", "--keep", "0,a"], 2),
+    "render JSON list": (["render", "--input", "{list_report}"], 2),
+    "matrix entry a": (["check-id", "--input", "{text_entry}"], 2),
+    "matrix dim x": (["check-id", "--input", "{text_dim}"], 2),
+    "matrix not UTF-8": (["check-id", "--input", "{not_utf8}"], 2),
+    "report not UTF-8": (["render", "--input", "{not_utf8}"], 2),
+    "missing option": (["check-id"], 2),
+    # a malformed pairs row raises KeyError inside the table renderer
+    "render row KeyError": (["render", "--input", "{bad_rows}",
+                             "--format", "table"], 3),
+}
+
+
+class TestBadInputs:
+    @pytest.fixture
+    def files(self, matrices, tmp_path):
+        extra = {
+            "list_report": "[1, 2]",
+            "text_entry": '{"entries": [["a"]]}',
+            "text_dim": '{"dim": "x", "entries": [[1.0]]}',
+            "bad_rows": '{"schema": 1, "command": "x", "result": {"pairs": [{}]}}',
+        }
+        paths = dict(matrices)
+        for name, text in extra.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            paths[name] = str(path)
+        path = tmp_path / "not_utf8.csv"
+        path.write_bytes(b"\xff\xfe1,0\n0,1\n")
+        paths["not_utf8"] = str(path)
+        return paths
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exit_code_and_one_json_error(self, case, files, capsys):
+        argv, expected = BAD_INPUTS[case]
+        code, out, err = run_cli([a.format(**files) for a in argv], capsys)
+        assert code == expected, err
+        assert out == ""
+        _one_json_error(err)
+
+    def test_unexpected_exception_is_three(self, monkeypatch, capsys):
+        import permacheck.cli as cli
+
+        def broken(args):
+            raise AttributeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "check-shifted-pair", broken)
+        code, _, err = run_cli(["check-shifted-pair", "--vx", "1", "--c", "0",
+                                "--vy", "1"], capsys)
+        assert code == 3
+        assert _one_json_error(err) == {"error": "AttributeError", "message": "boom"}
+
+    @pytest.mark.parametrize("value", ["-3", "x", str(2 ** 64)])
+    def test_bad_env_seed_is_two(self, value, matrices, monkeypatch, capsys, tmp_path):
+        monkeypatch.setenv("PERMACHECK_SEED", value)
+        code, _, err = run_cli(["sample", "--kernel", matrices["g2"], "--n", "10",
+                                "--out", str(tmp_path / "x.bin")], capsys)
+        assert code == 2
+        assert "PERMACHECK_SEED" in _one_json_error(err)["message"]
+
+    def test_largest_seed_accepted(self, matrices, capsys, tmp_path):
+        code, out, _ = run_cli(["sample", "--kernel", matrices["g2"], "--n", "10",
+                                "--seed", str(2 ** 64 - 1),
+                                "--out", str(tmp_path / "x.bin")], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["seed"] == 2 ** 64 - 1
+
+
+_IMPORT_PROBE = """
+import sys
+import permacheck.cli
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+_RUN_PROBE = """
+import sys
+from permacheck.cli import parse_and_dispatch
+code = parse_and_dispatch(sys.argv[1:])
+print(code, "scipy.stats" in sys.modules, "scipy.special" in sys.modules)
+"""
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv, special", [
+        (["check-id", "--input", "{tri}"], False),
+        (["check-fkg", "--kernel", "{g2}", "--shift", "0.5"], True),
+        (["sample", "--kernel", "{g2}", "--n", "100", "--seed", "3",
+          "--out", "{dir}/s.bin"], True),
+    ])
+    def test_commands_never_load_scipy_stats(self, argv, special, matrices, tmp_path):
+        argv = [a.format(**matrices) for a in argv]
+        argv += ["--report", str(tmp_path / "r.json")]
+        proc = subprocess.run([sys.executable, "-c", _RUN_PROBE] + argv,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, stats, special_loaded = proc.stdout.split()
+        assert code in ("0", "1")
+        assert stats == "False"
+        assert special_loaded == str(special)
+
+
 class TestPerm:
     def test_bare_value_on_stdout(self, matrices, capsys):
         code, out, _ = run_cli(

@@ -93,20 +93,47 @@ class TestSquaredPairDensity:
             h(1.0, -0.5)
 
 
+def _scipy_stats_grid(variance, r, size, lo=0.01, hi=0.99):
+    # the grid as built from scipy.stats, the reference for bit equality
+    if r == 0.0:
+        qlo, qhi = chi2.ppf(lo, df=1), chi2.ppf(hi, df=1)
+    else:
+        nc = r * r / variance
+        qlo, qhi = ncx2.ppf(lo, df=1, nc=nc), ncx2.ppf(hi, df=1, nc=nc)
+    return np.geomspace(variance * qlo, variance * qhi, size)
+
+
 class TestQuantileGrids:
     def test_central_endpoints(self):
-        v = 2.0
-        g = marginal_quantile_grid(v, size=10)
-        assert g[0] == pytest.approx(v * chi2.ppf(0.01, df=1))
-        assert g[-1] == pytest.approx(v * chi2.ppf(0.99, df=1))
+        g = marginal_quantile_grid(2.0, size=10)
+        assert np.array_equal(g, _scipy_stats_grid(2.0, 0.0, 10))
+        assert g[0] == 2.0 * chi2.ppf(0.01, df=1)
+        assert g[-1] == 2.0 * chi2.ppf(0.99, df=1)
         assert np.all(np.diff(g) > 0)
 
     def test_shifted_endpoints(self):
         v, r = 1.5, 0.8
         g = marginal_quantile_grid(v, r, size=10)
-        nc = r * r / v
-        assert g[0] == pytest.approx(v * ncx2.ppf(0.01, df=1, nc=nc))
-        assert g[-1] == pytest.approx(v * ncx2.ppf(0.99, df=1, nc=nc))
+        assert np.array_equal(g, _scipy_stats_grid(v, r, 10))
+        assert g[0] == v * ncx2.ppf(0.01, df=1, nc=r * r / v)
+
+    @pytest.mark.parametrize("r", [1e-200, -1e-180, 1e-170])
+    def test_underflowing_noncentrality_takes_the_central_branch(self, r):
+        # r*r/variance underflows to 0, where ncx2.ppf falls back to chi2
+        assert r * r / 1.0 == 0.0
+        g = marginal_quantile_grid(1.0, r, size=5)
+        assert np.array_equal(g, _scipy_stats_grid(1.0, r, 5))
+        assert np.array_equal(g, marginal_quantile_grid(1.0, 0.0, size=5))
+
+    def test_seeded_pairs_bit_identical_to_scipy_stats(self):
+        rng = np.random.default_rng(44)
+        for _ in range(300):
+            v = float(np.exp(rng.uniform(-7.0, 7.0)))
+            r = float(rng.choice([0.0, 1e-200, rng.normal(scale=3.0)]))
+            lo = float(rng.uniform(1e-4, 0.5))
+            hi = float(rng.uniform(0.5, 1.0 - 1e-9))
+            g = marginal_quantile_grid(v, r, size=7, lo=lo, hi=hi)
+            assert np.array_equal(g, _scipy_stats_grid(v, r, 7, lo, hi)), (v, r, lo, hi)
 
     def test_quantiles_cover_mass(self):
         # empirical fraction below/above the endpoints matches lo/hi
@@ -120,8 +147,8 @@ class TestQuantileGrids:
     def test_pair_grid_uses_marginal_variances(self):
         cov = np.array([[2.0, 0.3], [0.3, 0.5]])
         gx, gy = pair_grid(cov, size=7)
-        assert gx[0] == pytest.approx(2.0 * chi2.ppf(0.01, df=1))
-        assert gy[0] == pytest.approx(0.5 * chi2.ppf(0.01, df=1))
+        assert np.array_equal(gx, _scipy_stats_grid(2.0, 0.0, 7))
+        assert np.array_equal(gy, _scipy_stats_grid(0.5, 0.0, 7))
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(InputFormatError):
