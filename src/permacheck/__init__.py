@@ -60,7 +60,6 @@ from .idcheck import (
 from .matcore import (
     KernelMatrix,
     MMatrixReport,
-    ResolventFamily,
     Signature,
     dumps_matrix,
     identity,
@@ -71,7 +70,6 @@ from .matcore import (
     loads_matrix,
     real_eigen_nonneg,
     resolvent,
-    resolvent_family,
     save_matrix,
 )
 from .sampler import (

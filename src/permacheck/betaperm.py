@@ -15,7 +15,7 @@ import numpy as np
 
 from . import defaults
 from .errors import DimensionCapError, InputFormatError
-from .matcore import KernelMatrix, resolvent
+from .matcore import KernelMatrix, _as_square_array, resolvent, sign_product_violation
 from .verdict import Verdict
 
 __all__ = [
@@ -28,13 +28,6 @@ __all__ = [
 ]
 
 
-def _square(A) -> np.ndarray:
-    a = np.asarray(A.entries if isinstance(A, KernelMatrix) else A, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputFormatError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def cycle_polynomial(A) -> np.ndarray:
     """Coefficients c[0..m] with per_b(A) = sum_k c[k] * b**k.
 
@@ -42,7 +35,7 @@ def cycle_polynomial(A) -> np.ndarray:
     cycles; c[0] is always 0 for m >= 1.  Cost is O(3^m) after an
     O(2^m m^2) pass collecting single-cycle weights, fine for m <= 8.
     """
-    a = _square(A)
+    a = _as_square_array(A.entries if isinstance(A, KernelMatrix) else A)
     m = a.shape[0]
     if m > defaults.PERMANENT_CAP:
         raise DimensionCapError(
@@ -149,15 +142,12 @@ def _poly_for(ga, idx):
 
 
 def beta_positivity_scan(G: KernelMatrix, betas=None, alphas=None,
-                         m_max: int = None, threads: int = 1) -> PositivityReport:
+                         m_max: int = None) -> PositivityReport:
     """Scan per_beta of multiset-indexed submatrices of every resolvent.
 
     Fails with a witness on the first negative value in the canonical
     order (alpha ascending, then beta, then multisets by size and lex);
-    otherwise holds over the scanned range.  ``threads`` is accepted and
-    ignored: the scan runs on one thread, because a thread pool over this
-    pure-Python dynamic program only contended for the interpreter lock
-    and measured slower.
+    otherwise holds over the scanned range.
     """
     betas = list(defaults.BETA_GRID if betas is None else betas)
     alphas = list(defaults.ALPHA_GRID if alphas is None else alphas)
@@ -203,27 +193,12 @@ def id_necessary_battery(G: KernelMatrix, alphas=None) -> Verdict:
     """
     alphas = list(defaults.ALPHA_GRID if alphas is None else alphas)
     grid = [0.0] + [float(a) for a in alphas if float(a) != 0.0]
-    n = G.dim
     for alpha in grid:
-        a = resolvent(G, alpha).entries
-        scale = max(1.0, float(np.max(np.abs(a))))
-        pair_tol = defaults.TOL_ALGEBRAIC * scale ** 2
-        triple_tol = defaults.TOL_ALGEBRAIC * scale ** 3
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                v = a[i, j] * a[j, i]
-                if v < -pair_tol:
-                    return Verdict.fail(
-                        {"kind": "pair", "alpha": alpha,
-                         "indices": [i, j], "value": float(v)},
-                        "negative pairwise product G(i,j)G(j,i)")
-        for i, j, k in itertools.permutations(range(n), 3):
-            v = a[j, i] * a[j, k] * a[k, i]
-            if v < -triple_tol:
-                return Verdict.fail(
-                    {"kind": "triple", "alpha": alpha,
-                     "indices": [i, j, k], "value": float(v)},
-                    "negative cyclic triple product G(j,i)G(j,k)G(k,i)")
+        found = sign_product_violation(resolvent(G, alpha).entries)
+        if found is not None:
+            kind, indices, value = found
+            detail = ("negative pairwise product G(i,j)G(j,i)" if kind == "pair"
+                      else "negative cyclic triple product G(j,i)G(j,k)G(k,i)")
+            return Verdict.fail({"kind": kind, "alpha": alpha,
+                                 "indices": list(indices), "value": value}, detail)
     return Verdict.ok()

@@ -187,6 +187,15 @@ def _emit(report: dict, args, extra_stdout: str = None) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _emit_with_matrix(report: dict, args, G) -> None:
+    """Writes G as CSV to --out, or else to stdout, then emits the report."""
+    csv_text = dumps_matrix(G)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(csv_text)
+    _emit(report, args, extra_stdout=None if args.out else csv_text)
+
+
 def report_render(report: dict, fmt: str = "json") -> str:
     """Stable rendering of a schema-1 report; table mode is lossy."""
     if not isinstance(report, dict):
@@ -335,7 +344,9 @@ def _cmd_check_id(args) -> int:
     G = load_matrix(args.input)
     betas = _parse_grid(args.betas) if args.betas else None
     alphas = _parse_grid(args.alphas) if args.alphas else None
-    iv = id_verdict(G, args.beta, betas=betas, alphas=alphas, m_max=args.m_max)
+    if args.beta <= 0:
+        raise InputFormatError("index beta must be positive")
+    iv = id_verdict(G, betas=betas, alphas=alphas, m_max=args.m_max)
     inputs = {"input": args.input, "beta": args.beta, "m_max": args.m_max,
               "betas": betas, "alphas": alphas}
     _emit(_report("check-id", inputs, iv.to_dict()), args)
@@ -367,13 +378,8 @@ def _cmd_green(args) -> int:
         chain = TransientChain(load_matrix(args.chain).entries)
         G = green_from_chain(chain)
         verdict = is_green(G)
-        csv_text = dumps_matrix(G)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
         result = {"verdict": verdict.to_dict(), "kernel": G.to_dict()}
-        _emit(_report("green gen", {"chain": args.chain}, result), args,
-              extra_stdout=None if args.out else csv_text)
+        _emit_with_matrix(_report("green gen", {"chain": args.chain}, result), args, G)
         return _exit_code(verdict)
     if args.green_command == "check":
         verdict = is_green(load_matrix(args.input))
@@ -382,13 +388,8 @@ def _cmd_green(args) -> int:
         return _exit_code(verdict)
     if args.green_command == "power":
         rep = hadamard_power(load_matrix(args.input), args.beta)
-        csv_text = dumps_matrix(rep.kernel)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
-        _emit(_report("green power", {"input": args.input, "beta": args.beta},
-                      rep.to_dict()), args,
-              extra_stdout=None if args.out else csv_text)
+        _emit_with_matrix(_report("green power", {"input": args.input, "beta": args.beta},
+                                  rep.to_dict()), args, rep.kernel)
         return _exit_code(rep.verdict)
     if args.green_command == "plus-c":
         rep = plus_constant_check(load_matrix(args.input), _parse_list(args.grid))
@@ -402,25 +403,25 @@ def _cmd_green(args) -> int:
             raise InputFormatError(f"--keep {args.keep!r} is not a list of indices") from exc
         sub = restriction(load_matrix(args.input), keep)
         verdict = is_green(sub)
-        csv_text = dumps_matrix(sub)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
         result = {"verdict": verdict.to_dict(), "kernel": sub.to_dict()}
-        _emit(_report("green restrict", {"input": args.input, "keep": keep},
-                      result), args, extra_stdout=None if args.out else csv_text)
+        _emit_with_matrix(_report("green restrict", {"input": args.input, "keep": keep},
+                                  result), args, sub)
         return _exit_code(verdict)
     raise InputFormatError(f"unknown green subcommand {args.green_command!r}")
+
+
+def _permanental_spec(G, k: int) -> PermanentalSpec:
+    """The spec with index beta = 2/k of the sample and check-assoc commands."""
+    if k < 1:
+        raise InvalidIndexError("k must be a positive integer")
+    return PermanentalSpec(G, 2.0 / k)
 
 
 def _cmd_sample(args) -> int:
     G = load_matrix(args.kernel)
     seed = _resolve_seed(args)
     n = int(args.n)
-    if args.k < 1:
-        raise InvalidIndexError("k must be a positive integer")
-    spec = PermanentalSpec(G, 2.0 / args.k)
-    batch = sample_permanental(spec, n, seed)
+    batch = sample_permanental(_permanental_spec(G, args.k), n, seed)
     save_batch(batch, args.out)
     result = {"n_draws": batch.n_draws, "dim": batch.dim, "seed": seed,
               "out": args.out, "ess": batch.ess}
@@ -432,10 +433,8 @@ def _cmd_sample(args) -> int:
 def _cmd_check_assoc(args) -> int:
     G = load_matrix(args.kernel)
     seed = _resolve_seed(args)
-    if args.k < 1:
-        raise InvalidIndexError("k must be a positive integer")
-    spec = PermanentalSpec(G, 2.0 / args.k)
-    rep = association_mc_test(spec, n_draws=int(args.n), seed=seed)
+    rep = association_mc_test(_permanental_spec(G, args.k), n_draws=int(args.n),
+                              seed=seed)
     _emit(_report("check-assoc", {"kernel": args.kernel, "k": args.k,
                                   "n": int(args.n), "seed": seed},
                   rep.to_dict()), args)

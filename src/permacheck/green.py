@@ -175,7 +175,7 @@ def plus_constant_check(G: KernelMatrix, c_grid=None, betas=None,
     per_c = []
     for c in c_grid:
         shifted = KernelMatrix(G.entries + float(c) * ones, symmetric=G.symmetric)
-        per_c.append((float(c), id_verdict(shifted, 2.0, betas=betas,
+        per_c.append((float(c), id_verdict(shifted, betas=betas,
                                            alphas=alphas, m_max=m_max)))
     for c, iv in per_c:
         if iv.verdict.fails:

@@ -9,7 +9,6 @@ sufficient Green-kernel route with necessary positivity scans.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,14 @@ from .errors import (
     SignInconsistencyError,
     SingularMatrixError,
 )
-from .matcore import KernelMatrix, Signature, invert, is_m_matrix, real_eigen_nonneg
+from .matcore import (
+    KernelMatrix,
+    Signature,
+    invert,
+    is_m_matrix,
+    real_eigen_nonneg,
+    sign_product_violation,
+)
 from .verdict import Verdict
 
 __all__ = [
@@ -119,21 +125,16 @@ def construct_signature(G: KernelMatrix) -> Signature:
     a = G.entries
     n = G.dim
     scale = max(1.0, float(np.max(np.abs(a))))
-    pair_tol = defaults.TOL_ALGEBRAIC * scale ** 2
-    triple_tol = defaults.TOL_ALGEBRAIC * scale ** 3
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = a[i, j] * a[j, i]
-            if v < -pair_tol:
-                raise SignConditionError(
-                    f"pairwise product G({i},{j})G({j},{i}) = {v:g} < 0",
-                    (i, j), v)
-    for i, j, k in itertools.permutations(range(n), 3):
-        v = a[j, i] * a[j, k] * a[k, i]
-        if v < -triple_tol:
-            raise SignConditionError(
-                f"cyclic triple product at (i,j,k)=({i},{j},{k}) is {v:g} < 0",
-                (i, j, k), v)
+    found = sign_product_violation(a)
+    if found is not None:
+        kind, indices, v = found
+        if kind == "pair":
+            i, j = indices
+            message = f"pairwise product G({i},{j})G({j},{i}) = {v:g} < 0"
+        else:
+            i, j, k = indices
+            message = f"cyclic triple product at (i,j,k)=({i},{j},{k}) is {v:g} < 0"
+        raise SignConditionError(message, indices, v)
     s, ztol = _sign_pattern(a)
 
     def edge(i, j):
@@ -200,32 +201,25 @@ def bapat_test(G: KernelMatrix) -> IdVerdict:
                 "inverse-sign constraints admit no consistent sign vector"),
             "bapat-exact")
     sig = Signature(sigma)
-    conj = sig.conjugate(h)
-    tol = defaults.TOL_ALGEBRAIC * max(1.0, float(np.max(np.abs(h))))
-    for i in range(n):
-        for j in range(n):
-            if i != j and conj[i, j] > tol:
-                return IdVerdict(
-                    Verdict.fail(
-                        {"entry": [int(i), int(j)], "value": float(conj[i, j])},
-                        "no sign vector makes the inverse an M-matrix"),
-                    "bapat-exact")
+    off = is_m_matrix(sig.conjugate(h)).off_diagonal
+    if off.fails:
+        return IdVerdict(
+            Verdict.fail(off.witness, "no sign vector makes the inverse an M-matrix"),
+            "bapat-exact")
     return IdVerdict(Verdict.ok("sigma G^-1 sigma has nonpositive off-diagonals"),
                      "bapat-exact", sig)
 
 
-def id_verdict(G: KernelMatrix, beta: float = 2.0, betas=None, alphas=None,
-               m_max=None) -> IdVerdict:
+def id_verdict(G: KernelMatrix, betas=None, alphas=None, m_max=None) -> IdVerdict:
     """Is the permanental vector with this kernel infinitely divisible?
 
     Prerequisites checked first: real eigenvalues nonnegative and the
     necessary sign battery.  Symmetric positive definite kernels get the
     exact signature criterion.  Otherwise: a sufficient inverse-M-matrix
     route, then a range-bounded positivity scan (grids configurable),
-    then an honest inconclusive.
+    then an honest inconclusive.  The verdict does not depend on the
+    index beta: infinite divisibility is a property of the kernel.
     """
-    if beta <= 0:
-        raise InputFormatError("index beta must be positive")
     eig = real_eigen_nonneg(G)
     if not eig.holds:
         return IdVerdict(eig, "battery-necessary")
@@ -241,7 +235,7 @@ def id_verdict(G: KernelMatrix, beta: float = 2.0, betas=None, alphas=None,
     if not G.symmetric:
         try:
             sig = construct_signature(G)
-            report = is_m_matrix(Signature(sig.signs).conjugate(invert(G).entries))
+            report = is_m_matrix(sig.conjugate(invert(G).entries))
             if report.off_diagonal.holds:
                 return IdVerdict(
                     Verdict.ok("sigma G^-1 sigma has nonpositive off-diagonals"),

@@ -1,7 +1,7 @@
 """Dense square-matrix primitives.
 
-Kernel matrices, resolvent families, eigenvalue screens and M-matrix
-predicates: the algebraic substrate for every verdict in the package.
+Kernel matrices, resolvents, eigenvalue screens, and the sign-product
+and M-matrix tests that every infinite-divisibility verdict reduces to.
 All dimensions are desk scale (<= ~12), stored dense row-major.
 """
 
@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +22,13 @@ from .verdict import Verdict
 __all__ = [
     "KernelMatrix",
     "Signature",
-    "ResolventFamily",
     "MMatrixReport",
     "kernel",
     "identity",
     "invert",
     "resolvent",
-    "resolvent_family",
     "real_eigen_nonneg",
+    "sign_product_violation",
     "is_m_matrix",
     "load_matrix",
     "loads_matrix",
@@ -169,47 +168,6 @@ def resolvent(G: KernelMatrix, alpha: float) -> KernelMatrix:
     return KernelMatrix(r, symmetric=G.symmetric)
 
 
-@dataclass(frozen=True, eq=False)
-class ResolventFamily:
-    """Resolvents of one base kernel along an increasing alpha grid.
-
-    Construction validates the shift identity
-    member(alpha+eps) = (I + eps*member(alpha))^(-1) member(alpha)
-    on consecutive grid points.
-    """
-
-    base: KernelMatrix
-    alphas: tuple
-    members: tuple
-
-    def member(self, alpha: float) -> KernelMatrix:
-        for a, m in zip(self.alphas, self.members):
-            if a == alpha:
-                return m
-        raise KeyError(f"alpha {alpha} not on the family grid")
-
-
-def resolvent_family(G: KernelMatrix, alphas) -> ResolventFamily:
-    alphas = tuple(float(a) for a in alphas)
-    if len(alphas) == 0 or any(a < 0 for a in alphas):
-        raise InputFormatError("alpha grid must be nonempty and nonnegative")
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise InputFormatError("alpha grid must be strictly increasing")
-    members = [resolvent(G, a) for a in alphas]
-    if alphas[0] == 0.0:
-        # member at alpha = 0 is the base itself
-        members[0] = KernelMatrix(G.entries.copy(), symmetric=G.symmetric)
-    for (a0, m0), (a1, m1) in zip(zip(alphas, members), zip(alphas[1:], members[1:])):
-        eps = a1 - a0
-        shifted = resolvent(m0, eps)
-        err = float(np.max(np.abs(shifted.entries - m1.entries)))
-        scale = max(1.0, float(np.max(np.abs(m1.entries))))
-        if err > 1e-9 * scale:
-            raise SingularMatrixError(
-                f"resolvent shift identity violated at alpha {a0}->{a1}: {err:.3e}")
-    return ResolventFamily(G, alphas, tuple(members))
-
-
 def real_eigen_nonneg(G: KernelMatrix) -> Verdict:
     """Checks that every (numerically) real eigenvalue of G is nonnegative."""
     a = G.entries
@@ -243,32 +201,56 @@ class MMatrixReport:
         }
 
 
+def sign_product_violation(a: np.ndarray):
+    """First negative pair or cyclic triple product of a, or None.
+
+    Pair products a(i,j)a(j,i) come first, over i < j in row-major order;
+    then the cyclic triple products a(j,i)a(j,k)a(k,i) over distinct
+    (i,j,k) in lexicographic order.  With scale = max(1, max|a|), a
+    pair below -TOL_ALGEBRAIC*scale^2 or a triple below
+    -TOL_ALGEBRAIC*scale^3 is a violation, returned as
+    (kind, indices, value) with kind "pair" or "triple".
+    """
+    scale = max(1.0, float(np.max(np.abs(a))))
+    pairs = a * a.T
+    bad = np.triu(pairs < -defaults.TOL_ALGEBRAIC * scale ** 2, 1)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        return "pair", (int(i), int(j)), float(pairs[i, j])
+    at = a.T
+    # triples[i, j, k] = (a[j, i] * a[j, k]) * a[k, i], the loop's order
+    triples = (at[:, :, None] * a[None, :, :]) * at[:, None, :]
+    ne = ~np.eye(a.shape[0], dtype=bool)
+    distinct = ne[:, :, None] & ne[None, :, :] & ne[:, None, :]
+    bad = distinct & (triples < -defaults.TOL_ALGEBRAIC * scale ** 3)
+    if bad.any():
+        i, j, k = np.unravel_index(np.argmax(bad), bad.shape)
+        return "triple", (int(i), int(j), int(k)), float(triples[i, j, k])
+    return None
+
+
 def is_m_matrix(M) -> MMatrixReport:
-    """Sign tests behind the Bapat criterion and the Green recognizer."""
+    """Sign tests behind the Bapat criterion and the Green recognizer.
+
+    The off-diagonal witness is the first positive entry in row-major
+    order; the row-sum witness is the first negative row sum.
+    """
     a = _as_square_array(M.entries if isinstance(M, KernelMatrix) else M)
-    n = a.shape[0]
     tol = defaults.TOL_ALGEBRAIC * max(1.0, float(np.max(np.abs(a))))
-    off = Verdict.ok()
-    for i in range(n):
-        for j in range(n):
-            if i != j and a[i, j] > tol:
-                off = Verdict.fail(
-                    {"entry": [i, j], "value": float(a[i, j])},
-                    "positive off-diagonal entry")
-                break
-        if off.fails:
-            break
-    if off.fails:
-        dom = Verdict.fail(off.witness, "off-diagonal sign test already fails")
-    else:
-        dom = Verdict.ok()
-        sums = a.sum(axis=1)
-        for i in range(n):
-            if sums[i] < -tol:
-                dom = Verdict.fail(
-                    {"row": i, "row_sum": float(sums[i])}, "negative row sum")
-                break
-    return MMatrixReport(off, dom)
+    bad = (a > tol) & ~np.eye(a.shape[0], dtype=bool)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        off = Verdict.fail({"entry": [int(i), int(j)], "value": float(a[i, j])},
+                           "positive off-diagonal entry")
+        return MMatrixReport(
+            off, Verdict.fail(off.witness, "off-diagonal sign test already fails"))
+    sums = a.sum(axis=1)
+    low = np.flatnonzero(sums < -tol)
+    if low.size:
+        i = int(low[0])
+        return MMatrixReport(Verdict.ok(), Verdict.fail(
+            {"row": i, "row_sum": float(sums[i])}, "negative row sum"))
+    return MMatrixReport(Verdict.ok(), Verdict.ok())
 
 
 # ---------------------------------------------------------------------------

@@ -263,17 +263,33 @@ def save_batch(batch: SampleBatch, path) -> None:
 
 
 def load_batch(path) -> SampleBatch:
+    """Reads a save_batch file; a malformed one raises InputFormatError."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("schema") != defaults.SCHEMA_VERSION:
-            raise InputFormatError(
-                f"batch schema {header.get('schema')} != {defaults.SCHEMA_VERSION}")
+        line = fh.readline()
+        body = fh.read()
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputFormatError(f"batch header is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise InputFormatError("batch header must be a JSON object")
+    if header.get("schema") != defaults.SCHEMA_VERSION:
+        raise InputFormatError(
+            f"batch schema {header.get('schema')} != {defaults.SCHEMA_VERSION}")
+    try:
         n, d = int(header["n_draws"]), int(header["dim"])
-        draws = np.frombuffer(fh.read(8 * n * d), dtype="<f8").reshape(n, d)
-        weights = np.frombuffer(fh.read(8 * n), dtype="<f8")
-    spec = PermanentalSpec(
-        KernelMatrix(np.array(header["spec"]["kernel"]["entries"]),
-                     header["spec"]["kernel"]["symmetric"]),
-        header["spec"]["index_beta"])
-    return SampleBatch(draws.copy(), weights.copy(), int(header["seed"]), spec,
-                       kind=header["kind"], alpha=float(header["alpha"]))
+        kern = header["spec"]["kernel"]
+        spec = PermanentalSpec(KernelMatrix(np.array(kern["entries"]), kern["symmetric"]),
+                               header["spec"]["index_beta"])
+        seed, kind, alpha = int(header["seed"]), header["kind"], float(header["alpha"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputFormatError(f"batch header lacks or garbles a field: {exc!r}") from exc
+    if n < 1 or d < 1:
+        raise InputFormatError(f"batch header declares {n} draws of dimension {d}")
+    if len(body) != 8 * n * (d + 1):
+        raise InputFormatError(
+            f"batch body has {len(body)} bytes; {n} draws of dimension {d} "
+            f"and their weights need {8 * n * (d + 1)}")
+    values = np.frombuffer(body, dtype="<f8")
+    return SampleBatch(values[: n * d].reshape(n, d).copy(), values[n * d:].copy(),
+                       seed, spec, kind=kind, alpha=alpha)

@@ -115,6 +115,52 @@ def exhaustive_bapat(G) -> bool:
     return False
 
 
+def naive_sign_product_violation(a, tol_rel: float):
+    """Loop form of the pair and cyclic-triple sign test.
+
+    Pairs a[i,j]*a[j,i] over i != j in row-major order, then triples
+    a[j,i]*a[j,k]*a[k,i] in itertools.permutations order; returns the
+    first (kind, indices, value) below -tol_rel*scale^2 (pairs) or
+    -tol_rel*scale^3 (triples), scale = max(1, max|a|), or None.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    scale = max(1.0, float(np.max(np.abs(a))))
+    pair_tol = tol_rel * scale ** 2
+    triple_tol = tol_rel * scale ** 3
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            v = a[i, j] * a[j, i]
+            if v < -pair_tol:
+                return "pair", (i, j), float(v)
+    for i, j, k in itertools.permutations(range(n), 3):
+        v = a[j, i] * a[j, k] * a[k, i]
+        if v < -triple_tol:
+            return "triple", (i, j, k), float(v)
+    return None
+
+
+def naive_m_matrix_witnesses(a, tol_rel: float) -> tuple:
+    """Loop form of the M-matrix sign tests: (off-diagonal witness,
+    row-sum witness), each None when its test passes.  A failing
+    off-diagonal test also fails the row-sum test with the same witness."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    tol = tol_rel * max(1.0, float(np.max(np.abs(a))))
+    for i in range(n):
+        for j in range(n):
+            if i != j and a[i, j] > tol:
+                off = {"entry": [i, j], "value": float(a[i, j])}
+                return off, off
+    sums = a.sum(axis=1)
+    for i in range(n):
+        if sums[i] < -tol:
+            return None, {"row": i, "row_sum": float(sums[i])}
+    return None, None
+
+
 def random_pd_kernel(rng, n: int):
     """Well-conditioned random symmetric positive definite matrix."""
     a = rng.normal(size=(n, n))

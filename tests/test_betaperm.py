@@ -130,12 +130,6 @@ class TestPositivityScan:
         assert naive_beta_permanent(sub, w["beta"]) == pytest.approx(
             w["value"], rel=1e-10)
 
-    def test_thread_count_does_not_change_result(self):
-        for threads in (1, 2, 4):
-            rep = beta_positivity_scan(kernel(TRI3), threads=threads)
-            assert rep.verdict.fails
-            assert rep.to_dict() == beta_positivity_scan(kernel(TRI3)).to_dict()
-
     def test_enlarging_range_keeps_witness(self):
         base = beta_positivity_scan(kernel(TRI3), betas=[0.1, 0.5],
                                     alphas=[0.0, 0.5, 1.0], m_max=4)

@@ -167,6 +167,14 @@ class TestBadInputs:
         assert out == ""
         _one_json_error(err)
 
+    @pytest.mark.parametrize("beta", ["-1", "0"])
+    def test_check_id_beta_must_be_positive(self, beta, matrices, capsys):
+        code, out, err = run_cli(["check-id", "--input", matrices["tri"],
+                                  "--beta", beta], capsys)
+        assert (code, out) == (2, "")
+        assert err == ('{"error": "InputFormatError", '
+                       '"message": "index beta must be positive"}\n')
+
     def test_unexpected_exception_is_three(self, monkeypatch, capsys):
         import permacheck.cli as cli
 

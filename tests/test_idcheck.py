@@ -19,6 +19,18 @@ from permacheck import (
 from oracles import exhaustive_bapat, random_green, random_pd_kernel
 
 TRI3 = [[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]]
+_B = np.array([[0.6, 0.9], [0.6, 0.3], [0.8, 0.5], [0.5, 0.8]])
+# one kernel for each stage of id_verdict that can decide
+PERMUTATION_KERNELS = {
+    "bapat holds": [[2.0, 0.5, 0.3], [0.5, 2.0, 0.4], [0.3, 0.4, 2.0]],
+    "bapat fails": TRI3,
+    "eigenvalue fails": [[1.0, 4.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "pair fails": [[2.0, 1.0, 0.5], [-1.0, 2.0, 0.5], [0.5, 0.5, 2.0]],
+    "triple fails": [[2.0, 1.0, -0.5], [1.0, 2.0, 0.5], [-0.25, 0.5, 2.0]],
+    "inverse-M holds": np.linalg.inv(np.eye(3) - np.array(
+        [[0.0, 0.3, 0.2], [0.1, 0.2, 0.3], [0.4, 0.0, 0.1]])).tolist(),
+    "PSD-singular inconclusive": (_B @ _B.T).tolist(),
+}
 
 
 class TestConstructSignature:
@@ -149,6 +161,15 @@ class TestIdVerdict:
             v0 = id_verdict(kernel(g))
             v1 = id_verdict(kernel(g * np.outer(d, d)))
             assert v0.verdict.status == v1.verdict.status
+
+    @pytest.mark.parametrize("name", sorted(PERMUTATION_KERNELS))
+    def test_index_permutation_invariance(self, name):
+        g = np.array(PERMUTATION_KERNELS[name])
+        v0 = id_verdict(kernel(g))
+        n = g.shape[0]
+        for p in (np.arange(n)[::-1], np.roll(np.arange(n), 1)):
+            v1 = id_verdict(kernel(g[np.ix_(p, p)]))
+            assert (v1.verdict.status, v1.method) == (v0.verdict.status, v0.method)
 
     def test_pair_kernel_matches_symmetrized_route(self):
         g = np.array([[1.0, 0.8], [0.2, 1.0]])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import naive_m_matrix_witnesses, naive_sign_product_violation
 from permacheck import (
     InputFormatError,
     KernelMatrix,
@@ -18,9 +19,10 @@ from permacheck import (
     loads_matrix,
     real_eigen_nonneg,
     resolvent,
-    resolvent_family,
     save_matrix,
 )
+from permacheck.defaults import TOL_ALGEBRAIC
+from permacheck.matcore import sign_product_violation
 
 
 class TestKernelMatrix:
@@ -132,23 +134,6 @@ class TestResolvent:
         assert errs[-1] < errs[4] < errs[0]
 
 
-class TestResolventFamily:
-    def test_member_at_zero_is_base(self):
-        G = kernel([[1.0, 0.5], [0.5, 1.0]])
-        fam = resolvent_family(G, [0.0, 0.5, 1.0, 2.5])
-        assert_allclose(fam.member(0.0).entries, G.entries)
-        assert_allclose(fam.member(1.0).entries, resolvent(G, 1.0).entries)
-
-    def test_grid_must_increase(self):
-        with pytest.raises(InputFormatError):
-            resolvent_family(identity(2), [0.0, 1.0, 1.0])
-
-    def test_missing_alpha(self):
-        fam = resolvent_family(identity(2), [0.0, 1.0])
-        with pytest.raises(KeyError):
-            fam.member(0.5)
-
-
 class TestRealEigenNonneg:
     def test_identity_holds(self):
         assert real_eigen_nonneg(identity(4)).holds
@@ -183,6 +168,67 @@ class TestIsMMatrix:
         assert rep.off_diagonal.holds
         assert rep.diagonally_dominant.fails
         assert rep.diagonally_dominant.witness["row"] == 0
+
+
+def _sign_test_kernels(seed: int, count: int):
+    """Seeded n = 2..8 kernels: plain, symmetric (only triples can fail)
+    and sign-symmetric sigma|B|sigma (nothing fails), at scales 1e-3..1e3,
+    with zeroed entries and entries shrunk to straddle the tolerance."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3)
+        style = int(rng.integers(3))
+        if style == 1:
+            a = a + a.T
+        elif style == 2:
+            s = rng.choice([-1.0, 1.0], size=n)
+            a = np.abs(a) * np.outer(s, s)
+        a[rng.random((n, n)) < 0.2] = 0.0
+        shrink = rng.random((n, n)) < 0.2
+        a[shrink] *= rng.choice([1e-12, 1e-10, 1e-9], size=int(shrink.sum()))
+        yield a
+
+
+class TestSignProducts:
+    def test_matches_loop_oracle(self):
+        kinds = {None: 0, "pair": 0, "triple": 0}
+        for a in _sign_test_kernels(31, 2500):
+            got = sign_product_violation(a)
+            assert got == naive_sign_product_violation(a, TOL_ALGEBRAIC), a
+            kinds[None if got is None else got[0]] += 1
+        assert min(kinds.values()) >= 300, kinds
+
+    def test_first_violation_in_canonical_order(self):
+        g = np.array([[3.0, 1.0, -1.0], [1.0, 3.0, 1.0], [-1.0, 1.0, 3.0]])
+        assert sign_product_violation(g) == ("triple", (0, 1, 2), -1.0)
+        g[2, 1] = -1.0
+        assert sign_product_violation(g) == ("pair", (1, 2), -1.0)
+
+    def test_within_tolerance_passes(self):
+        g = np.array([[1.0, 1e-6], [-1e-6, 1.0]])
+        assert sign_product_violation(g) is None
+
+
+class TestIsMMatrixOracle:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(33)
+        outcomes = {"off": 0, "row": 0, "both hold": 0}
+        for a in _sign_test_kernels(32, 2500):
+            n = a.shape[0]
+            # positive off-diagonals shrunk around the tolerance, so the
+            # row-sum test runs too
+            shrink = rng.choice([1e-11, 1e-10, 1e-9, 1.0])
+            a = np.where(np.eye(n, dtype=bool), np.abs(a) * n,
+                         np.where(a > 0, a * shrink, a))
+            rep = is_m_matrix(a)
+            off, row = naive_m_matrix_witnesses(a, TOL_ALGEBRAIC)
+            assert rep.off_diagonal.witness == off
+            assert rep.diagonally_dominant.witness == row
+            assert rep.off_diagonal.holds == (off is None)
+            assert rep.diagonally_dominant.holds == (row is None)
+            outcomes["off" if off else "row" if row else "both hold"] += 1
+        assert min(outcomes.values()) >= 300, outcomes
 
 
 class TestSignature:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -219,5 +221,43 @@ class TestBatchIO:
         path = tmp_path / "bad.bin"
         with open(path, "wb") as fh:
             fh.write(b'{"schema": 999}\n')
+        with pytest.raises(InputFormatError):
+            load_batch(path)
+
+    @pytest.mark.parametrize("case", [
+        "truncated 17 bytes", "truncated 16 bytes", "one extra byte",
+        "header not JSON", "header not UTF-8", "header a list",
+        "no n_draws", "no spec", "no kernel entries", "dim a string",
+        "negative n_draws"])
+    def test_malformed_file_raises_input_format_error(self, case, tmp_path):
+        path = tmp_path / "batch.bin"
+        save_batch(sample_gaussian(G2, 50, seed=19), path)
+        line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        if case == "truncated 17 bytes":
+            body = body[:-17]
+        elif case == "truncated 16 bytes":
+            body = body[:-16]
+        elif case == "one extra byte":
+            body += b"\0"
+        elif case == "header not JSON":
+            line = b"{schema: 1"
+        elif case == "header not UTF-8":
+            line = b'{"schema": 1, "kind": "\xff"}'
+        elif case == "header a list":
+            line = b"[1]"
+        elif case == "no n_draws":
+            del header["n_draws"]
+        elif case == "no spec":
+            del header["spec"]
+        elif case == "no kernel entries":
+            del header["spec"]["kernel"]["entries"]
+        elif case == "dim a string":
+            header["dim"] = "two"
+        elif case == "negative n_draws":
+            header["n_draws"] = -50
+        if case.startswith(("no ", "dim ", "negative ")):
+            line = json.dumps(header).encode("utf-8")
+        path.write_bytes(line + b"\n" + body)
         with pytest.raises(InputFormatError):
             load_batch(path)
