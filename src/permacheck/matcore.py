@@ -122,11 +122,12 @@ class Signature:
         return [int(v) for v in self.signs]
 
 
-def _cond_estimate(a: np.ndarray) -> float:
+def _cond_estimate(a: np.ndarray):
+    """cond(a), or one per matrix of a stack; inf where the SVD fails."""
     try:
-        return float(np.linalg.cond(a))
-    except np.linalg.LinAlgError:
-        return math.inf
+        return np.linalg.cond(a)
+    except np.linalg.LinAlgError:  # one bad matrix fails the whole stack
+        return np.array([_cond_estimate(x) for x in a]) if a.ndim > 2 else math.inf
 
 
 def invert(G: KernelMatrix) -> KernelMatrix:
@@ -136,7 +137,7 @@ def invert(G: KernelMatrix) -> KernelMatrix:
     configured cap or the residual ||G H - I||_inf misses tolerance.
     """
     a = G.entries
-    cond = _cond_estimate(a)
+    cond = float(_cond_estimate(a))
     if not math.isfinite(cond) or cond > defaults.COND_CAP:
         raise SingularMatrixError(
             f"matrix is singular or ill-conditioned (cond ~ {cond:.3e})", cond)
@@ -150,22 +151,38 @@ def invert(G: KernelMatrix) -> KernelMatrix:
     return KernelMatrix(h, symmetric=G.symmetric)
 
 
-def resolvent(G: KernelMatrix, alpha: float) -> KernelMatrix:
-    """The alpha-resolvent (I + alpha*G)^(-1) G; equals G at alpha = 0."""
-    if alpha < 0:
-        raise InputFormatError("resolvent requires alpha >= 0")
-    if alpha == 0:
-        return KernelMatrix(G.entries.copy(), symmetric=G.symmetric)
+def _resolvents(G: KernelMatrix, alphas) -> tuple:
+    """Resolvents over an alpha grid from one stacked solve, as (stack, error).
+
+    stack[t] is resolvent(G, alphas[t]).entries, bit for bit, for every alpha
+    before the first that is negative or makes cond(I + alpha*G) exceed
+    COND_CAP; error is that alpha's exception, or None."""
+    alphas = np.asarray(alphas, dtype=float)
     a = G.entries
-    lhs = np.eye(G.dim) + alpha * a
-    cond = _cond_estimate(lhs)
-    if not math.isfinite(cond) or cond > defaults.COND_CAP:
-        raise SingularMatrixError(
-            f"I + {alpha}*G is singular or ill-conditioned (cond ~ {cond:.3e})", cond)
-    r = np.linalg.solve(lhs, a)
+    lhs = np.eye(G.dim) + alphas[:, None, None] * a
+    conds = _cond_estimate(lhs)
+    bad = (alphas < 0) | ~(conds <= defaults.COND_CAP)
+    t = int(np.argmax(np.append(bad, True)))  # the first bad alpha, or alphas.size
+    r = np.linalg.solve(lhs[:t], a)
     if G.symmetric:
-        r = 0.5 * (r + r.T)
-    return KernelMatrix(r, symmetric=G.symmetric)
+        r = 0.5 * (r + r.swapaxes(1, 2))
+    r[alphas[:t] == 0] = a
+    if t == alphas.size:
+        return r, None
+    if alphas[t] < 0:
+        return r, InputFormatError("resolvent requires alpha >= 0")
+    cond = float(conds[t])
+    return r, SingularMatrixError(
+        f"I + {float(alphas[t])}*G is singular or ill-conditioned (cond ~ {cond:.3e})", cond)
+
+
+def resolvent(G: KernelMatrix, alpha: float) -> KernelMatrix:
+    """The alpha-resolvent (I + alpha*G)^(-1) G; equals G at alpha = 0.
+    _resolvents gives a whole alpha grid from one stacked solve."""
+    r, error = _resolvents(G, [alpha])
+    if error is not None:
+        raise error
+    return KernelMatrix(r[0], symmetric=G.symmetric)
 
 
 def real_eigen_nonneg(G: KernelMatrix) -> Verdict:

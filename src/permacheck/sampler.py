@@ -83,8 +83,11 @@ class SampleBatch:
         w = np.asarray(self.weights, dtype=float)
         if d.ndim != 2 or d.shape[0] < 1:
             raise InputFormatError("draws must be a nonempty N x n matrix")
-        if w.shape != (d.shape[0],) or np.min(w) < 0:
-            raise InputFormatError("weights must be N nonnegative reals")
+        # min and max propagate NaN, so this checks every draw without a copy
+        if not (np.isfinite(np.min(d)) and np.isfinite(np.max(d))):
+            raise InputFormatError("draws must be finite")
+        if w.shape != (d.shape[0],) or not np.all(np.isfinite(w) & (w >= 0)):
+            raise InputFormatError("weights must be N finite nonnegative reals")
         if abs(float(w.sum()) - d.shape[0]) > 1e-6 * d.shape[0]:
             raise InputFormatError("weights must sum to N (self-normalized)")
         if self.kind not in ("gaussian", "permanental"):
@@ -222,19 +225,23 @@ def empirical_laplace(batch: SampleBatch, alpha_diag) -> float:
     return batch.mean(np.exp(-0.5 * (psi @ a)))
 
 
-def abs_product_moment(sigma_i: float, sigma_j: float, rho: float) -> float:
+def abs_product_moment(sigma_i, sigma_j, rho):
     """E|eta_i eta_j| for centered Gaussians with sd sigma and correlation rho.
 
     Closed form (2/pi) sigma_i sigma_j (rho asin(rho) + sqrt(1 - rho^2)),
-    validated against a Monte Carlo oracle in the test suite.
+    validated against a Monte Carlo oracle in the test suite.  Arrays
+    broadcast, scalars give a float; the first bad entry in C order raises.
     """
-    if sigma_i <= 0 or sigma_j <= 0:
-        raise InputFormatError("standard deviations must be positive")
-    if abs(rho) > 1 + 1e-12:
-        raise InputFormatError(f"correlation {rho} outside [-1, 1]")
-    r = min(1.0, max(-1.0, float(rho)))
-    return (2.0 / math.pi) * sigma_i * sigma_j * (
-        r * math.asin(r) + math.sqrt(max(0.0, 1.0 - r * r)))
+    si, sj, r = np.broadcast_arrays(sigma_i, sigma_j, rho)
+    bad = (si <= 0) | (sj <= 0) | (np.abs(r) > 1 + 1e-12)
+    if bad.any():
+        k = np.argmax(bad)
+        if si.flat[k] <= 0 or sj.flat[k] <= 0:
+            raise InputFormatError("standard deviations must be positive")
+        raise InputFormatError(f"correlation {r.flat[k]} outside [-1, 1]")
+    r = np.minimum(np.maximum(r, -1.0), 1.0)
+    m = (2.0 / np.pi) * si * sj * (r * np.arcsin(r) + np.sqrt(np.maximum(0.0, 1.0 - r * r)))
+    return float(m) if m.ndim == 0 else m
 
 
 def sign_moment(rho: float) -> float:

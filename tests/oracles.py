@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: permutation sums by brute force,
 moments by plain Monte Carlo, signature searches by exhaustive
-enumeration.  Nothing imports the code under test.
+enumeration.  Nothing imports the code under test; the scan oracles keep
+the library's earlier loops and take its building blocks as arguments.
 """
 
 import itertools
@@ -159,6 +160,90 @@ def naive_m_matrix_witnesses(a, tol_rel: float) -> tuple:
         if sums[i] < -tol:
             return None, {"row": i, "row_sum": float(sums[i])}
     return None, None
+
+
+def naive_abs_product_moment(sigma_i: float, sigma_j: float, rho: float,
+                             error=ValueError) -> float:
+    """Scalar closed form of E|eta_i eta_j| with math.asin, and its
+    validation, as the library computed it pair by pair; invalid input
+    raises `error` with the library's message."""
+    if sigma_i <= 0 or sigma_j <= 0:
+        raise error("standard deviations must be positive")
+    if abs(rho) > 1 + 1e-12:
+        raise error(f"correlation {rho} outside [-1, 1]")
+    r = min(1.0, max(-1.0, float(rho)))
+    return (2.0 / math.pi) * sigma_i * sigma_j * (
+        r * math.asin(r) + math.sqrt(max(0.0, 1.0 - r * r)))
+
+
+def naive_positivity_scan(resolvent_at, poly, n, betas, alphas, m_max,
+                          neg_rel: float) -> tuple:
+    """Loop form of the beta-positivity scan.
+
+    resolvent_at(alpha) is the resolvent as an array and poly(A) the
+    cycle-polynomial coefficients of A.  Triples run over alpha, then
+    beta, then multisets by size and lex; the first value below
+    -neg_rel * max(max|entry|, 1e-300)^m stops the scan.  Returns
+    (triples scanned, witness dict or None).
+    """
+    sets = [idx for m in range(1, m_max + 1)
+            for idx in itertools.combinations_with_replacement(range(n), m)]
+    scanned = 0
+    for alpha in alphas:
+        ga = resolvent_at(float(alpha))
+        polys = []
+        for idx in sets:
+            sub = ga[np.ix_(idx, idx)]
+            polys.append((poly(sub), float(np.max(np.abs(sub)))))
+        for beta in betas:
+            powers = np.power(float(beta), np.arange(m_max + 1))
+            for idx, (coef, scale) in zip(sets, polys):
+                m = len(idx)
+                value = float(coef[: m + 1] @ powers[: m + 1])
+                scanned += 1
+                if value < -neg_rel * max(scale, 1e-300) ** m:
+                    return scanned, {"alpha": float(alpha), "beta": float(beta),
+                                     "indices": list(idx), "value": value}
+    return scanned, None
+
+
+def naive_monotonicity_scan(g, alphas, D_set, resolvent_of, moment,
+                            tol: float):
+    """Loop form of the resolvent monotonicity scan of a symmetric array g.
+
+    resolvent_of(a, alpha) is the resolvent of the symmetric array a as
+    an array, and moment(sd_i, sd_j, rho) the scalar E|eta_i eta_j|.
+    Each scaling evaluates every alpha and pair first; then rises are
+    searched pair by pair (i < j, row-major), then along the grid.
+    Returns the first witness dict with a rise above tol, or None.
+    """
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0]
+    for d_index, d in enumerate(D_set):
+        d = np.asarray(d, dtype=float)
+        scaled = g * np.outer(d, d)
+        moments = []
+        for alpha in alphas:
+            r = resolvent_of(scaled, float(alpha))
+            sd = np.sqrt(np.diag(r))
+            m = np.empty((n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        rho = r[i, j] / (sd[i] * sd[j])
+                    m[i, j] = moment(sd[i], sd[j], rho)
+            moments.append(m)
+        for i in range(n):
+            for j in range(i + 1, n):
+                for t in range(len(alphas) - 1):
+                    rise = moments[t + 1][i, j] - moments[t][i, j]
+                    if rise > tol:
+                        return {"scaling_index": d_index,
+                                "scaling": [float(v) for v in d],
+                                "pair": [i, j],
+                                "alphas": [float(alphas[t]), float(alphas[t + 1])],
+                                "increase": float(rise)}
+    return None
 
 
 def random_pd_kernel(rng, n: int):

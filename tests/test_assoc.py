@@ -3,7 +3,10 @@ import pytest
 
 from permacheck import (
     InputFormatError,
+    KernelMatrix,
+    NotPSDError,
     PermanentalSpec,
+    SingularMatrixError,
     abs_product_moment,
     association_mc_test,
     default_family,
@@ -17,7 +20,8 @@ from permacheck import (
     shifted_strong_order_test,
     squared_pair_density,
 )
-from oracles import mc_mean_se
+from oracles import mc_mean_se, naive_monotonicity_scan
+from permacheck.defaults import MONOTONE_TOL
 
 G2 = kernel([[1.0, 0.5], [0.5, 1.0]])
 GREEN2 = kernel([[4 / 3, 2 / 3], [2 / 3, 4 / 3]])
@@ -165,6 +169,80 @@ class TestMonotonicityScan:
             resolvent_monotonicity_scan(G2, alphas=[1.0, 0.5])
         with pytest.raises(InputFormatError):
             resolvent_monotonicity_scan(G2, D_set=[np.array([1.0, -1.0])])
+
+
+def _loop_scan(g, alphas, D_set):
+    return naive_monotonicity_scan(
+        g, alphas, D_set,
+        lambda a, alpha: resolvent(KernelMatrix(a, symmetric=True), alpha).entries,
+        abs_product_moment, MONOTONE_TOL)
+
+
+def _mixed_sign_kernel(rng, n: int) -> np.ndarray:
+    """Unit-diagonal PD kernel with negative entries; at n = 3 shaped like
+    [[1,-.31,.58],[-.31,1,.58],[.58,.58,1]], whose scan finds rises."""
+    while True:
+        if n == 3:
+            g = np.eye(3)
+            g[0, 1] = g[1, 0] = -rng.uniform(0.1, 0.5)
+            g[0, 2] = g[2, 0] = rng.uniform(0.4, 0.7)
+            g[1, 2] = g[2, 1] = rng.uniform(0.4, 0.7)
+        else:
+            c = rng.uniform(0.3, 0.7, size=(n, n)) * rng.choice(
+                [-1.0, 1.0], size=(n, n), p=[0.4, 0.6])
+            g = np.triu(c, 1)
+            g = g + g.T + np.eye(n)
+        if np.linalg.eigvalsh(g)[0] > 0.02:
+            return g
+
+
+class TestMonotonicityScanOracle:
+    ALPHAS = np.linspace(0.0, 1.5, 7)
+
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(62)
+        fails = 0
+        for case in range(200):
+            n = int(rng.integers(2, 5)) if case % 2 else 3
+            g = _mixed_sign_kernel(rng, n)
+            d_set = random_scalings(n, 20, seed=1000 + case)
+            v = resolvent_monotonicity_scan(kernel(g), alphas=self.ALPHAS, D_set=d_set)
+            witness = _loop_scan(g, self.ALPHAS, d_set)
+            if witness is None:
+                assert v.holds, case
+                continue
+            fails += 1
+            assert v.fails, case
+            got = dict(v.witness)
+            assert got.pop("increase") == pytest.approx(witness.pop("increase"),
+                                                         rel=1e-12, abs=0), case
+            assert got == witness, case
+        assert fails >= 20
+
+    @pytest.mark.parametrize("g, d, error, message", [
+        # the scaling makes I + alpha DGD ill-conditioned at the second alpha
+        ([[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]], [1e7, 1.0, 1.0],
+         SingularMatrixError, "I + 0.25*G is singular"),
+        ([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]], [1.0, 1.0, 1.0],
+         InputFormatError, "standard deviations must be positive"),
+        # both at once: the zero variance at alpha 0 comes first in grid order
+        ([[0.0, 0.0], [0.0, 1.0]], [1.0, 1e7],
+         InputFormatError, "standard deviations must be positive"),
+    ])
+    def test_errors_match_loop_oracle(self, g, d, error, message):
+        d_set = [np.array(d)]
+        with pytest.raises(error) as new:
+            resolvent_monotonicity_scan(kernel(g), alphas=self.ALPHAS, D_set=d_set)
+        with pytest.raises(error) as old:
+            _loop_scan(np.array(g), self.ALPHAS, d_set)
+        assert str(new.value) == str(old.value)
+        assert str(new.value).startswith(message)
+
+    @pytest.mark.parametrize("g", [[[-1.0, 0.0], [0.0, -1.0]],
+                                   [[1.0, 2.0], [2.0, 1.0]]])
+    def test_non_psd_kernel_rejected(self, g):
+        with pytest.raises(NotPSDError):
+            resolvent_monotonicity_scan(kernel(g))
 
 
 class TestRandomScalings:

@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from permacheck import (
     DimensionCapError,
+    SingularMatrixError,
+    defaults,
     beta_permanent,
     beta_positivity_scan,
     cycle_polynomial,
@@ -14,7 +16,9 @@ from permacheck import (
 from oracles import (
     naive_beta_permanent,
     naive_permanent,
+    naive_positivity_scan,
     naive_signature_convention,
+    random_green,
     random_pd_kernel,
 )
 
@@ -138,6 +142,19 @@ class TestPositivityScan:
                                      alphas=[0.0, 0.5, 1.0, 2.0], m_max=5)
         assert wider.verdict.fails
 
+    def test_threshold_scales_with_submatrix_size(self):
+        # per_0.1 of [[1, 2], [c, 1]] is 0.01 + 0.2c = -0.2 * delta; the
+        # threshold for this 2x2 submatrix is -1e-10 * max|entry|^2 = -4e-10
+        def scan(delta, m_max):
+            g = kernel([[1.0, 2.0], [-0.05 - delta, 1.0]])
+            return beta_positivity_scan(g, betas=[0.1], alphas=[0.0], m_max=m_max)
+
+        assert scan(1e-9, 2).verdict.holds
+        rep = scan(3e-9, 3)
+        assert rep.verdict.fails
+        assert (rep.witness["indices"], rep.scanned) == ([0, 1], 4)
+        assert rep.witness["value"] == pytest.approx(-6e-10, rel=1e-6)
+
     def test_bad_grids_rejected(self):
         from permacheck import InputFormatError
         with pytest.raises(InputFormatError):
@@ -146,6 +163,64 @@ class TestPositivityScan:
             beta_positivity_scan(kernel(np.eye(2)), betas=[-1.0])
         with pytest.raises(DimensionCapError):
             beta_positivity_scan(kernel(np.eye(2)), m_max=9)
+
+
+def _corpus_kernel(rng, case: int, n: int) -> np.ndarray:
+    """Positive definite, PSD-singular, nonsymmetric Green, or nonsymmetric mixed."""
+    kind = case % 4
+    if kind == 0:  # a random correlation matrix
+        b = rng.normal(size=(n, n))
+        g = b @ b.T
+        d = 1.0 / np.sqrt(np.diag(g))
+        g = g * np.outer(d, d)
+        return 0.5 * (g + g.T)
+    if kind == 1:  # a rank n-1 Gram matrix
+        b = rng.normal(size=(n, n - 1))
+        g = b @ b.T / (n - 1)
+        return 0.5 * (g + g.T)
+    if kind == 2:
+        return random_green(rng, n)
+    return random_pd_kernel(rng, n) + 0.2 * rng.normal(size=(n, n))
+
+
+class TestPositivityScanOracle:
+    def test_matches_loop_oracle(self):
+        # each grid holds beta 0.1 or 0.2, where negative cyclic products show
+        rng = np.random.default_rng(61)
+        outcomes = {"holds": 0, "fails": 0}
+        for case in range(300):
+            n = int(rng.integers(2, 7))
+            m_max = int(rng.integers(3, 6 if n <= 4 else 5))
+            g = kernel(_corpus_kernel(rng, case, n))
+            betas = sorted([float(rng.choice(defaults.BETA_GRID[:2]))]
+                           + rng.choice(defaults.BETA_GRID[2:], 2, replace=False).tolist())
+            alphas = [0.0, float(rng.choice(defaults.ALPHA_GRID[1:]))]
+            rep = beta_positivity_scan(g, betas, alphas, m_max)
+            scanned, witness = naive_positivity_scan(
+                lambda alpha: resolvent(g, alpha).entries, cycle_polynomial,
+                n, betas, alphas, m_max, defaults.NEGATIVITY_REL)
+            assert rep.scanned == scanned, case
+            outcomes[rep.verdict.status] += 1
+            if witness is None:
+                assert rep.witness is None, case
+                continue
+            got = dict(rep.witness)
+            assert got.pop("value") == pytest.approx(witness.pop("value"),
+                                                      rel=1e-12, abs=0), case
+            assert got == witness, case
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_ill_conditioned_alpha_raises_like_the_loops(self):
+        g = kernel([[1.0, 2.0], [2.0, 1.0]])  # holds at alpha 0; I + G is singular
+        errors = []
+        for scan in (lambda: beta_positivity_scan(g, [0.5], [0.0, 1.0], 3),
+                     lambda: naive_positivity_scan(
+                         lambda alpha: resolvent(g, alpha).entries, cycle_polynomial,
+                         2, [0.5], [0.0, 1.0], 3, defaults.NEGATIVITY_REL)):
+            with pytest.raises(SingularMatrixError) as err:
+                scan()
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
 
 
 class TestNecessaryBattery:

@@ -37,6 +37,8 @@ def matrices(tmp_path):
     add("big", np.eye(9))
     add("perm2", [[1.0, 2.0], [3.0, 4.0]])
     add("chain2", [[0.0, 0.5], [0.5, 0.0]])
+    add("negdiag2", [[-1.0, 0.0], [0.0, -1.0]])
+    add("indefinite2", [[1.0, 2.0], [2.0, 1.0]])
 
     # nonsymmetric Green kernel plus a constant: every necessary test
     # passes but no sufficient certificate exists
@@ -134,6 +136,9 @@ BAD_INPUTS = {
     "matrix not UTF-8": (["check-id", "--input", "{not_utf8}"], 2),
     "report not UTF-8": (["render", "--input", "{not_utf8}"], 2),
     "missing option": (["check-id"], 2),
+    # kernels that are not PSD have no Gaussian moments to scan
+    "scan-monotone negative diagonal": (["scan-monotone", "--kernel", "{negdiag2}"], 3),
+    "scan-monotone indefinite": (["scan-monotone", "--kernel", "{indefinite2}"], 3),
     # a malformed pairs row raises KeyError inside the table renderer
     "render row KeyError": (["render", "--input", "{bad_rows}",
                              "--format", "table"], 3),
@@ -174,6 +179,12 @@ class TestBadInputs:
         assert (code, out) == (2, "")
         assert err == ('{"error": "InputFormatError", '
                        '"message": "index beta must be positive"}\n')
+
+    @pytest.mark.parametrize("name", ["negdiag2", "indefinite2"])
+    def test_scan_monotone_non_psd_kernel_is_not_psd_error(self, name, matrices, capsys):
+        code, out, err = run_cli(["scan-monotone", "--kernel", matrices[name]], capsys)
+        assert (code, out) == (3, "")
+        assert _one_json_error(err)["error"] == "NotPSDError"
 
     def test_unexpected_exception_is_three(self, monkeypatch, capsys):
         import permacheck.cli as cli

@@ -22,7 +22,7 @@ from permacheck import (
     save_matrix,
 )
 from permacheck.defaults import TOL_ALGEBRAIC
-from permacheck.matcore import sign_product_violation
+from permacheck.matcore import _resolvents, sign_product_violation
 
 
 class TestKernelMatrix:
@@ -115,6 +115,34 @@ class TestResolvent:
     def test_singular_shift_raises(self):
         with pytest.raises(SingularMatrixError):
             resolvent(kernel([[-1.0]]), 1.0)
+
+    def test_stacked_grid_matches_each_alpha_bitwise(self):
+        rng = np.random.default_rng(64)
+        alphas = [0.0, 0.1, 0.5, 1.0, 2.5, 5.0]
+        for n in (1, 2, 3, 5, 8):
+            a = rng.normal(size=(n, n))
+            for G in (kernel(a @ a.T), kernel(a @ a.T + 0.3 * a, symmetric=False)):
+                stack, error = _resolvents(G, alphas)
+                assert error is None
+                for alpha, r in zip(alphas, stack):
+                    assert np.array_equal(r, resolvent(G, alpha).entries)
+
+    def test_alpha_zero_keeps_every_bit(self):
+        G = kernel([[1.0, -0.0], [0.5, 2.0]])
+        assert resolvent(G, 0.0).entries.tobytes() == G.entries.tobytes()
+
+    def test_stacked_grid_stops_at_first_bad_alpha(self):
+        G = kernel([[1.0, 2.0], [2.0, 1.0]])  # I + G is singular
+        stack, error = _resolvents(G, [0.0, 0.5, 1.0, -1.0])
+        assert stack.shape == (2, 2, 2)
+        assert isinstance(error, SingularMatrixError)
+        with pytest.raises(SingularMatrixError) as err:
+            resolvent(G, 1.0)
+        assert str(err.value) == str(error)
+        stack, error = _resolvents(G, [0.5, -1.0, 1.0])
+        assert stack.shape == (1, 2, 2)
+        assert isinstance(error, InputFormatError)
+        assert str(error) == "resolvent requires alpha >= 0"
 
     def test_truncated_series_converges(self):
         # resolvent(G, alpha+eps) = sum_k (-1)^k eps^k G_alpha^(k+1)

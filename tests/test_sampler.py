@@ -20,7 +20,12 @@ from permacheck import (
     sign_moment,
     tilt_resolvent,
 )
-from oracles import mc_abs_product_moment, mc_mean_se, mc_sign_moment
+from oracles import (
+    mc_abs_product_moment,
+    mc_mean_se,
+    mc_sign_moment,
+    naive_abs_product_moment,
+)
 
 G2 = kernel([[1.0, 0.5], [0.5, 1.0]])
 
@@ -182,6 +187,40 @@ class TestClosedFormMoments:
         assert abs_product_moment(2.0, 3.0, 0.0) == \
             pytest.approx(6 * 2 / np.pi)
 
+    def test_abs_product_arrays_match_scalar_closed_form(self):
+        rng = np.random.default_rng(63)
+        si, sj = rng.uniform(0.1, 3.0, size=(2, 4, 50))
+        rho = np.concatenate([rng.uniform(-1.0, 1.0, size=(4, 45)),
+                              [[1.0, -1.0, 0.0, 1.0 + 1e-13, -1.0 - 1e-13]] * 4], axis=1)
+        got = abs_product_moment(si, sj, rho)
+        assert got.shape == (4, 50)
+        want = np.vectorize(naive_abs_product_moment)(si, sj, rho)
+        assert_allclose(got, want, rtol=1e-15, atol=0)
+        # broadcasting, and a scalar call gives the array's entry as a float
+        assert np.array_equal(abs_product_moment(si, 1.0, rho[0]),
+                              abs_product_moment(si, np.ones(50), rho[0]))
+        value = abs_product_moment(si[2, 7], sj[2, 7], rho[2, 7])
+        assert type(value) is float and value == got[2, 7]
+
+    @pytest.mark.parametrize("args", [
+        (0.0, 1.0, 0.5), (1.0, -1.0, 0.5), (1.0, 1.0, 1.5), (1.0, 1.0, -2.0),
+        (1.0, 1.0, 1.0 + 2e-12), (-1.0, 1.0, 3.0), (1, 1, 2)])
+    def test_abs_product_validation_matches_scalar_form(self, args):
+        with pytest.raises(InputFormatError) as new:
+            abs_product_moment(*args)
+        with pytest.raises(InputFormatError) as old:
+            naive_abs_product_moment(*args, error=InputFormatError)
+        assert str(new.value) == str(old.value)
+
+    def test_abs_product_array_reports_first_bad_entry(self):
+        # pair order: entry 1 has a bad correlation before entry 2's zero sd
+        with pytest.raises(InputFormatError, match="correlation -1.5 outside"):
+            abs_product_moment(np.array([1.0, 1.0, 0.0]), 1.0,
+                               np.array([0.5, -1.5, 0.5]))
+        with pytest.raises(InputFormatError, match="standard deviations"):
+            abs_product_moment(np.array([1.0, 0.0, 1.0]), 1.0,
+                               np.array([0.5, 0.5, 3.0]))
+
     def test_abs_product_against_mc(self):
         for rho in (-0.8, -0.3, 0.0, 0.5, 0.9):
             mc, se = mc_abs_product_moment(1.0, 1.0, rho, 2_000_000, seed=16)
@@ -228,7 +267,7 @@ class TestBatchIO:
         "truncated 17 bytes", "truncated 16 bytes", "one extra byte",
         "header not JSON", "header not UTF-8", "header a list",
         "no n_draws", "no spec", "no kernel entries", "dim a string",
-        "negative n_draws"])
+        "negative n_draws", "NaN weights", "inf weight", "inf draw"])
     def test_malformed_file_raises_input_format_error(self, case, tmp_path):
         path = tmp_path / "batch.bin"
         save_batch(sample_gaussian(G2, 50, seed=19), path)
@@ -256,6 +295,14 @@ class TestBatchIO:
             header["dim"] = "two"
         elif case == "negative n_draws":
             header["n_draws"] = -50
+        elif case in ("NaN weights", "inf weight", "inf draw"):
+            values = np.frombuffer(body, dtype="<f8").copy()
+            n_values = header["n_draws"] * header["dim"]
+            if case == "NaN weights":
+                values[n_values:] = np.nan
+            else:
+                values[n_values if case == "inf weight" else 3] = np.inf
+            body = values.tobytes()
         if case.startswith(("no ", "dim ", "negative ")):
             line = json.dumps(header).encode("utf-8")
         path.write_bytes(line + b"\n" + body)
