@@ -217,6 +217,8 @@ def resolvent_monotonicity_scan(G: KernelMatrix, alphas=None,
         alphas = np.linspace(0.0, defaults.MONOTONE_ALPHA_MAX,
                              defaults.MONOTONE_ALPHA_POINTS)
     alphas = [float(a) for a in alphas]
+    if not alphas or not np.all(np.isfinite(alphas)):
+        raise InputFormatError("alpha grid must be nonempty and finite")
     if any(b <= a for a, b in zip(alphas, alphas[1:])) or alphas[0] < 0:
         raise InputFormatError("alpha grid must be nonnegative and increasing")
     _psd_screen(G, strict=False)

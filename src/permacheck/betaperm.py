@@ -2,9 +2,9 @@
 
 The central object is per_b(A) = sum over permutations tau of
 b^(number of cycles of tau) * prod_i A[i, tau(i)].  A subset dynamic
-program collects the coefficients of b^k once per matrix.  The
-positivity scan stacks those coefficients for every multiset of a
-resolvent, so one matrix product evaluates the whole beta grid.
+program collects the coefficients of b^k for a stack of same-size
+matrices at once; the positivity scan runs it once per multiset size of
+a resolvent, so one matrix product evaluates the whole beta grid.
 """
 
 from __future__ import annotations
@@ -33,64 +33,57 @@ def cycle_polynomial(A) -> np.ndarray:
     """Coefficients c[0..m] with per_b(A) = sum_k c[k] * b**k.
 
     c[k] sums prod_i A[i,tau(i)] over permutations tau with exactly k
-    cycles; c[0] is always 0 for m >= 1.  Cost is O(3^m) after an
-    O(2^m m^2) pass collecting single-cycle weights, fine for m <= 8.
+    cycles; c[0] is always 0 for m >= 1.  Runs the stacked DP below on a
+    stack of one: O(3^m) array operations, fine for m <= 8.
     """
     a = _as_square_array(A.entries if isinstance(A, KernelMatrix) else A)
     m = a.shape[0]
     if m > defaults.PERMANENT_CAP:
         raise DimensionCapError(
             f"matrix dimension {m} exceeds the permanent cap {defaults.PERMANENT_CAP}")
-    return _cycle_coefficients(a)
+    return _cycle_coefficients(a[:, :, None])[0]
 
 
 def _cycle_coefficients(a: np.ndarray) -> np.ndarray:
-    """The dynamic program behind cycle_polynomial, on a validated array."""
-    m = a.shape[0]
-    a = a.tolist()  # Python floats: same products and sums, faster to index
-    full = 1 << m
+    """Cycle polynomials of the stack a[:, :, t] of m x m matrices, as (N, m+1).
+
+    Each entry gets the multiplies and adds of the one-matrix DP on Python
+    floats (kept in tests/oracles.py) in the same order, so rows match it
+    bit for bit: the zero-factor terms it skips are +-0.0 while sums stay
+    finite, and no sum, started at +0.0, is -0.0.  Memory: O(2^m m N) floats.
+    """
+    m, _, n = a.shape
     # W[mask]: sum over single cycles supported exactly on mask, rooted at min(mask)
-    W = [0.0] * full
-    for s in range(m):
-        r = m - s
-        size = 1 << r
-        # P[mask][j]: paths from s through exactly {s + i : bit i of mask}, ending at s+j
-        P = [[0.0] * r for _ in range(size)]
-        P[1][0] = 1.0
-        for mask in range(1, size):
-            if not mask & 1:
-                continue
-            row = P[mask]
-            close = 0.0
-            for j in range(r):
-                w = row[j]
-                if w == 0.0:
-                    continue
-                close += w * a[s + j][s]
+    W = [None] * (1 << m)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as on Python floats
+        for s in range(m):
+            r = m - s
+            # P[mask][j]: paths from s through exactly {s + i : bit i of mask} to s+j, or None
+            P = {1: [1.0] + [None] * (r - 1)}
+            for mask in range(1, 1 << r, 2):
+                # acc[k]: those paths, then a step to s+k; k = 0 closes a cycle
+                acc = np.zeros((r, n))
+                for j, w in enumerate(P.pop(mask)):
+                    if w is not None:
+                        acc += w * a[s + j, s:]
+                W[mask << s] = acc[0].copy()
                 for k in range(1, r):
                     if not mask & (1 << k):
-                        P[mask | (1 << k)][k] += w * a[s + j][s + k]
-            W[mask << s] = close
-    # partition DP: coef[mask] = cycle polynomial of the submatrix on mask
-    coef = [None] * full
-    coef[0] = [1.0] + [0.0] * m
-    for mask in range(1, full):
-        low = mask & (-mask)
-        c = [0.0] * (m + 1)
-        sub = mask
-        while True:
-            if sub & low:
-                w = W[sub]
-                if w != 0.0:
+                        P.setdefault(mask | (1 << k), [None] * r)[k] = acc[k]
+        # partition DP: coef[mask] = cycle polynomial on mask, popcount(mask) + 1 rows
+        coef = [None] * (1 << m)
+        coef[0] = np.ones((1, n))
+        for mask in range(1, 1 << m):
+            low = mask & (-mask)
+            c = np.zeros((mask.bit_count() + 1, n))
+            sub = mask
+            while sub:
+                if sub & low:
                     rest = coef[mask ^ sub]
-                    for k in range(m):
-                        if rest[k] != 0.0:
-                            c[k + 1] += w * rest[k]
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        coef[mask] = c
-    return np.array(coef[full - 1])
+                    c[1:rest.shape[0] + 1] += W[sub] * rest
+                sub = (sub - 1) & mask
+            coef[mask] = c
+    return coef[-1].T
 
 
 def beta_permanent(A, beta: float, exponent: str = "cycles") -> float:
@@ -154,25 +147,32 @@ def beta_positivity_scan(G: KernelMatrix, betas=None, alphas=None,
     betas = list(defaults.BETA_GRID if betas is None else betas)
     alphas = list(defaults.ALPHA_GRID if alphas is None else alphas)
     m_max = defaults.M_MAX if m_max is None else int(m_max)
-    if not betas or not alphas:
-        raise InputFormatError("beta and alpha grids must be nonempty")
+    if not (betas and alphas and np.all(np.isfinite(np.array(betas + alphas, dtype=float)))):
+        raise InputFormatError("beta and alpha grids must be nonempty and finite")
     if any(b <= 0 for b in betas):
         raise InputFormatError("beta grid must be positive")
     if m_max < 1 or m_max > defaults.PERMANENT_CAP:
         raise DimensionCapError(
             f"m_max {m_max} outside 1..{defaults.PERMANENT_CAP}")
     sets = list(multisets(G.dim, m_max))
+    # per multiset size m: its rows of sets and its (m, S_m) index array
+    blocks, first = [], 0
+    for m, group in itertools.groupby(sets, key=len):
+        idx = np.array(list(group)).T
+        blocks.append((m, slice(first, first + idx.shape[1]), idx))
+        first += idx.shape[1]
     # powers[b, k] = beta_b ** k; coefs[s, k] = coefficient k of multiset s
     powers = np.power(np.array(betas, dtype=float)[:, None], np.arange(m_max + 1))
     coefs = np.zeros((len(sets), m_max + 1))
     limits = np.empty(len(sets))
     for a_index, alpha in enumerate(alphas):
         ga = resolvent(G, float(alpha)).entries
-        for s, idx in enumerate(sets):
-            sub = ga[np.ix_(idx, idx)]
-            coefs[s, : len(idx) + 1] = _cycle_coefficients(sub)
-            scale = float(np.max(np.abs(sub)))
-            limits[s] = -defaults.NEGATIVITY_REL * max(scale, 1e-300) ** len(idx)
+        for m, rows, idx in blocks:
+            sub = ga[idx[:, None, :], idx[None, :, :]]  # (m, m, S_m): one matrix per multiset
+            coefs[rows, : m + 1] = _cycle_coefficients(sub)
+            # scalar ** on purpose: numpy's array power can differ in the last bit
+            limits[rows] = [-defaults.NEGATIVITY_REL * max(scale, 1e-300) ** m
+                            for scale in np.max(np.abs(sub), axis=(0, 1)).tolist()]
         values = powers @ coefs.T
         bad = values < limits
         if bad.any():

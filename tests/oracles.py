@@ -39,6 +39,57 @@ def naive_beta_permanent(A, beta: float) -> float:
     return total
 
 
+def scalar_cycle_coefficients(a) -> np.ndarray:
+    """Cycle-polynomial coefficients of one matrix by the subset DP on
+    Python floats, as the library computed them matrix by matrix."""
+    a = np.asarray(a, dtype=float)
+    m = a.shape[0]
+    a = a.tolist()
+    full = 1 << m
+    # W[mask]: sum over single cycles supported exactly on mask, rooted at min(mask)
+    W = [0.0] * full
+    for s in range(m):
+        r = m - s
+        size = 1 << r
+        # P[mask][j]: paths from s through exactly {s + i : bit i of mask}, ending at s+j
+        P = [[0.0] * r for _ in range(size)]
+        P[1][0] = 1.0
+        for mask in range(1, size):
+            if not mask & 1:
+                continue
+            row = P[mask]
+            close = 0.0
+            for j in range(r):
+                w = row[j]
+                if w == 0.0:
+                    continue
+                close += w * a[s + j][s]
+                for k in range(1, r):
+                    if not mask & (1 << k):
+                        P[mask | (1 << k)][k] += w * a[s + j][s + k]
+            W[mask << s] = close
+    # partition DP: coef[mask] = cycle polynomial of the submatrix on mask
+    coef = [None] * full
+    coef[0] = [1.0] + [0.0] * m
+    for mask in range(1, full):
+        low = mask & (-mask)
+        c = [0.0] * (m + 1)
+        sub = mask
+        while True:
+            if sub & low:
+                w = W[sub]
+                if w != 0.0:
+                    rest = coef[mask ^ sub]
+                    for k in range(m):
+                        if rest[k] != 0.0:
+                            c[k + 1] += w * rest[k]
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+        coef[mask] = c
+    return np.array(coef[full - 1])
+
+
 def naive_permanent(A) -> float:
     return naive_beta_permanent(A, 1.0)
 

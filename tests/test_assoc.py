@@ -170,6 +170,12 @@ class TestMonotonicityScan:
         with pytest.raises(InputFormatError):
             resolvent_monotonicity_scan(G2, D_set=[np.array([1.0, -1.0])])
 
+    def test_bad_alpha_grids_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for alphas in ([], [nan], [0.0, nan], [0.0, inf]):
+            with pytest.raises(InputFormatError):
+                resolvent_monotonicity_scan(G2, alphas=alphas)
+
 
 def _loop_scan(g, alphas, D_set):
     return naive_monotonicity_scan(

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from permacheck import (
     DimensionCapError,
+    InputFormatError,
     SingularMatrixError,
     defaults,
     beta_permanent,
@@ -13,6 +16,7 @@ from permacheck import (
     kernel,
     resolvent,
 )
+from permacheck.betaperm import _cycle_coefficients
 from oracles import (
     naive_beta_permanent,
     naive_permanent,
@@ -20,6 +24,7 @@ from oracles import (
     naive_signature_convention,
     random_green,
     random_pd_kernel,
+    scalar_cycle_coefficients,
 )
 
 TRI3 = [[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]]
@@ -156,11 +161,12 @@ class TestPositivityScan:
         assert rep.witness["value"] == pytest.approx(-6e-10, rel=1e-6)
 
     def test_bad_grids_rejected(self):
-        from permacheck import InputFormatError
-        with pytest.raises(InputFormatError):
-            beta_positivity_scan(kernel(np.eye(2)), betas=[])
-        with pytest.raises(InputFormatError):
-            beta_positivity_scan(kernel(np.eye(2)), betas=[-1.0])
+        # TRI3 is not ID: a NaN beta let through would make the scan report holds
+        nan, inf = float("nan"), float("inf")
+        for grids in ({"betas": []}, {"betas": [-1.0]}, {"betas": [nan]},
+                      {"betas": [inf]}, {"alphas": [0.0, nan]}, {"alphas": [inf]}):
+            with pytest.raises(InputFormatError):
+                beta_positivity_scan(kernel(TRI3), **grids)
         with pytest.raises(DimensionCapError):
             beta_positivity_scan(kernel(np.eye(2)), m_max=9)
 
@@ -183,44 +189,112 @@ def _corpus_kernel(rng, case: int, n: int) -> np.ndarray:
     return random_pd_kernel(rng, n) + 0.2 * rng.normal(size=(n, n))
 
 
+def _loop_scan(g, betas, alphas, m_max):
+    return naive_positivity_scan(
+        lambda alpha: resolvent(g, alpha).entries, scalar_cycle_coefficients,
+        g.dim, betas, alphas, m_max, defaults.NEGATIVITY_REL)
+
+
 class TestPositivityScanOracle:
     def test_matches_loop_oracle(self):
         # each grid holds beta 0.1 or 0.2, where negative cyclic products show
         rng = np.random.default_rng(61)
         outcomes = {"holds": 0, "fails": 0}
-        for case in range(300):
-            n = int(rng.integers(2, 7))
-            m_max = int(rng.integers(3, 6 if n <= 4 else 5))
+        for case in range(320):
+            if case < 300:
+                n = int(rng.integers(2, 7))
+                m_max = int(rng.integers(3, 6 if n <= 4 else 5))
+            else:  # desk scale
+                n, m_max = (10 if case < 310 else 12), 3
             g = kernel(_corpus_kernel(rng, case, n))
             betas = sorted([float(rng.choice(defaults.BETA_GRID[:2]))]
                            + rng.choice(defaults.BETA_GRID[2:], 2, replace=False).tolist())
             alphas = [0.0, float(rng.choice(defaults.ALPHA_GRID[1:]))]
             rep = beta_positivity_scan(g, betas, alphas, m_max)
-            scanned, witness = naive_positivity_scan(
-                lambda alpha: resolvent(g, alpha).entries, cycle_polynomial,
-                n, betas, alphas, m_max, defaults.NEGATIVITY_REL)
+            scanned, witness = _loop_scan(g, betas, alphas, m_max)
             assert rep.scanned == scanned, case
             outcomes[rep.verdict.status] += 1
-            if witness is None:
-                assert rep.witness is None, case
-                continue
-            got = dict(rep.witness)
-            assert got.pop("value") == pytest.approx(witness.pop("value"),
-                                                      rel=1e-12, abs=0), case
-            assert got == witness, case
+            # the batched and scalar programs agree bit for bit, value included
+            assert rep.witness == witness, case
         assert min(outcomes.values()) >= 50, outcomes
 
     def test_ill_conditioned_alpha_raises_like_the_loops(self):
         g = kernel([[1.0, 2.0], [2.0, 1.0]])  # holds at alpha 0; I + G is singular
         errors = []
         for scan in (lambda: beta_positivity_scan(g, [0.5], [0.0, 1.0], 3),
-                     lambda: naive_positivity_scan(
-                         lambda alpha: resolvent(g, alpha).entries, cycle_polynomial,
-                         2, [0.5], [0.0, 1.0], 3, defaults.NEGATIVITY_REL)):
+                     lambda: _loop_scan(g, [0.5], [0.0, 1.0], 3)):
             with pytest.raises(SingularMatrixError) as err:
                 scan()
             errors.append(str(err.value))
         assert errors[0] == errors[1]
+
+    def test_witness_before_ill_conditioned_alpha_fails_like_the_loops(self):
+        # a negative cyclic product gives a witness at alpha 0; the
+        # eigenvalue -1 makes I + G singular at alpha 1
+        g = kernel([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
+        with pytest.raises(SingularMatrixError):
+            resolvent(g, 1.0)
+        rep = beta_positivity_scan(g, [0.1, 0.5], [0.0, 1.0], 3)
+        assert rep.verdict.fails
+        assert rep.witness["alpha"] == 0.0
+        assert (rep.scanned, rep.witness) == _loop_scan(g, [0.1, 0.5], [0.0, 1.0], 3)
+
+    def test_status_invariant_under_permutation_and_signature(self):
+        # per_beta(P A P^T) and per_beta(s A s) equal per_beta(A) on every
+        # multiset, and resolvents commute with both maps
+        rng = np.random.default_rng(62)
+        statuses = set()
+        for case in range(8):
+            n = 4 + case % 3
+            g = _corpus_kernel(rng, case, n)
+            perm = rng.permutation(n)
+            sigma = rng.choice([-1.0, 1.0], size=n)
+            reps = [beta_positivity_scan(kernel(x), m_max=4)
+                    for x in (g, g[np.ix_(perm, perm)], g * np.outer(sigma, sigma))]
+            assert len({r.verdict.status for r in reps}) == 1, case
+            if reps[0].verdict.holds:
+                assert len({r.scanned for r in reps}) == 1, case
+            statuses.add(reps[0].verdict.status)
+        assert statuses == {"holds", "fails"}
+
+
+def _dp_corpus():
+    """1500 seeded matrices: m = 1..8, scales 1e-5..1e5, 20% zeros, some -0.0."""
+    rng = np.random.default_rng(63)
+    mats = []
+    for i in range(1500):
+        m = 1 + i % 8
+        a = rng.normal(size=(m, m)) * 10.0 ** rng.uniform(-5, 5)
+        a[rng.uniform(size=(m, m)) < 0.2] = 0.0
+        a[rng.uniform(size=(m, m)) < 0.05] = -0.0
+        mats.append(a)
+    return mats
+
+
+class TestBatchedCyclePolynomial:
+    def test_bit_identical_to_scalar_program(self):
+        by_size = {}
+        for a in _dp_corpus():
+            by_size.setdefault(a.shape[0], []).append(a)
+        for m, mats in by_size.items():
+            ref = np.array([scalar_cycle_coefficients(a) for a in mats])
+            for got in (_cycle_coefficients(np.stack(mats, axis=2)),
+                        np.array([cycle_polynomial(a) for a in mats])):
+                assert np.array_equal(got, ref), m
+                assert np.array_equal(np.signbit(got), np.signbit(ref)), m
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 5).flatmap(lambda m: st.lists(
+               st.floats(-10, 10), min_size=m * m, max_size=m * m)),
+           st.floats(-3, 3))
+    def test_beta_permanent_matches_permutation_sum(self, entries, beta):
+        m = int(round(len(entries) ** 0.5))
+        a = np.array(entries).reshape(m, m)
+        # relative to the permutation sum of |entries|, which bounds every
+        # term; 1e-300 covers products that underflow in one order only
+        scale = naive_beta_permanent(np.abs(a), max(abs(beta), 1.0))
+        error = abs(beta_permanent(a, beta) - naive_beta_permanent(a, beta))
+        assert error <= 1e-9 * scale + 1e-300
 
 
 class TestNecessaryBattery:
