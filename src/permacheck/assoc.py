@@ -11,6 +11,7 @@ the closed form E|eta_alpha(i) eta_alpha(j)| along resolvent grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -40,16 +41,16 @@ __all__ = [
 class IncreasingFunctionFamily:
     """Named coordinatewise-nondecreasing functions of a draw matrix.
 
-    members: tuple of (name, callable); each callable maps an N x n
-    draw matrix to N per-draw values and is nondecreasing in every
-    coordinate.
+    members: tuple of at least two (name, callable); each callable maps
+    an N x n draw matrix to N per-draw values and is nondecreasing in
+    every coordinate.
     """
 
     members: tuple
 
     def __post_init__(self):
-        if not self.members:
-            raise InputFormatError("function family must be nonempty")
+        if len(self.members) < 2:
+            raise InputFormatError("function family needs at least two members")
 
     def names(self) -> list:
         return [name for name, _ in self.members]
@@ -59,7 +60,7 @@ def _orthant(thresholds):
     t = np.asarray(thresholds, dtype=float)
 
     def f(x):
-        return np.all(x >= t, axis=1).astype(float)
+        return reduce(np.logical_and, (c >= ti for c, ti in zip(x.T, t))).astype(float)
 
     return f
 
@@ -90,35 +91,35 @@ def default_family(reference_draws) -> IncreasingFunctionFamily:
     if x.ndim != 2 or x.shape[0] < 10:
         raise InputFormatError("need an N x n draw matrix with N >= 10")
     n = x.shape[1]
-    members = []
-    for q in defaults.ORTHANT_QUANTILES:
-        t = np.quantile(x, q, axis=0)
-        members.append((f"orthant_q{int(round(100 * q))}", _orthant(t)))
+    levels = defaults.ORTHANT_QUANTILES + (0.5,)
+    *thresholds, median = np.quantile(x, levels, axis=0)
+    members = [(f"orthant_q{int(round(100 * q))}", _orthant(t))
+               for q, t in zip(defaults.ORTHANT_QUANTILES, thresholds)]
     for i in range(n):
         members.append((f"proj_{i}", _projection(i)))
-    members.append(("max", lambda v: v.max(axis=1)))
-    members.append(("min", lambda v: v.min(axis=1)))
-    median = np.quantile(x, 0.5, axis=0)
+    # column by column, as in _orthant: a reduction along the short row axis
+    # is slow, and these operations are exact, so the values match axis=1
+    members.append(("max", lambda v: reduce(np.maximum, v.T)))
+    members.append(("min", lambda v: reduce(np.minimum, v.T)))
     members.append(
         ("soft_orthant", _soft_orthant(median, defaults.SOFT_INDICATOR_SLOPE)))
     return IncreasingFunctionFamily(tuple(members))
 
 
-def _jackknife_cov(x: np.ndarray, y: np.ndarray, blocks: int) -> tuple:
-    """Covariance estimate and delete-block jackknife standard error."""
+def _pair_cov(f: tuple, h: tuple, starts: np.ndarray, rest: np.ndarray,
+              buffer: np.ndarray) -> tuple:
+    """Covariance estimate and delete-block jackknife standard error of
+    two members, each given as (values, mean, delete-block means);
+    buffer receives the products."""
+    (x, mean_x, loo_x), (y, mean_y, loo_y) = f, h
     n = x.size
-    blocks = min(blocks, n)
-    cov = float(x @ y / n - x.mean() * y.mean())
-    edges = np.linspace(0, n, blocks + 1).astype(int)
-    sx = np.add.reduceat(x, edges[:-1])
-    sy = np.add.reduceat(y, edges[:-1])
-    sxy = np.add.reduceat(x * y, edges[:-1])
-    sizes = np.diff(edges)
-    tx, ty, txy = x.sum(), y.sum(), float(x @ y)
-    rest = n - sizes
-    mx = (tx - sx) / rest
-    my = (ty - sy) / rest
-    loo = (txy - sxy) / rest - mx * my
+    blocks = starts.size
+    # BLAS picks its kernel by memory layout, so the dot runs on the arrays
+    # the members returned: a contiguous copy or a Gram matrix moves bits
+    dot = x @ y
+    cov = float(dot / n - mean_x * mean_y)
+    np.multiply(x, y, out=buffer)
+    loo = (float(dot) - np.add.reduceat(buffer, starts)) / rest - loo_x * loo_y
     se = float(np.sqrt((blocks - 1) / blocks * np.sum((loo - loo.mean()) ** 2)))
     return cov, se
 
@@ -147,20 +148,37 @@ def association_mc_test(spec: PermanentalSpec, family=None,
 
     A pair is a violation witness only when its z-score is at or below
     the configured threshold (default -3); positive covariances and
-    noise around zero both count as holds-within-CI.
+    noise around zero both count as holds-within-CI.  Each family member
+    must give one finite value per draw, and n_draws must be at least 2;
+    otherwise InputFormatError is raised before any pair is formed.
     """
     seed = defaults.DEFAULT_SEED if seed is None else int(seed)
     batch = sample_permanental(spec, n_draws, seed)
     if family is None:
         family = default_family(batch.draws)
-    values = [(name, np.asarray(f(batch.draws), dtype=float))
-              for name, f in family.members]
+    n = batch.n_draws
+    if n < 2:
+        raise InputFormatError("the jackknife needs at least two draws")
+    blocks = min(defaults.JACKKNIFE_BLOCKS, n)
+    edges = np.linspace(0, n, blocks + 1).astype(int)
+    starts, rest = edges[:-1], n - np.diff(edges)
+    members = []
+    for name, f in family.members:
+        values = np.asarray(f(batch.draws), dtype=float)
+        if values.shape != (n,) or not np.all(np.isfinite(values)):
+            raise InputFormatError(
+                f"family member {name!r} must give {n} finite values, "
+                f"one per draw")
+        # what the jackknife of every pair needs from this member alone
+        loo_mean = (values.sum() - np.add.reduceat(values, starts)) / rest
+        members.append((name, (values, values.mean(), loo_mean)))
+    buffer = np.empty(n)
     rows = []
     worst = None
-    for a in range(len(values)):
-        for b in range(a + 1, len(values)):
-            (fn, fx), (hn, hy) = values[a], values[b]
-            cov, se = _jackknife_cov(fx, hy, defaults.JACKKNIFE_BLOCKS)
+    for a in range(len(members)):
+        for b in range(a + 1, len(members)):
+            (fn, fx), (hn, hy) = members[a], members[b]
+            cov, se = _pair_cov(fx, hy, starts, rest, buffer)
             z = cov / se if se > 0 else 0.0
             rows.append({"f": fn, "h": hn, "cov": cov, "se": se, "z": z})
             if worst is None or z < worst["z"]:

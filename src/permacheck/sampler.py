@@ -44,8 +44,9 @@ class PermanentalSpec:
     index_beta: float
 
     def __post_init__(self):
-        if self.index_beta <= 0:
-            raise InputFormatError("index beta must be positive")
+        if not (math.isfinite(self.index_beta) and self.index_beta > 0):
+            raise InputFormatError(
+                f"index beta must be positive and finite, got {self.index_beta}")
 
     @property
     def k(self) -> int:
@@ -92,6 +93,8 @@ class SampleBatch:
             raise InputFormatError("weights must sum to N (self-normalized)")
         if self.kind not in ("gaussian", "permanental"):
             raise InputFormatError(f"unknown batch kind {self.kind!r}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise InputFormatError(f"tilt alpha must be finite and >= 0, got {self.alpha}")
         d.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "draws", d)

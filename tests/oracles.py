@@ -297,6 +297,82 @@ def naive_monotonicity_scan(g, alphas, D_set, resolvent_of, moment,
     return None
 
 
+def naive_default_family(x, quantiles, slope: float) -> list:
+    """(name, function) members of the default increasing family as the
+    library first built them: one np.quantile call per level, and every
+    member reduced along the row axis of the draw matrix."""
+    from scipy.special import expit
+
+    x = np.asarray(x, dtype=float)
+    members = []
+    for q in quantiles:
+        t = np.quantile(x, q, axis=0)
+        members.append((f"orthant_q{int(round(100 * q))}",
+                        lambda v, t=t: np.all(v >= t, axis=1).astype(float)))
+    for i in range(x.shape[1]):
+        members.append((f"proj_{i}", lambda v, i=i: v[:, i]))
+    members.append(("max", lambda v: v.max(axis=1)))
+    members.append(("min", lambda v: v.min(axis=1)))
+    median = np.quantile(x, 0.5, axis=0)
+    members.append(("soft_orthant",
+                    lambda v: expit(slope * (v - median)).prod(axis=1)))
+    return members
+
+
+def naive_jackknife_cov(x, y, blocks: int) -> tuple:
+    """Covariance estimate and delete-block jackknife standard error of
+    one pair, every sum taken afresh."""
+    n = x.size
+    blocks = min(blocks, n)
+    cov = float(x @ y / n - x.mean() * y.mean())
+    edges = np.linspace(0, n, blocks + 1).astype(int)
+    sx = np.add.reduceat(x, edges[:-1])
+    sy = np.add.reduceat(y, edges[:-1])
+    sxy = np.add.reduceat(x * y, edges[:-1])
+    sizes = np.diff(edges)
+    tx, ty, txy = x.sum(), y.sum(), float(x @ y)
+    rest = n - sizes
+    mx = (tx - sx) / rest
+    my = (ty - sy) / rest
+    loo = (txy - sxy) / rest - mx * my
+    se = float(np.sqrt((blocks - 1) / blocks * np.sum((loo - loo.mean()) ** 2)))
+    return cov, se
+
+
+def naive_association_rows(draws, members, blocks: int) -> list:
+    """Rows {"f", "h", "cov", "se", "z"} of the association test, one
+    naive_jackknife_cov call per pair of members, pairs in member order."""
+    values = [(name, np.asarray(f(draws), dtype=float)) for name, f in members]
+    rows = []
+    for a in range(len(values)):
+        for b in range(a + 1, len(values)):
+            (fn, fx), (hn, hy) = values[a], values[b]
+            cov, se = naive_jackknife_cov(fx, hy, blocks)
+            z = cov / se if se > 0 else 0.0
+            rows.append({"f": fn, "h": hn, "cov": cov, "se": se, "z": z})
+    return rows
+
+
+def naive_association_report(draws, members, blocks: int, z_threshold: float,
+                             seed: int) -> dict:
+    """The association report as a dict: naive_association_rows, then
+    `fails` with the first pair at or below z_threshold, else `holds`
+    naming the first pair of lowest z."""
+    rows = naive_association_rows(draws, members, blocks)
+    bad = [r for r in rows if r["z"] <= z_threshold]
+    if bad:
+        verdict = {"status": "fails",
+                   "witness": {"pair": [bad[0]["f"], bad[0]["h"]], "z": bad[0]["z"],
+                               "cov": bad[0]["cov"], "se": bad[0]["se"]},
+                   "detail": f"{len(bad)} pair(s) below the z threshold {z_threshold}"}
+    else:
+        worst = min(rows, key=lambda r: r["z"])
+        verdict = {"status": "holds",
+                   "detail": "no covariance below the z threshold; worst pair "
+                             f"({worst['f']},{worst['h']}) at z = {worst['z']:.2f}"}
+    return {"verdict": verdict, "pairs": rows, "n_draws": len(draws), "seed": seed}
+
+
 def random_pd_kernel(rng, n: int):
     """Well-conditioned random symmetric positive definite matrix."""
     a = rng.normal(size=(n, n))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from permacheck import (
+    IncreasingFunctionFamily,
     InputFormatError,
     KernelMatrix,
     NotPSDError,
@@ -17,11 +18,24 @@ from permacheck import (
     resolvent,
     resolvent_monotonicity_scan,
     sample_gaussian,
+    sample_permanental,
     shifted_strong_order_test,
     squared_pair_density,
 )
-from oracles import mc_mean_se, naive_monotonicity_scan
-from permacheck.defaults import MONOTONE_TOL
+from oracles import (
+    mc_mean_se,
+    naive_association_report,
+    naive_default_family,
+    naive_monotonicity_scan,
+    random_green,
+)
+from permacheck.defaults import (
+    JACKKNIFE_BLOCKS,
+    MONOTONE_TOL,
+    ORTHANT_QUANTILES,
+    SOFT_INDICATOR_SLOPE,
+    Z_THRESHOLD,
+)
 
 G2 = kernel([[1.0, 0.5], [0.5, 1.0]])
 GREEN2 = kernel([[4 / 3, 2 / 3], [2 / 3, 4 / 3]])
@@ -73,6 +87,59 @@ class TestAssociationMC:
         b = association_mc_test(spec, n_draws=20_000, seed=55)
         assert a.seed == 55
         assert a.pairs == b.pairs
+
+
+PROJ_0 = ("proj_0", lambda x: x[:, 0])
+# a strided projection, a decreasing member (its pairs can fail with a
+# witness) and a constant one (se = 0, so z = 0.0)
+CUSTOM_MEMBERS = (
+    ("proj_last", lambda x: x[:, -1]),
+    ("total", lambda x: x.sum(axis=1)),
+    ("neg_proj_0", lambda x: -x[:, 0]),
+    ("zero", lambda x: np.zeros(len(x))),
+)
+
+
+class TestAssociationOracle:
+    """Reports equal, bit for bit, those of one jackknife call per pair."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_reports_match_per_pair_oracle(self, n, k):
+        rng = np.random.default_rng(100 * n + k)
+        spec = PermanentalSpec(kernel(random_green(rng, n, symmetric=True)), 2.0 / k)
+        statuses, zero_se = set(), 0
+        # 10 and 150 draws make blocks of one; 200 divides neither 12_345 nor 150
+        for n_draws in (10, 150, 12_345, 10 ** 5):
+            seed = int(rng.integers(1 << 32))
+            draws = sample_permanental(spec, n_draws, seed).draws
+            naive = naive_default_family(draws, ORTHANT_QUANTILES, SOFT_INDICATOR_SLOPE)
+            for (name, f), (naive_name, g) in zip(default_family(draws).members, naive):
+                assert name == naive_name
+                assert np.array_equal(f(draws), g(draws)), name
+            for family, members in ((None, naive),
+                                    (IncreasingFunctionFamily(CUSTOM_MEMBERS),
+                                     CUSTOM_MEMBERS)):
+                got = association_mc_test(spec, family, n_draws, seed).to_dict()
+                assert got == naive_association_report(
+                    draws, members, JACKKNIFE_BLOCKS, Z_THRESHOLD, seed)
+                statuses.add(got["verdict"]["status"])
+                zero_se += sum(row["se"] == 0.0 for row in got["pairs"])
+        assert statuses == {"holds", "fails"}
+        assert zero_se > 0
+
+    @pytest.mark.parametrize("members, n_draws", [
+        ((PROJ_0, ("nan", lambda x: np.full(len(x), np.nan))), 1000),
+        ((PROJ_0, ("inf_tail", lambda x: np.where(x[:, 0] > 1.0, np.inf, x[:, 0]))), 1000),
+        ((PROJ_0, ("short", lambda x: x[1:, 0])), 1000),
+        ((PROJ_0,), 1000),
+        ((PROJ_0, CUSTOM_MEMBERS[0]), 1),
+    ], ids=["nan member", "infinite on some draws", "length N-1", "one member",
+            "one draw"])
+    def test_bad_inputs_rejected_before_pairs(self, members, n_draws):
+        with pytest.raises(InputFormatError):
+            association_mc_test(PermanentalSpec(G2, 2.0),
+                                IncreasingFunctionFamily(members), n_draws, 57)
 
 
 class TestFkgLattice:

@@ -1,12 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from permacheck import (
     InputFormatError,
     InvalidIndexError,
+    PermacheckError,
     PermanentalSpec,
     abs_product_moment,
     empirical_laplace,
@@ -73,6 +77,11 @@ class TestPermanentalMoments:
         assert PermanentalSpec(G2, 2.0 / 3.0).k == 3
         with pytest.raises(InvalidIndexError):
             PermanentalSpec(G2, 0.7).k
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_index_beta_rejected(self, beta):
+        with pytest.raises(InputFormatError):
+            PermanentalSpec(G2, beta)
 
     def test_chi_square_marginal(self):
         # k = 1: psi_i = eta_i^2, mean G_ii, second moment 3 G_ii^2
@@ -244,6 +253,17 @@ class TestClosedFormMoments:
             abs_product_moment(1.0, 1.0, -2.0)
 
 
+# every field of a save_batch header, nested ones as key paths
+HEADER_FIELDS = [("schema",), ("n_draws",), ("dim",), ("seed",), ("kind",), ("alpha",),
+                 ("spec",), ("spec", "index_beta"), ("spec", "kernel"),
+                 ("spec", "kernel", "entries"), ("spec", "kernel", "symmetric")]
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+# scalars half of the time: a recursive strategy alone draws mostly containers
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4), max_leaves=10)
+
+
 class TestBatchIO:
     def test_round_trip(self, tmp_path):
         batch = sample_gaussian(G2, 500, seed=18)
@@ -267,7 +287,8 @@ class TestBatchIO:
         "truncated 17 bytes", "truncated 16 bytes", "one extra byte",
         "header not JSON", "header not UTF-8", "header a list",
         "no n_draws", "no spec", "no kernel entries", "dim a string",
-        "negative n_draws", "NaN weights", "inf weight", "inf draw"])
+        "negative n_draws", "alpha NaN", "alpha negative", "NaN weights",
+        "inf weight", "inf draw"])
     def test_malformed_file_raises_input_format_error(self, case, tmp_path):
         path = tmp_path / "batch.bin"
         save_batch(sample_gaussian(G2, 50, seed=19), path)
@@ -295,6 +316,10 @@ class TestBatchIO:
             header["dim"] = "two"
         elif case == "negative n_draws":
             header["n_draws"] = -50
+        elif case == "alpha NaN":
+            header["alpha"] = math.nan
+        elif case == "alpha negative":
+            header["alpha"] = -1.0
         elif case in ("NaN weights", "inf weight", "inf draw"):
             values = np.frombuffer(body, dtype="<f8").copy()
             n_values = header["n_draws"] * header["dim"]
@@ -303,8 +328,30 @@ class TestBatchIO:
             else:
                 values[n_values if case == "inf weight" else 3] = np.inf
             body = values.tobytes()
-        if case.startswith(("no ", "dim ", "negative ")):
+        if case.startswith(("no ", "dim ", "negative ", "alpha ")):
             line = json.dumps(header).encode("utf-8")
         path.write_bytes(line + b"\n" + body)
         with pytest.raises(InputFormatError):
             load_batch(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(HEADER_FIELDS), JSON_VALUES)
+    def test_garbled_header_field_loads_or_raises_permacheck_error(
+            self, tmp_path, field, value):
+        path = tmp_path / "batch.bin"
+        save_batch(tilt_resolvent(sample_gaussian(G2, 20, seed=20), 0.5), path)
+        line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        *outer, last = field
+        parent = header
+        for key in outer:
+            parent = parent[key]
+        parent[last] = value
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        try:
+            batch = load_batch(path)
+        except PermacheckError:
+            return
+        assert math.isfinite(batch.alpha) and batch.alpha >= 0
+
