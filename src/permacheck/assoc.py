@@ -71,8 +71,17 @@ def _soft_orthant(thresholds, slope):
 
     t = np.asarray(thresholds, dtype=float)
 
+    # column by column in place, in the operation order of
+    # expit(slope * (x - t)).prod(axis=1): two columns of memory, not N x n
     def f(x):
-        return expit(slope * (x - t)).prod(axis=1)
+        acc = np.ones(x.shape[0])  # 1.0 * e == e exactly
+        e = np.empty(x.shape[0])
+        for c, ti in zip(x.T, t):
+            np.subtract(c, ti, out=e)
+            e *= slope
+            expit(e, out=e)
+            acc *= e
+        return acc
 
     return f
 
@@ -149,8 +158,9 @@ def association_mc_test(spec: PermanentalSpec, family=None,
     A pair is a violation witness only when its z-score is at or below
     the configured threshold (default -3); positive covariances and
     noise around zero both count as holds-within-CI.  Each family member
-    must give one finite value per draw, and n_draws must be at least 2;
-    otherwise InputFormatError is raised before any pair is formed.
+    must give one finite value per draw, and n_draws must be a whole
+    number of at least 2; otherwise InputFormatError is raised before any
+    pair is formed.
     """
     seed = defaults.DEFAULT_SEED if seed is None else int(seed)
     batch = sample_permanental(spec, n_draws, seed)
@@ -193,7 +203,7 @@ def association_mc_test(spec: PermanentalSpec, family=None,
         verdict = Verdict.ok(
             "no covariance below the z threshold; worst pair "
             f"({worst['f']},{worst['h']}) at z = {worst['z']:.2f}")
-    return AssociationReport(verdict, tuple(rows), int(n_draws), seed)
+    return AssociationReport(verdict, tuple(rows), n, seed)
 
 
 def random_scalings(n: int, count: int, seed: int, low: float = 0.05,

@@ -44,13 +44,24 @@ def cycle_polynomial(A) -> np.ndarray:
     return _cycle_coefficients(a[:, :, None])[0]
 
 
+# bound on the floats the stacked DP holds in one call of the scan (128 MB)
+_DP_FLOATS = 1 << 24
+
+
+def _dp_floats_per_matrix(m: int) -> int:
+    """Floats _cycle_coefficients holds per m x m matrix of its stack: the
+    single-cycle sums W and popcount + 1 coefficient rows per subset."""
+    return (1 << m) * (m + 4) // 2
+
+
 def _cycle_coefficients(a: np.ndarray) -> np.ndarray:
     """Cycle polynomials of the stack a[:, :, t] of m x m matrices, as (N, m+1).
 
     Each entry gets the multiplies and adds of the one-matrix DP on Python
     floats (kept in tests/oracles.py) in the same order, so rows match it
     bit for bit: the zero-factor terms it skips are +-0.0 while sums stay
-    finite, and no sum, started at +0.0, is -0.0.  Memory: O(2^m m N) floats.
+    finite, and no sum, started at +0.0, is -0.0.  Memory: about
+    _dp_floats_per_matrix(m) * N floats.
     """
     m, _, n = a.shape
     # W[mask]: sum over single cycles supported exactly on mask, rooted at min(mask)
@@ -155,12 +166,17 @@ def beta_positivity_scan(G: KernelMatrix, betas=None, alphas=None,
         raise DimensionCapError(
             f"m_max {m_max} outside 1..{defaults.PERMANENT_CAP}")
     sets = list(multisets(G.dim, m_max))
-    # per multiset size m: its rows of sets and its (m, S_m) index array
+    # per multiset size m: its rows of sets and its (m, S) index array,
+    # in column slices that keep the DP's floats under _DP_FLOATS; the
+    # columns are independent, so slicing moves no bit
     blocks, first = [], 0
     for m, group in itertools.groupby(sets, key=len):
         idx = np.array(list(group)).T
-        blocks.append((m, slice(first, first + idx.shape[1]), idx))
-        first += idx.shape[1]
+        step = max(1, _DP_FLOATS // _dp_floats_per_matrix(m))
+        for lo in range(0, idx.shape[1], step):
+            part = idx[:, lo:lo + step]
+            blocks.append((m, slice(first, first + part.shape[1]), part))
+            first += part.shape[1]
     # powers[b, k] = beta_b ** k; coefs[s, k] = coefficient k of multiset s
     powers = np.power(np.array(betas, dtype=float)[:, None], np.arange(m_max + 1))
     coefs = np.zeros((len(sets), m_max + 1))

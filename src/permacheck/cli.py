@@ -44,7 +44,7 @@ from .green import (
 )
 from .idcheck import id_verdict, shifted_pair_id_test
 from .matcore import dumps_matrix, load_matrix
-from .sampler import PermanentalSpec, sample_permanental, save_batch
+from .sampler import PermanentalSpec, _draw_count, sample_permanental, save_batch
 from .verdict import Verdict
 
 __all__ = ["main", "parse_and_dispatch", "report_render"]
@@ -420,7 +420,7 @@ def _permanental_spec(G, k: int) -> PermanentalSpec:
 def _cmd_sample(args) -> int:
     G = load_matrix(args.kernel)
     seed = _resolve_seed(args)
-    n = int(args.n)
+    n = _draw_count(args.n)
     batch = sample_permanental(_permanental_spec(G, args.k), n, seed)
     save_batch(batch, args.out)
     result = {"n_draws": batch.n_draws, "dim": batch.dim, "seed": seed,
@@ -433,10 +433,10 @@ def _cmd_sample(args) -> int:
 def _cmd_check_assoc(args) -> int:
     G = load_matrix(args.kernel)
     seed = _resolve_seed(args)
-    rep = association_mc_test(_permanental_spec(G, args.k), n_draws=int(args.n),
-                              seed=seed)
+    n = _draw_count(args.n)
+    rep = association_mc_test(_permanental_spec(G, args.k), n_draws=n, seed=seed)
     _emit(_report("check-assoc", {"kernel": args.kernel, "k": args.k,
-                                  "n": int(args.n), "seed": seed},
+                                  "n": n, "seed": seed},
                   rep.to_dict()), args)
     return _exit_code(rep.verdict)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,18 +125,44 @@ class SampleBatch:
         return float((v * self.weights).sum() / self.weights.sum())
 
 
-def _uniforms(seed: int, shape) -> np.ndarray:
-    """Open-interval (0,1) uniforms from a Philox counter stream."""
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    raw = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64)
-    return (raw.astype(float) + 0.5) * 2.0 ** -53
+# rows per block of the permanental sampler; the working set beside psi
+# is three arrays of this many rows
+_BLOCK_ROWS = 8192
 
 
-def _normals(seed: int, shape) -> np.ndarray:
+def _philox(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
+def _fill_normals(gen: np.random.Generator, out: np.ndarray) -> None:
+    """Standard normals into out, in place, from the next out.size words of gen.
+
+    Each value takes exactly one 64-bit word: for the range 2**53 the
+    bounded draw never rejects, so successive calls continue one stream.
+    """
     # imported here, not at module scope, so the CLI starts without scipy
     from scipy.special import ndtri
 
-    return ndtri(_uniforms(seed, shape))
+    # open-interval (0,1) uniforms (raw + 0.5) * 2**-53, then ndtri
+    np.add(gen.integers(0, 1 << 53, size=out.shape, dtype=np.uint64), 0.5, out=out)
+    out *= 2.0 ** -53
+    ndtri(out, out=out)
+
+
+def _normals(seed: int, shape) -> np.ndarray:
+    out = np.empty(shape)
+    _fill_normals(_philox(seed), out)
+    return out
+
+
+def _row_blocks(n_rows: int) -> list:
+    """Near-equal row slices of at most _BLOCK_ROWS rows.
+
+    None has a single row unless n_rows is 1: BLAS sends a one-row
+    product to gemv, whose sums can differ in the last bit from gemm's.
+    """
+    edges = np.linspace(0, n_rows, -(-n_rows // _BLOCK_ROWS) + 1).astype(int).tolist()
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def _sqrt_factor(G: KernelMatrix) -> np.ndarray:
@@ -150,10 +177,23 @@ def _sqrt_factor(G: KernelMatrix) -> np.ndarray:
     return vec * np.sqrt(np.clip(lam, 0.0, None))
 
 
+def _draw_count(n_draws) -> int:
+    """n_draws as an int >= 1; a float must be a whole number, as 1e6 is."""
+    try:
+        count = operator.index(n_draws)
+    except TypeError:
+        if not (isinstance(n_draws, (float, np.floating)) and float(n_draws).is_integer()):
+            raise InputFormatError(
+                f"draw count must be an integer, got {n_draws!r}") from None
+        count = int(n_draws)
+    if count < 1:
+        raise InputFormatError("need at least one draw")
+    return count
+
+
 def sample_gaussian(G: KernelMatrix, n_draws: int, seed: int) -> SampleBatch:
     """N centered Gaussian draws with covariance G."""
-    if n_draws < 1:
-        raise InputFormatError("need at least one draw")
+    n_draws = _draw_count(n_draws)
     A = _sqrt_factor(G)
     z = _normals(seed, (n_draws, G.dim))
     draws = z @ A.T
@@ -168,16 +208,22 @@ def sample_permanental(spec: PermanentalSpec, n_draws: int, seed: int) -> Sample
     Gaussian vectors with covariance spec.kernel; the Laplace transform
     at any nonnegative diagonal alpha is det(I + alpha G)^(-k/2).
     """
-    if n_draws < 1:
-        raise InputFormatError("need at least one draw")
+    n_draws = _draw_count(n_draws)
     k = spec.k
     A = _sqrt_factor(spec.kernel)
-    n = spec.kernel.dim
-    z = _normals(seed, (k, n_draws, n))
-    psi = np.zeros((n_draws, n))
+    psi = np.empty((n_draws, spec.kernel.dim))
+    gen, blocks = _philox(seed), _row_blocks(n_draws)
+    # vector-major, so the blocks take the Philox words in one-shot order
     for j in range(k):
-        eta = z[j] @ A.T
-        psi += eta * eta
+        for rows in blocks:
+            blk = np.empty(psi[rows].shape)
+            _fill_normals(gen, blk)
+            eta = blk @ A.T
+            eta *= eta
+            if j == 0:
+                psi[rows] = eta  # bit for bit 0.0 + eta, as eta >= +0
+            else:
+                psi[rows] += eta
     return SampleBatch(psi, np.ones(n_draws), int(seed), spec, kind="permanental")
 
 
@@ -268,8 +314,9 @@ def save_batch(batch: SampleBatch, path) -> None:
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(batch.draws.astype("<f8").tobytes())
-        fh.write(batch.weights.astype("<f8").tobytes())
+        # a view where the array is already little-endian float64, not a copy
+        fh.write(np.ascontiguousarray(batch.draws, dtype="<f8").data)
+        fh.write(np.ascontiguousarray(batch.weights, dtype="<f8").data)
 
 
 def load_batch(path) -> SampleBatch:

@@ -373,6 +373,36 @@ def naive_association_report(draws, members, blocks: int, z_threshold: float,
     return {"verdict": verdict, "pairs": rows, "n_draws": len(draws), "seed": seed}
 
 
+def oneshot_uniforms(seed: int, shape) -> np.ndarray:
+    """Open-interval (0,1) uniforms from a Philox counter stream, all at once."""
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    raw = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64)
+    return (raw.astype(float) + 0.5) * 2.0 ** -53
+
+
+def oneshot_normals(seed: int, shape) -> np.ndarray:
+    from scipy.special import ndtri
+
+    return ndtri(oneshot_uniforms(seed, shape))
+
+
+def oneshot_gaussian_draws(factor, n_draws: int, seed: int) -> np.ndarray:
+    """Gaussian draws z @ factor.T, as sample_gaussian makes them."""
+    return oneshot_normals(seed, (n_draws, factor.shape[0])) @ factor.T
+
+
+def oneshot_permanental_draws(factor, k: int, n_draws: int, seed: int) -> np.ndarray:
+    """Permanental draws as the library first made them: the whole
+    (k, N, n) normal stack at once, then a sum of k squared Gaussians."""
+    n = factor.shape[0]
+    z = oneshot_normals(seed, (k, n_draws, n))
+    psi = np.zeros((n_draws, n))
+    for j in range(k):
+        eta = z[j] @ factor.T
+        psi += eta * eta
+    return psi
+
+
 def random_pd_kernel(rng, n: int):
     """Well-conditioned random symmetric positive definite matrix."""
     a = rng.normal(size=(n, n))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,20 @@ class TestFamily:
         names = [name for name, _ in fam.members]
         assert names == ["orthant_q25", "orthant_q50", "orthant_q75",
                          "proj_0", "proj_1", "max", "min", "soft_orthant"]
+
+    def test_soft_orthant_allocates_under_three_columns(self):
+        rng = np.random.default_rng(8)
+        spec = PermanentalSpec(kernel(random_green(rng, 4, symmetric=True)), 2.0)
+        x = sample_permanental(spec, 100_000, seed=8).draws
+        soft = dict(default_family(x).members)["soft_orthant"]
+        soft(x[:10])  # imports outside the trace
+        tracemalloc.start()
+        try:
+            soft(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.shape[0] * x.itemsize
 
     def test_tiny_reference_rejected(self):
         with pytest.raises(InputFormatError):

@@ -16,7 +16,8 @@ from permacheck import (
     kernel,
     resolvent,
 )
-from permacheck.betaperm import _cycle_coefficients
+from permacheck import betaperm
+from permacheck.betaperm import _cycle_coefficients, _dp_floats_per_matrix
 from oracles import (
     naive_beta_permanent,
     naive_permanent,
@@ -295,6 +296,30 @@ class TestBatchedCyclePolynomial:
         scale = naive_beta_permanent(np.abs(a), max(abs(beta), 1.0))
         error = abs(beta_permanent(a, beta) - naive_beta_permanent(a, beta))
         assert error <= 1e-9 * scale + 1e-300
+
+
+class TestStackSlicing:
+    """The scan may cut a size-m stack into column slices without moving a bit."""
+
+    def test_column_slices_match_one_stack(self):
+        a = np.random.default_rng(41).normal(size=(6, 6, 300))
+        parts = [_cycle_coefficients(a[:, :, lo:lo + 37]) for lo in range(0, 300, 37)]
+        assert np.concatenate(parts).tobytes() == _cycle_coefficients(a).tobytes()
+
+    def test_sliced_scan_matches_one_stack(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        cases = [(kernel(TRI3), {}),
+                 (kernel(random_green(rng, 5, symmetric=True)), {"m_max": 5})]
+        want = [beta_positivity_scan(g, **kw).to_dict() for g, kw in cases]
+        assert {w["verdict"]["status"] for w in want} == {"holds", "fails"}
+        stacks = []
+        whole = betaperm._cycle_coefficients
+        monkeypatch.setattr(betaperm, "_cycle_coefficients",
+                            lambda a: stacks.append(a.shape[1:]) or whole(a))
+        monkeypatch.setattr(betaperm, "_DP_FLOATS", 3000)
+        assert [beta_positivity_scan(g, **kw).to_dict() for g, kw in cases] == want
+        assert all(_dp_floats_per_matrix(m) * s <= 3000 for m, s in stacks)
+        assert max(s for _, s in stacks) > 1 and len(stacks) > 5 * len(defaults.ALPHA_GRID)
 
 
 class TestNecessaryBattery:

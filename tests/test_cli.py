@@ -118,6 +118,8 @@ BAD_INPUTS = {
     "perm beta inf": (["perm", "--input", "{perm2}", "--beta", "inf"], 2),
     "sample n nan": (["sample", "--kernel", "{g2}", "--n", "nan",
                       "--out", "{dir}/x.bin"], 2),
+    "sample n 2.5": (["sample", "--kernel", "{g2}", "--n", "2.5", "--out", "{dir}/x.bin"], 2),
+    "check-assoc n 12.7": (["check-assoc", "--kernel", "{g2}", "--n", "12.7"], 2),
     "sample seed -1": (["sample", "--kernel", "{g2}", "--n", "10", "--seed", "-1",
                         "--out", "{dir}/x.bin"], 2),
     "sample seed 2^64": (["sample", "--kernel", "{g2}", "--n", "10",
@@ -205,6 +207,13 @@ class TestBadInputs:
                                 "--out", str(tmp_path / "x.bin")], capsys)
         assert code == 2
         assert "PERMACHECK_SEED" in _one_json_error(err)["message"]
+
+    def test_whole_float_count_accepted(self, matrices, capsys, tmp_path):
+        code, out, _ = run_cli(["sample", "--kernel", matrices["g2"], "--n", "1e2",
+                                "--out", str(tmp_path / "x.bin")], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["inputs"]["n"], report["result"]["n_draws"]) == (100, 100)
 
     def test_largest_seed_accepted(self, matrices, capsys, tmp_path):
         code, out, _ = run_cli(["sample", "--kernel", matrices["g2"], "--n", "10",

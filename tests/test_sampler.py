@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from permacheck import (
     PermacheckError,
     PermanentalSpec,
     abs_product_moment,
+    association_mc_test,
     empirical_laplace,
     kernel,
     laplace_transform,
@@ -24,14 +26,31 @@ from permacheck import (
     sign_moment,
     tilt_resolvent,
 )
+from permacheck.sampler import _BLOCK_ROWS, _row_blocks, _sqrt_factor
 from oracles import (
     mc_abs_product_moment,
     mc_mean_se,
     mc_sign_moment,
     naive_abs_product_moment,
+    oneshot_gaussian_draws,
+    oneshot_permanental_draws,
+    random_pd_kernel,
 )
 
 G2 = kernel([[1.0, 0.5], [0.5, 1.0]])
+# around one and two blocks of rows, and many blocks with a short tail
+BLOCK_COUNTS = (1, 2, 3, 8191, 8192, 8193, 16_385, 200_003)
+
+
+def _kernels(n: int) -> list:
+    """A positive definite kernel and, for n >= 2, a PSD-singular one."""
+    rng = np.random.default_rng(300 + n)
+    mats = [random_pd_kernel(rng, n)]
+    if n >= 2:
+        b = rng.normal(size=(n, n - 1))
+        g = b @ b.T
+        mats.append(0.5 * (g + g.T))
+    return [kernel(g) for g in mats]
 
 
 class TestReproducibility:
@@ -50,6 +69,70 @@ class TestReproducibility:
         a = sample_permanental(spec, 500, seed=7)
         b = sample_permanental(spec, 500, seed=7)
         assert np.array_equal(a.draws, b.draws)
+
+
+class TestRowBlocks:
+    """The row-block sampler draws the bits of the one-shot sampler."""
+
+    def test_blocks_tile_rows_near_equally(self):
+        for n_rows in [*range(1, 40), *BLOCK_COUNTS, 16_384, 16_386, 24_577]:
+            blocks = _row_blocks(n_rows)
+            sizes = [b.stop - b.start for b in blocks]
+            assert blocks[0].start == 0 and blocks[-1].stop == n_rows
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert max(sizes) <= _BLOCK_ROWS and max(sizes) - min(sizes) <= 1
+            # a one-row block would go to gemv, whose bits can differ from gemm's
+            assert min(sizes) >= min(2, n_rows), n_rows
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_permanental_bits_match_one_shot_sampler(self, n, k):
+        for G in _kernels(n):
+            spec = PermanentalSpec(G, 2.0 / k)
+            for n_draws in BLOCK_COUNTS:
+                got = sample_permanental(spec, n_draws, seed=n_draws + k).draws
+                want = oneshot_permanental_draws(_sqrt_factor(G), k, n_draws, n_draws + k)
+                assert got.tobytes() == want.tobytes(), (G.entries.tolist(), n_draws)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gaussian_bits_match_one_shot_sampler(self, n):
+        for G in _kernels(n):
+            for n_draws in BLOCK_COUNTS:
+                got = sample_gaussian(G, n_draws, seed=n_draws).draws
+                want = oneshot_gaussian_draws(_sqrt_factor(G), n_draws, n_draws)
+                assert got.tobytes() == want.tobytes(), (G.entries.tolist(), n_draws)
+
+    def test_permanental_memory_is_output_plus_one_block(self):
+        spec = PermanentalSpec(_kernels(6)[0], 1.0)
+        sample_permanental(spec, 10, seed=1)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            batch = sample_permanental(spec, 200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (k, N, n) normal stack alone would be 1.7 times psi and weights
+        assert peak < 1.5 * (batch.draws.nbytes + batch.weights.nbytes)
+
+
+class TestDrawCount:
+    @pytest.mark.parametrize("count", [2.5, 1e3 + 0.5, float("nan"), float("inf"),
+                                       "10", None, 0, -3, 0.0])
+    def test_count_not_a_positive_integer_rejected(self, count):
+        spec = PermanentalSpec(G2, 2.0)
+        for call in (lambda: sample_permanental(spec, count, 1),
+                     lambda: sample_gaussian(G2, count, 1),
+                     lambda: association_mc_test(spec, n_draws=count, seed=1)):
+            with pytest.raises(InputFormatError):
+                call()
+
+    def test_whole_float_count_is_that_integer(self):
+        spec = PermanentalSpec(G2, 1.0)
+        batch = sample_permanental(spec, 1e3, 5)
+        assert batch.n_draws == 1000
+        assert batch.draws.tobytes() == sample_permanental(spec, 1000, 5).draws.tobytes()
+        assert sample_gaussian(G2, np.float64(20.0), 5).n_draws == 20
+        assert association_mc_test(spec, n_draws=1e3, seed=5).n_draws == 1000
 
 
 class TestGaussianMoments:
