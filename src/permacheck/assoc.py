@@ -52,9 +52,6 @@ class IncreasingFunctionFamily:
         if len(self.members) < 2:
             raise InputFormatError("function family needs at least two members")
 
-    def names(self) -> list:
-        return [name for name, _ in self.members]
-
 
 def _orthant(thresholds):
     t = np.asarray(thresholds, dtype=float)
@@ -206,14 +203,12 @@ def association_mc_test(spec: PermanentalSpec, family=None,
     return AssociationReport(verdict, tuple(rows), n, seed)
 
 
-def random_scalings(n: int, count: int, seed: int, low: float = 0.05,
-                    high: float = 20.0) -> list:
-    """Deterministic positive diagonal scalings, log-uniform entries."""
+def random_scalings(n: int, count: int, seed: int) -> list:
+    """count deterministic positive diagonal scalings, log-uniform on [0.05, 20]."""
     if count < 1 or n < 1:
         raise InputFormatError("need positive count and dimension")
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    lo, hi = np.log(low), np.log(high)
-    return [np.exp(gen.uniform(lo, hi, size=n)) for _ in range(count)]
+    return list(np.exp(gen.uniform(np.log(0.05), np.log(20.0), size=(count, n))))
 
 
 def resolvent_monotonicity_scan(G: KernelMatrix, alphas=None,
@@ -353,8 +348,7 @@ class StrongOrderReport:
         }
 
 
-def shifted_strong_order_test(G: KernelMatrix, r_pairs,
-                              grid_size: int = None) -> StrongOrderReport:
+def shifted_strong_order_test(G: KernelMatrix, r_pairs) -> StrongOrderReport:
     """Check f_r(x) f_r'(y) <= f_r(x v y) f_r'(x ^ y) for shifts r > r'.
 
     f_r is the density of ((eta_1+r)^2, (eta_2+r)^2) under the 2x2
@@ -375,8 +369,8 @@ def shifted_strong_order_test(G: KernelMatrix, r_pairs,
         grids = []
         for coord in range(2):
             v = float(G.entries[coord, coord])
-            g_hi = marginal_quantile_grid(v, r, grid_size)
-            g_lo = marginal_quantile_grid(v, rp, grid_size)
+            g_hi = marginal_quantile_grid(v, r)
+            g_lo = marginal_quantile_grid(v, rp)
             size = len(g_hi)
             grids.append(np.geomspace(min(g_hi[0], g_lo[0]),
                                       max(g_hi[-1], g_lo[-1]), size))

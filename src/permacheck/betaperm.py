@@ -207,15 +207,14 @@ def beta_positivity_scan(G: KernelMatrix, betas=None, alphas=None,
         Verdict.ok(f"no negative beta-permanent over {scanned} triples"), scanned)
 
 
-def id_necessary_battery(G: KernelMatrix, alphas=None) -> Verdict:
+def id_necessary_battery(G: KernelMatrix) -> Verdict:
     """Necessary sign conditions for an infinitely divisible kernel.
 
-    On the kernel and on each resolvent over the alpha grid:
+    On the kernel and on each resolvent over the default alpha grid:
     (a) G(i,j)G(j,i) >= 0 for all i != j;
     (b) G(j,i)G(j,k)G(k,i) >= 0 for all ordered triples of distinct indices.
     """
-    alphas = list(defaults.ALPHA_GRID if alphas is None else alphas)
-    grid = [0.0] + [float(a) for a in alphas if float(a) != 0.0]
+    grid = [0.0] + [float(a) for a in defaults.ALPHA_GRID if a != 0.0]
     for alpha in grid:
         found = sign_product_violation(resolvent(G, alpha).entries)
         if found is not None:

@@ -42,31 +42,8 @@ DEFAULT_SEED = 20260814
 
 
 def defaults_table() -> dict:
-    """The table echoed into reports; plain JSON types only."""
-    return {
-        "tol_algebraic": TOL_ALGEBRAIC,
-        "tol_roundtrip": TOL_ROUNDTRIP,
-        "cond_cap": COND_CAP,
-        "eigen_imag_rel": EIGEN_IMAG_REL,
-        "zero_rel": ZERO_REL,
-        "psd_rel": PSD_REL,
-        "permanent_cap": PERMANENT_CAP,
-        "m_max": M_MAX,
-        "beta_grid": list(BETA_GRID),
-        "alpha_grid": list(ALPHA_GRID),
-        "negativity_rel": NEGATIVITY_REL,
-        "c_grid": list(C_GRID),
-        "monotone_alpha_points": MONOTONE_ALPHA_POINTS,
-        "monotone_alpha_max": MONOTONE_ALPHA_MAX,
-        "monotone_tol": MONOTONE_TOL,
-        "lattice_grid_size": LATTICE_GRID_SIZE,
-        "lattice_rel_tol": LATTICE_REL_TOL,
-        "quantile_lo": QUANTILE_LO,
-        "quantile_hi": QUANTILE_HI,
-        "z_threshold": Z_THRESHOLD,
-        "orthant_quantiles": list(ORTHANT_QUANTILES),
-        "soft_indicator_slope": SOFT_INDICATOR_SLOPE,
-        "ess_min_frac": ESS_MIN_FRAC,
-        "jackknife_blocks": JACKKNIFE_BLOCKS,
-        "default_seed": DEFAULT_SEED,
-    }
+    """The table echoed into reports: every upper-case constant above but
+    SCHEMA_VERSION, lower-cased, with tuples as lists (plain JSON types)."""
+    return {name.lower(): list(value) if isinstance(value, tuple) else value
+            for name, value in globals().items()
+            if name.isupper() and name != "SCHEMA_VERSION"}

@@ -22,7 +22,7 @@ from .errors import (
     SpectralRadiusError,
 )
 from .idcheck import id_verdict
-from .matcore import KernelMatrix, invert, is_m_matrix
+from .matcore import KernelMatrix, invert, is_m_matrix, kernel
 from .verdict import Verdict
 
 __all__ = [
@@ -78,10 +78,7 @@ def green_from_chain(chain: TransientChain) -> KernelMatrix:
     if resid > 1e-9 * max(1.0, float(np.max(np.abs(g)))):
         raise SingularMatrixError(
             f"potential equation residual {resid:g} too large")
-    g = np.maximum(g, 0.0)  # exact nonnegativity can lose to roundoff
-    symmetric = float(np.max(np.abs(g - g.T))) <= defaults.TOL_ALGEBRAIC * max(
-        1.0, float(np.max(np.abs(g))))
-    return KernelMatrix(g, symmetric=symmetric)
+    return kernel(np.maximum(g, 0.0))  # exact nonnegativity can lose to roundoff
 
 
 def is_green(G: KernelMatrix) -> Verdict:
@@ -159,8 +156,7 @@ class PlusConstantReport:
         }
 
 
-def plus_constant_check(G: KernelMatrix, c_grid=None, betas=None,
-                        alphas=None, m_max=None) -> PlusConstantReport:
+def plus_constant_check(G: KernelMatrix, c_grid=None) -> PlusConstantReport:
     """Run id_verdict on G + c*ones for each c in the grid.
 
     A Green kernel shifted by any positive constant stays infinitely
@@ -175,8 +171,7 @@ def plus_constant_check(G: KernelMatrix, c_grid=None, betas=None,
     per_c = []
     for c in c_grid:
         shifted = KernelMatrix(G.entries + float(c) * ones, symmetric=G.symmetric)
-        per_c.append((float(c), id_verdict(shifted, betas=betas,
-                                           alphas=alphas, m_max=m_max)))
+        per_c.append((float(c), id_verdict(shifted)))
     for c, iv in per_c:
         if iv.verdict.fails:
             agg = Verdict.fail({"c": c, "inner": iv.verdict.witness},

@@ -29,7 +29,6 @@ from .matcore import (
     KernelMatrix,
     Signature,
     invert,
-    is_m_matrix,
     real_eigen_nonneg,
     sign_product_violation,
 )
@@ -78,21 +77,31 @@ class IdVerdict:
         }
 
 
-def _sign_pattern(a: np.ndarray):
-    """Entry signs with near-zero entries zeroed; returns (signs, zero tol)."""
-    scale = float(np.max(np.abs(a)))
-    ztol = defaults.ZERO_REL * max(scale, 1.0)
+def _edge_signs(a: np.ndarray):
+    """Edge signs of a's off-diagonal pattern for _two_color, and the zero tol.
+
+    Entries at most ZERO_REL * max(1, max|a|) in size count as zeros.
+    Edge (i,j) takes the sign of a(i,j), or of a(j,i) where a(i,j) is
+    zero, so the matrix is symmetric unless a(i,j) and a(j,i) have
+    opposite signs, which _two_color reports as a conflict.
+    """
+    ztol = defaults.ZERO_REL * max(float(np.max(np.abs(a))), 1.0)
     s = np.sign(a)
     s[np.abs(a) <= ztol] = 0.0
-    return s, ztol
+    edges = np.where(s != 0, s, s.T)
+    np.fill_diagonal(edges, 0.0)
+    return edges, ztol
 
 
-def _two_color(n: int, edge_sign) -> tuple:
-    """Color nodes with +-1 so that sigma_i*sigma_j = edge_sign(i,j) on edges.
+def _two_color(edges: np.ndarray) -> tuple:
+    """Color nodes with +-1 so that sigma_i*sigma_j = edges[i,j] on every edge.
 
-    edge_sign(i,j) returns +1, -1 (constraint) or 0 (no edge).  Returns
+    edges holds +1, -1 (constraint) or 0 (no edge), with a zero diagonal.
+    Each colored node checks all its edges, so an asymmetric pair
+    edges[i,j] = -edges[j,i] always ends in a conflict.  Returns
     (sigma array, None) or (None, conflicting edge (i,j)).
     """
+    n = edges.shape[0]
     sigma = np.zeros(n)
     for root in range(n):
         if sigma[root] != 0:
@@ -101,11 +110,8 @@ def _two_color(n: int, edge_sign) -> tuple:
         stack = [root]
         while stack:
             i = stack.pop()
-            for j in range(n):
-                e = edge_sign(i, j)
-                if j == i or e == 0:
-                    continue
-                want = sigma[i] * e
+            for j in np.flatnonzero(edges[i]).tolist():
+                want = sigma[i] * edges[i, j]
                 if sigma[j] == 0:
                     sigma[j] = want
                     stack.append(j)
@@ -135,25 +141,17 @@ def construct_signature(G: KernelMatrix) -> Signature:
             i, j, k = indices
             message = f"cyclic triple product at (i,j,k)=({i},{j},{k}) is {v:g} < 0"
         raise SignConditionError(message, indices, v)
-    s, ztol = _sign_pattern(a)
-
-    def edge(i, j):
-        # pairwise condition makes s[i,j] and s[j,i] agree when both nonzero
-        return s[i, j] if s[i, j] != 0 else s[j, i]
-
-    sigma, conflict = _two_color(n, edge)
+    edges, ztol = _edge_signs(a)
+    sigma, conflict = _two_color(edges)
+    near = [[int(p), int(q)] for p in range(n) for q in range(n)
+            if 0.0 < abs(a[p, q]) <= ztol]
     if conflict is not None:
-        near = [[int(p), int(q)] for p in range(n) for q in range(n)
-                if 0.0 < abs(a[p, q]) <= ztol]
         raise SignInconsistencyError(
             f"sign propagation conflicts on entry {conflict}; no consistent "
             "sign vector exists for this zero pattern", near)
     sig = Signature(sigma)
-    conj = sig.conjugate(a)
-    worst = float(np.min(conj))
+    worst = float(np.min(sig.conjugate(a)))
     if worst < -defaults.NEGATIVITY_REL * scale:
-        near = [[int(p), int(q)] for p in range(n) for q in range(n)
-                if 0.0 < abs(a[p, q]) <= ztol]
         raise SignInconsistencyError(
             f"propagated signs leave a negative entry ({worst:g}); the "
             "nonzero pattern admits no consistent sign vector", near)
@@ -175,39 +173,35 @@ def _psd_screen(G: KernelMatrix, strict: bool) -> np.ndarray:
     return w
 
 
-def bapat_test(G: KernelMatrix) -> IdVerdict:
-    """Exact ID verdict for symmetric positive definite kernels.
+def _inverse_certificate(G: KernelMatrix, method: str) -> IdVerdict:
+    """Searches for sigma making sigma*G^(-1)*sigma off-diagonally nonpositive.
 
-    Searches for sigma making sigma*G^(-1)*sigma off-diagonally
-    nonpositive.  The sign constraints form a 2-coloring problem on the
-    nonzero off-diagonal graph of G^(-1); the coloring is forced up to
-    per-component flips, so a verification failure is a proof of
-    nonexistence.
+    The sign constraints form a 2-coloring problem on the nonzero
+    off-diagonal graph of G^(-1); the coloring is forced up to
+    per-component flips, so a conflict is a proof of nonexistence.  A
+    coloring that succeeds makes every off-diagonal entry above the zero
+    tolerance negative, and the rest lie inside the TOL_ALGEBRAIC of an
+    M-matrix sign test, so it needs none.  Raises SingularMatrixError from invert.
     """
-    _psd_screen(G, strict=True)
     h = invert(G).entries
-    n = G.dim
-    s, _ = _sign_pattern(h)
-
-    def edge(i, j):
-        return -s[i, j] if i != j else 0.0
-
-    sigma, conflict = _two_color(n, edge)
+    edges, _ = _edge_signs(h)
+    sigma, conflict = _two_color(-edges)
     if sigma is None:
         i, j = conflict
         return IdVerdict(
             Verdict.fail(
                 {"conflict_entry": [int(i), int(j)], "value": float(h[i, j])},
                 "inverse-sign constraints admit no consistent sign vector"),
-            "bapat-exact")
-    sig = Signature(sigma)
-    off = is_m_matrix(sig.conjugate(h)).off_diagonal
-    if off.fails:
-        return IdVerdict(
-            Verdict.fail(off.witness, "no sign vector makes the inverse an M-matrix"),
-            "bapat-exact")
+            method)
     return IdVerdict(Verdict.ok("sigma G^-1 sigma has nonpositive off-diagonals"),
-                     "bapat-exact", sig)
+                     method, Signature(sigma))
+
+
+def bapat_test(G: KernelMatrix) -> IdVerdict:
+    """Exact ID verdict for symmetric positive definite kernels: the
+    inverse certificate, after a strict positive-definiteness screen."""
+    _psd_screen(G, strict=True)
+    return _inverse_certificate(G, "bapat-exact")
 
 
 def id_verdict(G: KernelMatrix, betas=None, alphas=None, m_max=None) -> IdVerdict:
@@ -233,14 +227,13 @@ def id_verdict(G: KernelMatrix, betas=None, alphas=None, m_max=None) -> IdVerdic
     if not battery.holds:
         return IdVerdict(battery, "battery-necessary")
     if not G.symmetric:
+        # sufficient: sigma G^-1 sigma is a Z-matrix whose real eigenvalues,
+        # the reciprocals of G's, are positive, hence an M-matrix
         try:
-            sig = construct_signature(G)
-            report = is_m_matrix(sig.conjugate(invert(G).entries))
-            if report.off_diagonal.holds:
-                return IdVerdict(
-                    Verdict.ok("sigma G^-1 sigma has nonpositive off-diagonals"),
-                    "inverse-M-sufficient", sig)
-        except (SignConditionError, SignInconsistencyError, SingularMatrixError):
+            certificate = _inverse_certificate(G, "inverse-M-sufficient")
+            if certificate.holds:
+                return certificate
+        except SingularMatrixError:
             pass
     scan = beta_positivity_scan(G, betas=betas, alphas=alphas, m_max=m_max)
     if scan.verdict.fails:

@@ -1,7 +1,7 @@
 """Dense square-matrix primitives.
 
 Kernel matrices, resolvents, eigenvalue screens, and the sign-product
-and M-matrix tests that every infinite-divisibility verdict reduces to.
+and M-matrix tests of the necessary battery and the Green recognizer.
 All dimensions are desk scale (<= ~12), stored dense row-major.
 """
 
@@ -247,7 +247,7 @@ def sign_product_violation(a: np.ndarray):
 
 
 def is_m_matrix(M) -> MMatrixReport:
-    """Sign tests behind the Bapat criterion and the Green recognizer.
+    """Sign tests behind the Green recognizer.
 
     The off-diagonal witness is the first positive entry in row-major
     order; the row-sum witness is the first negative row sum.

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +126,8 @@ class SampleBatch:
         return float((v * self.weights).sum() / self.weights.sum())
 
 
-# rows per block of the permanental sampler; the working set beside psi
-# is three arrays of this many rows
+# rows per block of the Gaussian stream both samplers draw from; the
+# working set beside the output is three arrays of this many rows
 _BLOCK_ROWS = 8192
 
 
@@ -147,12 +148,6 @@ def _fill_normals(gen: np.random.Generator, out: np.ndarray) -> None:
     np.add(gen.integers(0, 1 << 53, size=out.shape, dtype=np.uint64), 0.5, out=out)
     out *= 2.0 ** -53
     ndtri(out, out=out)
-
-
-def _normals(seed: int, shape) -> np.ndarray:
-    out = np.empty(shape)
-    _fill_normals(_philox(seed), out)
-    return out
 
 
 def _row_blocks(n_rows: int) -> list:
@@ -191,12 +186,24 @@ def _draw_count(n_draws) -> int:
     return count
 
 
+def _gaussian_blocks(A: np.ndarray, n_draws: int, k: int, seed: int):
+    """Yields (rows, eta): row block `rows` of each of k Gaussian draw
+    matrices z @ A.T, vector-major, so the blocks take the Philox words in
+    the order one (k, n_draws, n) normal array would."""
+    gen, blocks = _philox(seed), _row_blocks(n_draws)
+    for _ in range(k):
+        for rows in blocks:
+            z = np.empty((rows.stop - rows.start, A.shape[0]))
+            _fill_normals(gen, z)
+            yield rows, z @ A.T
+
+
 def sample_gaussian(G: KernelMatrix, n_draws: int, seed: int) -> SampleBatch:
     """N centered Gaussian draws with covariance G."""
     n_draws = _draw_count(n_draws)
-    A = _sqrt_factor(G)
-    z = _normals(seed, (n_draws, G.dim))
-    draws = z @ A.T
+    draws = np.empty((n_draws, G.dim))
+    for rows, eta in _gaussian_blocks(_sqrt_factor(G), n_draws, 1, seed):
+        draws[rows] = eta
     return SampleBatch(draws, np.ones(n_draws), int(seed),
                        PermanentalSpec(G, 2.0), kind="gaussian")
 
@@ -210,20 +217,10 @@ def sample_permanental(spec: PermanentalSpec, n_draws: int, seed: int) -> Sample
     """
     n_draws = _draw_count(n_draws)
     k = spec.k
-    A = _sqrt_factor(spec.kernel)
-    psi = np.empty((n_draws, spec.kernel.dim))
-    gen, blocks = _philox(seed), _row_blocks(n_draws)
-    # vector-major, so the blocks take the Philox words in one-shot order
-    for j in range(k):
-        for rows in blocks:
-            blk = np.empty(psi[rows].shape)
-            _fill_normals(gen, blk)
-            eta = blk @ A.T
-            eta *= eta
-            if j == 0:
-                psi[rows] = eta  # bit for bit 0.0 + eta, as eta >= +0
-            else:
-                psi[rows] += eta
+    psi = np.zeros((n_draws, spec.kernel.dim))  # +0.0 + eta is eta, bit for bit
+    for rows, eta in _gaussian_blocks(_sqrt_factor(spec.kernel), n_draws, k, seed):
+        eta *= eta
+        psi[rows] += eta
     return SampleBatch(psi, np.ones(n_draws), int(seed), spec, kind="permanental")
 
 
@@ -320,33 +317,39 @@ def save_batch(batch: SampleBatch, path) -> None:
 
 
 def load_batch(path) -> SampleBatch:
-    """Reads a save_batch file; a malformed one raises InputFormatError."""
+    """Reads a save_batch file; a malformed one raises InputFormatError.
+
+    The body's size is checked against the header before anything is
+    allocated, and then read straight into the draw and weight arrays.
+    """
     with open(path, "rb") as fh:
         line = fh.readline()
-        body = fh.read()
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"batch header is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise InputFormatError("batch header must be a JSON object")
-    if header.get("schema") != defaults.SCHEMA_VERSION:
-        raise InputFormatError(
-            f"batch schema {header.get('schema')} != {defaults.SCHEMA_VERSION}")
-    try:
-        n, d = int(header["n_draws"]), int(header["dim"])
-        kern = header["spec"]["kernel"]
-        spec = PermanentalSpec(KernelMatrix(np.array(kern["entries"]), kern["symmetric"]),
-                               header["spec"]["index_beta"])
-        seed, kind, alpha = int(header["seed"]), header["kind"], float(header["alpha"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputFormatError(f"batch header lacks or garbles a field: {exc!r}") from exc
-    if n < 1 or d < 1:
-        raise InputFormatError(f"batch header declares {n} draws of dimension {d}")
-    if len(body) != 8 * n * (d + 1):
-        raise InputFormatError(
-            f"batch body has {len(body)} bytes; {n} draws of dimension {d} "
-            f"and their weights need {8 * n * (d + 1)}")
-    values = np.frombuffer(body, dtype="<f8")
-    return SampleBatch(values[: n * d].reshape(n, d).copy(), values[n * d:].copy(),
-                       seed, spec, kind=kind, alpha=alpha)
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InputFormatError(f"batch header is not UTF-8 JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise InputFormatError("batch header must be a JSON object")
+        if header.get("schema") != defaults.SCHEMA_VERSION:
+            raise InputFormatError(
+                f"batch schema {header.get('schema')} != {defaults.SCHEMA_VERSION}")
+        try:
+            n, d = int(header["n_draws"]), int(header["dim"])
+            kern = header["spec"]["kernel"]
+            spec = PermanentalSpec(KernelMatrix(np.array(kern["entries"]), kern["symmetric"]),
+                                   header["spec"]["index_beta"])
+            seed, kind, alpha = int(header["seed"]), header["kind"], float(header["alpha"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputFormatError(f"batch header lacks or garbles a field: {exc!r}") from exc
+        if n < 1 or d < 1:
+            raise InputFormatError(f"batch header declares {n} draws of dimension {d}")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 8 * n * (d + 1):
+            raise InputFormatError(
+                f"batch body has {size} bytes; {n} draws of dimension {d} "
+                f"and their weights need {8 * n * (d + 1)}")
+        draws, weights = np.empty((n, d), dtype="<f8"), np.empty(n, dtype="<f8")
+        for a in (draws, weights):
+            if fh.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:
+                raise InputFormatError("batch body ended early")
+    return SampleBatch(draws, weights, seed, spec, kind=kind, alpha=alpha)

@@ -51,10 +51,6 @@ class Verdict:
     def fails(self) -> bool:
         return self.status == FAILS
 
-    @property
-    def inconclusive(self) -> bool:
-        return self.status == INCONCLUSIVE
-
     @staticmethod
     def ok(detail: str = "") -> "Verdict":
         return Verdict(HOLDS, None, detail)

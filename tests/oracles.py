@@ -194,6 +194,66 @@ def naive_sign_product_violation(a, tol_rel: float):
     return None
 
 
+def loop_signature(a, zero_rel: float, negativity_rel: float):
+    """construct_signature's sign propagation as the library first wrote
+    it, with an edge-sign closure, after the sign-product check.
+
+    Entries at most zero_rel * max(1, max|a|) in size are zeros; edge
+    (i,j) has the sign of a[i,j], or of a[j,i] where a[i,j] is zero.
+    Returns the +-1 vector, or None where the library raised
+    SignInconsistencyError (a propagation conflict, or a conjugated entry
+    below -negativity_rel * max(1, max|a|)).
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    scale = max(1.0, float(np.max(np.abs(a))))
+    s = np.sign(a)
+    s[np.abs(a) <= zero_rel * scale] = 0.0
+
+    def edge(i, j):
+        return s[i, j] if s[i, j] != 0 else s[j, i]
+
+    sigma = np.zeros(n)
+    for root in range(n):
+        if sigma[root] != 0:
+            continue
+        sigma[root] = 1.0
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                e = edge(i, j)
+                if j == i or e == 0:
+                    continue
+                want = sigma[i] * e
+                if sigma[j] == 0:
+                    sigma[j] = want
+                    stack.append(j)
+                elif sigma[j] != want:
+                    return None
+    if float(np.min(a * np.outer(sigma, sigma))) < -negativity_rel * scale:
+        return None
+    return sigma
+
+
+def loop_inverse_m_route(a, inverse, zero_rel: float, negativity_rel: float,
+                         tol_rel: float) -> tuple:
+    """(holds, signature list or None) of the nonsymmetric inverse-M route
+    as id_verdict first took it: a signature from the sign pattern of the
+    kernel a itself (loop_signature), then the off-diagonal M-matrix sign
+    test on sigma * inverse(a) * sigma.  inverse(a) is the library's
+    inverse as an array; any exception it raises propagates."""
+    if naive_sign_product_violation(a, tol_rel) is not None:
+        return False, None
+    sigma = loop_signature(a, zero_rel, negativity_rel)
+    if sigma is None:
+        return False, None
+    off, _ = naive_m_matrix_witnesses(inverse(a) * np.outer(sigma, sigma), tol_rel)
+    if off is not None:
+        return False, None
+    return True, [int(v) for v in sigma]
+
+
 def naive_m_matrix_witnesses(a, tol_rel: float) -> tuple:
     """Loop form of the M-matrix sign tests: (off-diagonal witness,
     row-sum witness), each None when its test passes.  A failing
@@ -371,6 +431,14 @@ def naive_association_report(draws, members, blocks: int, z_threshold: float,
                    "detail": "no covariance below the z threshold; worst pair "
                              f"({worst['f']},{worst['h']}) at z = {worst['z']:.2f}"}
     return {"verdict": verdict, "pairs": rows, "n_draws": len(draws), "seed": seed}
+
+
+def loop_random_scalings(n: int, count: int, seed: int) -> list:
+    """Log-uniform scalings on [0.05, 20] as the library first drew them:
+    one length-n Philox draw per scaling."""
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    lo, hi = np.log(0.05), np.log(20.0)
+    return [np.exp(gen.uniform(lo, hi, size=n)) for _ in range(count)]
 
 
 def oneshot_uniforms(seed: int, shape) -> np.ndarray:

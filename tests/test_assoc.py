@@ -25,6 +25,7 @@ from permacheck import (
     squared_pair_density,
 )
 from oracles import (
+    loop_random_scalings,
     mc_mean_se,
     naive_association_report,
     naive_default_family,
@@ -341,6 +342,14 @@ class TestRandomScalings:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         flat = np.concatenate(a)
         assert flat.min() >= 0.05 and flat.max() <= 20.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_one_draw_matches_per_row_loop(self, n):
+        for count, seed in ((1, 0), (2, 58), (7, 2 ** 64 - 1), (1000, 20260814)):
+            got = random_scalings(n, count, seed)
+            want = loop_random_scalings(n, count, seed)
+            assert len(got) == count
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 
     def test_bad_arguments(self):
         with pytest.raises(InputFormatError):

@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from permacheck import (
     TransientChain,
@@ -221,6 +224,121 @@ class TestBadInputs:
                                 "--out", str(tmp_path / "x.bin")], capsys)
         assert code == 0
         assert json.loads(out)["result"]["seed"] == 2 ** 64 - 1
+
+
+# strategies for the CLI contract property: matrix text that is often
+# malformed, and grid, r-pair and count strings that are often garbled
+def _shaped(entries, kind):
+    a = np.array(entries)
+    if kind == "symmetric":
+        return (a + a.T) / 2
+    if kind == "psd":
+        return a @ a.T
+    return np.abs(a) if kind == "nonnegative" else a
+
+
+_MATRICES = st.integers(1, 4).flatmap(lambda n: st.builds(
+    _shaped, st.lists(st.lists(st.floats(-2.0, 2.0).map(lambda v: round(v, 2)),
+                               min_size=n, max_size=n), min_size=n, max_size=n),
+    st.sampled_from(["raw", "symmetric", "psd", "nonnegative"])))
+_BAD_CELLS = st.sampled_from(["nan", "inf", "-inf", "x", "", "1e400", "0x1"])
+
+
+def _csv_text(a, damage=None, cell=None):
+    rows = [[format(v, "g") for v in row] for row in a]
+    if damage == "cell":
+        rows[-1][0] = cell
+    elif damage == "ragged":
+        rows[0] = rows[0] + ["1"]
+    return "\n".join(",".join(r) for r in rows) + "\n"
+
+
+def _json_text(a, dim="none", sym=None):
+    obj = {"entries": a.tolist()}
+    if dim != "none":
+        obj["dim"] = dim
+    if sym is not None:
+        obj["symmetric"] = sym
+    return json.dumps(obj)
+
+
+_MATRIX_TEXT = st.one_of(
+    _MATRICES.map(_csv_text),
+    _MATRICES.map(_json_text),
+    st.builds(_csv_text, _MATRICES, st.sampled_from(["cell", "ragged"]), _BAD_CELLS),
+    st.builds(_json_text, _MATRICES,
+              st.sampled_from([1, 2, 3, 4, -1, "x", None, 2.5, [2], 1e300]),
+              st.sampled_from([None, True, False])),
+    st.sampled_from(["", "\n", "   ", "{", "[]", "{}", '{"entries": 3}',
+                     '{"entries": [[1, "a"], [0, 1]]}', '{"entries": [[1, 2], [3]]}',
+                     "1,2\n3\n"]),
+    st.text(max_size=12))
+_GRIDS = st.one_of(
+    st.builds(lambda a, b, c: f"{a}:{b}:{c}", st.sampled_from(["0", "0.5", "1"]),
+              st.sampled_from(["1", "2", "3"]), st.sampled_from(["0.5", "1"])),
+    st.lists(st.sampled_from(["0", "0.5", "1", "2"]), min_size=1, max_size=3).map(",".join),
+    st.builds(lambda a, b, c: f"{a}:{b}:{c}", st.sampled_from(["0", "x", "-1", "2"]),
+              st.sampled_from(["1", "0", "nan"]), st.sampled_from(["0.5", "0", "-1"])),
+    st.lists(st.sampled_from(["0", "1", "-1", "nan", "x", ""]),
+             min_size=1, max_size=3).map(",".join),
+    st.text(alphabet="0123456789.,:-x", max_size=6))
+_R_PAIRS = st.one_of(
+    st.lists(st.sampled_from(["1,0.5", "2,1", "0.5,0"]), min_size=1, max_size=2).map(";".join),
+    st.lists(st.builds(lambda r, q: f"{r},{q}", st.sampled_from(["0", "0.5", "1", "x"]),
+                       st.sampled_from(["0.5", "1", "-1", "nan"])),
+             min_size=1, max_size=2).map(";".join),
+    st.text(alphabet="0123456789.,;x", max_size=6))
+_COUNTS = st.sampled_from(["10", "2.5", "nan", "1e1", "0", "-5", "x", "12"])
+_KEEPS = st.sampled_from(["0", "0,1", "1,0", "0,0", "5", "-1", "a", ""])
+_COMMANDS = st.one_of(
+    st.just(["check-id", "--input", "{m}"]),
+    st.builds(lambda g: ["check-id", "--input", "{m}", "--alphas", g, "--m-max", "2"], _GRIDS),
+    st.builds(lambda g: ["scan", "--input", "{m}", "--betas", g, "--m-max", "2"], _GRIDS),
+    st.builds(lambda b: ["perm", "--input", "{m}", "--beta", b],
+              st.sampled_from(["1", "-1", "0.5", "nan", "x"])),
+    st.just(["green", "gen", "--chain", "{m}"]),
+    st.just(["green", "check", "--input", "{m}"]),
+    st.builds(lambda b: ["green", "power", "--input", "{m}", "--beta", b],
+              st.sampled_from(["1", "2", "0.5", "nan"])),
+    st.builds(lambda g: ["green", "plus-c", "--input", "{m}", "--grid", g], _GRIDS),
+    st.builds(lambda k: ["green", "restrict", "--input", "{m}", "--keep", k], _KEEPS),
+    st.builds(lambda n: ["sample", "--kernel", "{m}", "--n", n, "--out", "{dir}/x.bin"],
+              _COUNTS),
+    st.builds(lambda g, s: ["scan-monotone", "--kernel", "{m}", "--alphas", g,
+                            "--scalings", s], _GRIDS,
+              st.sampled_from(["identity", "random:3", "random:0", "random:x", "1,2", "0.5"])),
+    st.builds(lambda r: ["shifted-order", "--kernel", "{m}", "--r-pairs", r], _R_PAIRS),
+    st.builds(lambda r: ["check-fkg", "--kernel", "{m}", "--shift", r],
+              st.sampled_from(["0", "0.5", "-1", "nan"])),
+)
+
+
+class TestContract:
+    @settings(max_examples=250, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(_COMMANDS, _MATRIX_TEXT)
+    def test_exit_code_report_and_stderr(self, tmp_path, capsys, argv, text):
+        (tmp_path / "m.txt").write_text(text)
+        report = tmp_path / "report.json"
+        report.unlink(missing_ok=True)
+        argv = [a.format(m=tmp_path / "m.txt", dir=tmp_path) for a in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(argv + ["--report", report], capsys)
+        # a warning would reach a real run's stderr beside the JSON error
+        assert not caught, [str(w.message) for w in caught]
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3, 4)
+        if code in (2, 3):
+            _one_json_error(err)
+            return
+        assert err == ""
+        verdict = json.loads(report.read_text())["result"].get("verdict", {})
+        if code == 1:
+            assert verdict["status"] == "fails" and verdict["witness"]
+        else:
+            assert verdict.get("status") != "fails"
 
 
 _IMPORT_PROBE = """
@@ -511,6 +629,15 @@ class TestReportShape:
         assert rep["schema"] == 1
         assert "defaults" in rep and "default_seed" in rep["defaults"]
         assert "threads" not in json.dumps(rep)
+
+    def test_defaults_table_lists_every_constant(self):
+        from permacheck import defaults
+
+        table = defaults.defaults_table()
+        constants = {name.lower() for name in vars(defaults) if name.isupper()}
+        assert set(table) == constants - {"schema_version"}
+        assert json.loads(json.dumps(table)) == table  # tuples became lists
+        assert table["beta_grid"] == list(defaults.BETA_GRID)
 
     def test_sorted_keys(self, matrices, capsys):
         _, out, _ = run_cli(["check-id", "--input", matrices["id2"]], capsys)

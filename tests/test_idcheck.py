@@ -7,16 +7,28 @@ from permacheck import (
     NotPositiveDefiniteError,
     SignConditionError,
     SignInconsistencyError,
+    SingularMatrixError,
     TransientChain,
     bapat_test,
     construct_signature,
+    defaults,
     green_from_chain,
+    id_necessary_battery,
     id_verdict,
+    idcheck,
+    invert,
     kernel,
+    real_eigen_nonneg,
     shifted_pair_id_test,
     symmetrize_pair_kernel,
 )
-from oracles import exhaustive_bapat, random_green, random_pd_kernel
+from oracles import (
+    exhaustive_bapat,
+    loop_inverse_m_route,
+    loop_signature,
+    random_green,
+    random_pd_kernel,
+)
 
 TRI3 = [[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]]
 _B = np.array([[0.6, 0.9], [0.6, 0.3], [0.8, 0.5], [0.5, 0.8]])
@@ -77,6 +89,32 @@ class TestConstructSignature:
             g[i, j] = g[j, i] = -1.0
         with pytest.raises(SignInconsistencyError):
             construct_signature(kernel(g))
+
+    def test_matches_closure_propagation(self):
+        # sparse signed patterns, some pairs of opposite sign below the
+        # pair-product tolerance, some entries below the zero tolerance
+        rng = np.random.default_rng(22)
+        raised = 0
+        for case in range(600):
+            n = int(rng.integers(2, 7))
+            g = rng.uniform(0.1, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.5)
+            s0 = rng.choice([-1.0, 1.0], size=n)
+            g = (g + g.T) * np.outer(s0, s0) + n * np.eye(n)
+            i, j = rng.choice(n, size=2, replace=False)
+            g[i, j] = 10.0 ** float(rng.uniform(-14, -5)) * rng.choice([-1.0, 1.0])
+            if case % 2:
+                g[j, i] = -g[i, j]
+            G = kernel(g, symmetric=False)
+            try:
+                got = construct_signature(G).to_list()
+            except SignInconsistencyError:
+                got = None
+            except SignConditionError:
+                continue
+            want = loop_signature(G.entries, defaults.ZERO_REL, defaults.NEGATIVITY_REL)
+            assert got == (None if want is None else [int(v) for v in want]), case
+            raised += got is None
+        assert raised >= 50
 
 
 class TestBapat:
@@ -234,3 +272,78 @@ class TestRandomChains:
             g = kernel(random_green(rng, n))
             v = id_verdict(g)
             assert not v.fails
+
+
+def _nonsymmetric_kernels(rng, count):
+    """Random Green kernels, every second one sigma-conjugated, two in three
+    perturbed on a random 30% of entries (relative size 1e-4 to 0.3, so the
+    inverse's zeros take either sign), every fourth diagonally shifted.
+    Every fifth starts from a random sparse positive matrix instead, and
+    every seventh from two Green blocks with their indices shuffled, so
+    that the sign pattern has several components."""
+    for case in range(count):
+        n = int(rng.integers(2, 7))
+        if case % 5 == 4:
+            g = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.8)
+        elif case % 7 == 6:
+            m = int(rng.integers(1, n))
+            g = np.zeros((n, n))
+            g[:m, :m], g[m:, m:] = random_green(rng, m), random_green(rng, n - m)
+            p = rng.permutation(n)
+            g = g[np.ix_(p, p)]
+        else:
+            g = random_green(rng, n)
+        if case % 2:
+            sigma = rng.choice([-1.0, 1.0], size=n)
+            g = g * np.outer(sigma, sigma)
+        if case % 3:
+            size = 10.0 ** float(rng.uniform(-4, -0.5)) * np.abs(g).max()
+            g = g + (rng.uniform(size=(n, n)) < 0.3) * rng.normal(scale=size, size=(n, n))
+        if case % 4 == 3:
+            g = g + float(rng.uniform(0.0, 2.0)) * np.eye(n)
+        yield g
+
+
+def _holds_and_signature(route):
+    try:
+        return route()
+    except SingularMatrixError:
+        return "singular"
+
+
+class TestInverseCertificate:
+    def test_matches_kernel_signature_route(self):
+        # id_verdict's nonsymmetric route took its signature from G's own
+        # sign pattern; it now colours G^-1's.  On every kernel that reaches
+        # the route, both must give the same (holds, signature).
+        def certificate(G):
+            c = idcheck._inverse_certificate(G, "inverse-M-sufficient")
+            return c.holds, None if c.signature is None else c.signature.to_list()
+
+        def inverse(a):
+            return invert(kernel(a, symmetric=False)).entries
+
+        outcomes = {True: 0, False: 0}
+        for g in _nonsymmetric_kernels(np.random.default_rng(90), 3300):
+            G = kernel(g)
+            if G.symmetric or not (real_eigen_nonneg(G).holds
+                                   and id_necessary_battery(G).holds):
+                continue
+            new = _holds_and_signature(lambda: certificate(G))
+            old = _holds_and_signature(lambda: loop_inverse_m_route(
+                G.entries, inverse, defaults.ZERO_REL, defaults.NEGATIVITY_REL,
+                defaults.TOL_ALGEBRAIC))
+            assert new == old, g.tolist()
+            if new != "singular":
+                outcomes[new[0]] += 1
+        assert sum(outcomes.values()) >= 2000 and outcomes[False] >= 200, outcomes
+
+    @pytest.mark.parametrize("name", sorted(PERMUTATION_KERNELS))
+    def test_id_verdict_never_constructs_a_kernel_signature(self, name, monkeypatch):
+        expected = id_verdict(kernel(PERMUTATION_KERNELS[name])).to_dict()
+
+        def forbidden(G):
+            raise AssertionError("id_verdict reached construct_signature")
+
+        monkeypatch.setattr(idcheck, "construct_signature", forbidden)
+        assert id_verdict(kernel(PERMUTATION_KERNELS[name])).to_dict() == expected

@@ -359,6 +359,32 @@ class TestBatchIO:
         assert back.kind == tilted.kind
         assert back.alpha == tilted.alpha
 
+    def test_load_memory_is_the_body(self, tmp_path):
+        path = tmp_path / "batch.bin"
+        save_batch(sample_permanental(PermanentalSpec(_kernels(4)[0], 2.0), 200_000,
+                                      seed=21), path)
+        body = path.stat().st_size - len(path.read_bytes().split(b"\n", 1)[0]) - 1
+        load_batch(path)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            batch = load_batch(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.draws.nbytes + batch.weights.nbytes == body
+        # reading the body, then copying the arrays out of it, peaks at 2x
+        assert peak <= 1.1 * body
+
+    def test_huge_declared_count_raises_before_allocating(self, tmp_path):
+        path = tmp_path / "batch.bin"
+        save_batch(sample_gaussian(G2, 50, seed=19), path)
+        line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["n_draws"] = 10 ** 15
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        with pytest.raises(InputFormatError, match="batch body has"):
+            load_batch(path)
+
     def test_schema_guard(self, tmp_path):
         path = tmp_path / "bad.bin"
         with open(path, "wb") as fh:
