@@ -29,13 +29,10 @@ from .errors import (
     DimensionCapError,
     InputFormatError,
     InvalidIndexError,
-    NegativeCrossProductError,
     NotPositiveDefiniteError,
     NotPSDError,
     PermacheckError,
     SchemaMismatchError,
-    SignConditionError,
-    SignInconsistencyError,
     SingularMatrixError,
     SpectralRadiusError,
 )
@@ -52,10 +49,8 @@ from .green import (
 from .idcheck import (
     IdVerdict,
     bapat_test,
-    construct_signature,
     id_verdict,
     shifted_pair_id_test,
-    symmetrize_pair_kernel,
 )
 from .matcore import (
     KernelMatrix,
@@ -82,7 +77,6 @@ from .sampler import (
     sample_gaussian,
     sample_permanental,
     save_batch,
-    sign_moment,
     tilt_resolvent,
 )
 from .verdict import Verdict

@@ -10,6 +10,7 @@ a resolvent, so one matrix product evaluates the whole beta grid.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,14 +182,20 @@ def beta_positivity_scan(G: KernelMatrix, betas=None, alphas=None,
     powers = np.power(np.array(betas, dtype=float)[:, None], np.arange(m_max + 1))
     coefs = np.zeros((len(sets), m_max + 1))
     limits = np.empty(len(sets))
+    shifts = np.zeros(len(sets), dtype=int)  # values[:, s] * 2**shifts[s] is per_beta
     for a_index, alpha in enumerate(alphas):
         ga = resolvent(G, float(alpha)).entries
         for m, rows, idx in blocks:
             sub = ga[idx[:, None, :], idx[None, :, :]]  # (m, m, S_m): one matrix per multiset
-            coefs[rows, : m + 1] = _cycle_coefficients(sub)
+            # scale each matrix by 2**-e to max|entry| = mantissa in [0.5, 1):
+            # exact, so every coefficient and value keeps its bits up to the
+            # factor 2**(e*m), and no product of m entries overflows
+            mantissas, exps = np.frexp(np.max(np.abs(sub), axis=(0, 1)))
+            coefs[rows, : m + 1] = _cycle_coefficients(np.ldexp(sub, -exps))
+            shifts[rows] = exps * m
             # scalar ** on purpose: numpy's array power can differ in the last bit
-            limits[rows] = [-defaults.NEGATIVITY_REL * max(scale, 1e-300) ** m
-                            for scale in np.max(np.abs(sub), axis=(0, 1)).tolist()]
+            limits[rows] = [-defaults.NEGATIVITY_REL * mantissa ** m
+                            for mantissa in mantissas.tolist()]
         values = powers @ coefs.T
         bad = values < limits
         if bad.any():
@@ -197,7 +204,7 @@ def beta_positivity_scan(G: KernelMatrix, betas=None, alphas=None,
                 "alpha": float(alpha),
                 "beta": float(betas[b]),
                 "indices": list(sets[s]),
-                "value": float(values[b, s]),
+                "value": math.ldexp(float(values[b, s]), int(shifts[s])),
             }
             scanned = int(a_index * bad.size + b * len(sets) + s + 1)
             return PositivityReport(

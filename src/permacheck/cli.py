@@ -506,11 +506,9 @@ _HANDLERS = {
 
 def _error_object(exc: Exception) -> dict:
     obj = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("indices", "value", "cond_estimate", "min_eigenvalue",
-                 "spectral_radius", "near_zero_entries"):
-        if hasattr(exc, attr) and getattr(exc, attr) is not None:
-            val = getattr(exc, attr)
-            obj[attr] = list(val) if isinstance(val, tuple) else val
+    for attr in ("cond_estimate", "min_eigenvalue", "spectral_radius"):
+        if getattr(exc, attr, None) is not None:
+            obj[attr] = getattr(exc, attr)
     return obj
 
 

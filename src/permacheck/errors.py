@@ -45,32 +45,6 @@ class SpectralRadiusError(PermacheckError):
         self.spectral_radius = spectral_radius
 
 
-class SignConditionError(PermacheckError):
-    """A pairwise or cyclic-triple sign condition fails.
-
-    ``indices`` is (i, j) for a pairwise violation G(i,j)G(j,i) < 0 and
-    (i, j, k) for a triple violation G(j,i)G(j,k)G(k,i) < 0; ``value`` is
-    the offending product.
-    """
-
-    def __init__(self, message, indices, value):
-        super().__init__(message)
-        self.indices = tuple(indices)
-        self.value = value
-
-
-class SignInconsistencyError(PermacheckError):
-    """Sign propagation contradicted itself; lists near-zero entries involved."""
-
-    def __init__(self, message, near_zero_entries=()):
-        super().__init__(message)
-        self.near_zero_entries = list(near_zero_entries)
-
-
-class NegativeCrossProductError(PermacheckError):
-    """2x2 symmetrization requires C(0,1)*C(1,0) >= 0."""
-
-
 class InvalidIndexError(PermacheckError):
     """Permanental index beta is not 2/k for an integer k >= 1."""
 

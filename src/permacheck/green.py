@@ -63,10 +63,6 @@ class TransientChain:
     def dim(self) -> int:
         return self.Q.shape[0]
 
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.Q))))
-
 
 def green_from_chain(chain: TransientChain) -> KernelMatrix:
     """Potential matrix G = sum_k Q^k = (I - Q)^(-1) of a transient chain."""

@@ -9,7 +9,6 @@ sufficient Green-kernel route with necessary positivity scans.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,28 +17,17 @@ from . import defaults
 from .betaperm import beta_positivity_scan, id_necessary_battery
 from .errors import (
     InputFormatError,
-    NegativeCrossProductError,
     NotPositiveDefiniteError,
     NotPSDError,
-    SignConditionError,
-    SignInconsistencyError,
     SingularMatrixError,
 )
-from .matcore import (
-    KernelMatrix,
-    Signature,
-    invert,
-    real_eigen_nonneg,
-    sign_product_violation,
-)
+from .matcore import KernelMatrix, Signature, invert, real_eigen_nonneg
 from .verdict import Verdict
 
 __all__ = [
     "IdVerdict",
-    "construct_signature",
     "bapat_test",
     "id_verdict",
-    "symmetrize_pair_kernel",
     "shifted_pair_id_test",
 ]
 
@@ -77,20 +65,20 @@ class IdVerdict:
         }
 
 
-def _edge_signs(a: np.ndarray):
-    """Edge signs of a's off-diagonal pattern for _two_color, and the zero tol.
+def _edge_signs(a: np.ndarray) -> np.ndarray:
+    """Edge signs of a's off-diagonal pattern for _two_color.
 
-    Entries at most ZERO_REL * max(1, max|a|) in size count as zeros.
+    Entries at most ZERO_REL * max|a| in size count as zeros; the
+    tolerance has no absolute floor, so the pattern of c*a is a's.
     Edge (i,j) takes the sign of a(i,j), or of a(j,i) where a(i,j) is
     zero, so the matrix is symmetric unless a(i,j) and a(j,i) have
     opposite signs, which _two_color reports as a conflict.
     """
-    ztol = defaults.ZERO_REL * max(float(np.max(np.abs(a))), 1.0)
     s = np.sign(a)
-    s[np.abs(a) <= ztol] = 0.0
+    s[np.abs(a) <= defaults.ZERO_REL * float(np.max(np.abs(a)))] = 0.0
     edges = np.where(s != 0, s, s.T)
     np.fill_diagonal(edges, 0.0)
-    return edges, ztol
+    return edges
 
 
 def _two_color(edges: np.ndarray) -> tuple:
@@ -120,50 +108,11 @@ def _two_color(edges: np.ndarray) -> tuple:
     return sigma, None
 
 
-def construct_signature(G: KernelMatrix) -> Signature:
-    """Sign vector sigma with sigma(i)G(i,j)sigma(j) >= 0 entrywise.
-
-    Requires the pairwise products G(i,j)G(j,i) and the cyclic triple
-    products G(j,i)G(j,k)G(k,i) to be nonnegative (checked first).
-    Signs are fixed at +1 on one root per connected component of the
-    nonzero pattern and propagated; zero entries impose no constraint.
-    """
-    a = G.entries
-    n = G.dim
-    scale = max(1.0, float(np.max(np.abs(a))))
-    found = sign_product_violation(a)
-    if found is not None:
-        kind, indices, v = found
-        if kind == "pair":
-            i, j = indices
-            message = f"pairwise product G({i},{j})G({j},{i}) = {v:g} < 0"
-        else:
-            i, j, k = indices
-            message = f"cyclic triple product at (i,j,k)=({i},{j},{k}) is {v:g} < 0"
-        raise SignConditionError(message, indices, v)
-    edges, ztol = _edge_signs(a)
-    sigma, conflict = _two_color(edges)
-    near = [[int(p), int(q)] for p in range(n) for q in range(n)
-            if 0.0 < abs(a[p, q]) <= ztol]
-    if conflict is not None:
-        raise SignInconsistencyError(
-            f"sign propagation conflicts on entry {conflict}; no consistent "
-            "sign vector exists for this zero pattern", near)
-    sig = Signature(sigma)
-    worst = float(np.min(sig.conjugate(a)))
-    if worst < -defaults.NEGATIVITY_REL * scale:
-        raise SignInconsistencyError(
-            f"propagated signs leave a negative entry ({worst:g}); the "
-            "nonzero pattern admits no consistent sign vector", near)
-    return sig
-
-
 def _psd_screen(G: KernelMatrix, strict: bool) -> np.ndarray:
     if not G.symmetric:
         raise InputFormatError("positive-definiteness screen needs a symmetric kernel")
     w = np.linalg.eigvalsh(G.entries)
-    scale = max(1.0, float(np.max(np.abs(G.entries))))
-    floor = defaults.PSD_REL * scale
+    floor = defaults.PSD_REL * float(np.max(np.abs(G.entries)))
     if strict and w[0] <= floor:
         raise NotPositiveDefiniteError(
             f"smallest eigenvalue {w[0]:g} is not positive", float(w[0]))
@@ -184,8 +133,7 @@ def _inverse_certificate(G: KernelMatrix, method: str) -> IdVerdict:
     M-matrix sign test, so it needs none.  Raises SingularMatrixError from invert.
     """
     h = invert(G).entries
-    edges, _ = _edge_signs(h)
-    sigma, conflict = _two_color(-edges)
+    sigma, conflict = _two_color(-_edge_signs(h))
     if sigma is None:
         i, j = conflict
         return IdVerdict(
@@ -242,27 +190,6 @@ def id_verdict(G: KernelMatrix, betas=None, alphas=None, m_max=None) -> IdVerdic
         Verdict.unknown("no exact criterion applies; positivity scan over "
                         f"{scan.scanned} triples found no witness"),
         "battery-necessary")
-
-
-def symmetrize_pair_kernel(C: KernelMatrix) -> KernelMatrix:
-    """2x2 reduction: same diagonal, off-diagonal sqrt(C(0,1)C(1,0)).
-
-    Preserves |I + xC| for every nonnegative diagonal x, hence the
-    permanental law, since only the product of the off-diagonals enters
-    the determinant.
-    """
-    if C.dim != 2:
-        raise InputFormatError("pair symmetrization is for 2x2 kernels only")
-    a = C.entries
-    if a[0, 0] <= 0 or a[1, 1] <= 0:
-        raise InputFormatError("pair kernel needs positive diagonal entries")
-    cross = a[0, 1] * a[1, 0]
-    if cross < -defaults.TOL_ALGEBRAIC * max(1.0, float(np.max(np.abs(a)))) ** 2:
-        raise NegativeCrossProductError(
-            f"C(0,1)*C(1,0) = {cross:g} < 0; no symmetric equivalent exists")
-    off = math.sqrt(max(cross, 0.0))
-    return KernelMatrix(
-        np.array([[a[0, 0], off], [off, a[1, 1]]]), symmetric=True)
 
 
 def shifted_pair_id_test(v_x: float, c: float, v_y: float) -> Verdict:

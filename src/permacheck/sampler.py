@@ -32,7 +32,6 @@ __all__ = [
     "laplace_transform",
     "empirical_laplace",
     "abs_product_moment",
-    "sign_moment",
     "save_batch",
     "load_batch",
 ]
@@ -165,7 +164,7 @@ def _sqrt_factor(G: KernelMatrix) -> np.ndarray:
     if not G.symmetric:
         raise InputFormatError("sampling needs a symmetric kernel")
     lam, vec = np.linalg.eigh(G.entries)
-    floor = -defaults.PSD_REL * max(1.0, float(np.max(np.abs(G.entries))))
+    floor = -defaults.PSD_REL * float(np.max(np.abs(G.entries)))
     if lam[0] < floor:
         raise NotPSDError(
             f"kernel has negative eigenvalue {lam[0]:g}", float(lam[0]))
@@ -288,14 +287,6 @@ def abs_product_moment(sigma_i, sigma_j, rho):
     r = np.minimum(np.maximum(r, -1.0), 1.0)
     m = (2.0 / np.pi) * si * sj * (r * np.arcsin(r) + np.sqrt(np.maximum(0.0, 1.0 - r * r)))
     return float(m) if m.ndim == 0 else m
-
-
-def sign_moment(rho: float) -> float:
-    """E[sgn(eta_i eta_j)] = (2/pi) asin(rho); MC-validated in tests."""
-    if abs(rho) > 1 + 1e-12:
-        raise InputFormatError(f"correlation {rho} outside [-1, 1]")
-    r = min(1.0, max(-1.0, float(rho)))
-    return (2.0 / math.pi) * math.asin(r)
 
 
 def save_batch(batch: SampleBatch, path) -> None:

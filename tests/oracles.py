@@ -146,11 +146,6 @@ def mc_abs_product_moment(sigma_i, sigma_j, rho, n, seed) -> tuple:
     return mc_mean_se(np.abs(sigma_i * x * sigma_j * y))
 
 
-def mc_sign_moment(rho, n, seed) -> tuple:
-    x, y = gaussian_pairs(rho, n, seed)
-    return mc_mean_se(np.sign(x * y))
-
-
 def exhaustive_bapat(G) -> bool:
     """Try all 2^n sign vectors on G^(-1); True iff one gives an M-matrix."""
     g = np.asarray(G, dtype=float)
@@ -195,14 +190,14 @@ def naive_sign_product_violation(a, tol_rel: float):
 
 
 def loop_signature(a, zero_rel: float, negativity_rel: float):
-    """construct_signature's sign propagation as the library first wrote
-    it, with an edge-sign closure, after the sign-product check.
+    """A sign vector sigma making sigma*a*sigma entrywise nonnegative,
+    propagated over a's own sign pattern with an edge-sign closure, as
+    the nonsymmetric route first found it after the sign-product check.
 
     Entries at most zero_rel * max(1, max|a|) in size are zeros; edge
     (i,j) has the sign of a[i,j], or of a[j,i] where a[i,j] is zero.
-    Returns the +-1 vector, or None where the library raised
-    SignInconsistencyError (a propagation conflict, or a conjugated entry
-    below -negativity_rel * max(1, max|a|)).
+    Returns the +-1 vector, or None on a propagation conflict or a
+    conjugated entry below -negativity_rel * max(1, max|a|).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from permacheck import (
 from permacheck.cli import parse_and_dispatch, report_render
 
 TRI3 = [[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]]
+MIX3 = [[1.0, -0.31, 0.58], [-0.31, 1.0, 0.58], [0.58, 0.58, 1.0]]
 
 
 @pytest.fixture
@@ -42,6 +44,10 @@ def matrices(tmp_path):
     add("chain2", [[0.0, 0.5], [0.5, 0.0]])
     add("negdiag2", [[-1.0, 0.0], [0.0, -1.0]])
     add("indefinite2", [[1.0, 2.0], [2.0, 1.0]])
+    add("indefinite2_tiny", 1e-12 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+    add("huge2", [[1e100, 5e99], [5e99, 1e100]])
+    add("mix3", MIX3)
+    add("mix3_huge", np.ldexp(MIX3, 332))
 
     # nonsymmetric Green kernel plus a constant: every necessary test
     # passes but no sufficient certificate exists
@@ -191,6 +197,22 @@ class TestBadInputs:
         assert (code, out) == (3, "")
         assert _one_json_error(err)["error"] == "NotPSDError"
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["sample", "--kernel", "{m}", "--n", "10", "--out", "{dir}/x.bin"], 3),
+        (["check-id", "--input", "{m}"], 1),
+        (["scan-monotone", "--kernel", "{m}"], 3),
+    ])
+    def test_indefinite_kernel_exit_does_not_depend_on_scale(self, argv, expected,
+                                                             matrices, capsys, tmp_path):
+        # the eigenvalue screens are relative to the kernel's size, so
+        # 1e-12 * [[1,2],[2,1]] is as indefinite as [[1,2],[2,1]]
+        codes = []
+        for name in ("indefinite2", "indefinite2_tiny"):
+            args = [a.format(m=matrices[name], dir=tmp_path) for a in argv]
+            code, _, _ = run_cli(args + ["--report", tmp_path / "r.json"], capsys)
+            codes.append(code)
+        assert codes == [expected, expected]
+
     def test_unexpected_exception_is_three(self, monkeypatch, capsys):
         import permacheck.cli as cli
 
@@ -313,32 +335,85 @@ _COMMANDS = st.one_of(
 )
 
 
+# strategies that draw inputs each command accepts, so that the contract
+# is also checked where the commands compute: matrices are written as
+# JSON, which keeps every bit, and options are well formed
+_SQUARE = _MATRICES.map(_json_text)
+_PSD = _MATRICES.map(lambda a: _json_text(a @ a.T))
+_PD2 = st.builds(
+    lambda vx, vy, rho: _json_text(np.array(
+        [[vx, rho * math.sqrt(vx * vy)], [rho * math.sqrt(vx * vy), vy]])),
+    st.floats(0.1, 4.0), st.floats(0.1, 4.0), st.floats(-0.95, 0.95))
+_GOOD_GRIDS = st.sampled_from(["0:1:0.5", "0,0.5,1", "0.5", "0:2:1"])
+_VALID = st.one_of(
+    st.tuples(st.just(["check-id", "--input", "{m}"]), _SQUARE),
+    st.tuples(st.builds(lambda g: ["check-id", "--input", "{m}", "--alphas", g,
+                                   "--m-max", "2"], _GOOD_GRIDS), _SQUARE),
+    st.tuples(st.builds(lambda g, m: ["scan", "--input", "{m}", "--betas", g,
+                                      "--m-max", m],
+                        st.sampled_from(["0.1:0.5:0.2", "0.5,1", "2"]),
+                        st.sampled_from(["2", "3"])), _SQUARE),
+    st.tuples(st.builds(lambda b: ["perm", "--input", "{m}", "--beta", b],
+                        st.sampled_from(["1", "-1", "0.5", "2"])), _SQUARE),
+    st.tuples(st.builds(lambda k, n: ["sample", "--kernel", "{m}", "--k", k, "--n", n,
+                                      "--out", "{dir}/x.bin"],
+                        st.sampled_from(["1", "2"]), st.sampled_from(["10", "1e2"])), _PSD),
+    st.tuples(st.builds(lambda k: ["check-assoc", "--kernel", "{m}", "--k", k,
+                                   "--n", "200"], st.sampled_from(["1", "2"])), _PSD),
+    st.tuples(st.builds(lambda g, s: ["scan-monotone", "--kernel", "{m}", "--alphas", g,
+                                      "--scalings", s], _GOOD_GRIDS,
+                        st.sampled_from(["identity", "random:3"])), _PSD),
+    st.tuples(st.builds(lambda r: ["shifted-order", "--kernel", "{m}", "--r-pairs", r],
+                        st.sampled_from(["1,0.5", "2,1", "0.5,0", "1,0.5;2,1"])), _PD2),
+    st.tuples(st.builds(lambda r: ["check-fkg", "--kernel", "{m}", "--shift", r],
+                        st.sampled_from(["0", "0.5", "1"])), _PD2),
+)
+
+
+def _contract_exit_code(tmp_path, capsys, argv, text) -> int:
+    """Runs argv on a matrix file holding text and checks the CLI contract."""
+    (tmp_path / "m.txt").write_text(text)
+    report = tmp_path / "report.json"
+    report.unlink(missing_ok=True)
+    argv = [a.format(m=tmp_path / "m.txt", dir=tmp_path) for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(argv + ["--report", report], capsys)
+    # a warning would reach a real run's stderr beside the JSON error
+    assert not caught, [str(w.message) for w in caught]
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3, 4)
+    if code in (2, 3):
+        _one_json_error(err)
+        return code
+    assert err == ""
+    verdict = json.loads(report.read_text())["result"].get("verdict", {})
+    if code == 1:
+        assert verdict["status"] == "fails" and verdict["witness"]
+    else:
+        assert verdict.get("status") != "fails"
+    return code
+
+
 class TestContract:
     @settings(max_examples=250, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture,
                                      HealthCheck.too_slow])
     @given(_COMMANDS, _MATRIX_TEXT)
     def test_exit_code_report_and_stderr(self, tmp_path, capsys, argv, text):
-        (tmp_path / "m.txt").write_text(text)
-        report = tmp_path / "report.json"
-        report.unlink(missing_ok=True)
-        argv = [a.format(m=tmp_path / "m.txt", dir=tmp_path) for a in argv]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, _, err = run_cli(argv + ["--report", report], capsys)
-        # a warning would reach a real run's stderr beside the JSON error
-        assert not caught, [str(w.message) for w in caught]
-        event(f"exit {code}")
-        assert code in (0, 1, 2, 3, 4)
-        if code in (2, 3):
-            _one_json_error(err)
-            return
-        assert err == ""
-        verdict = json.loads(report.read_text())["result"].get("verdict", {})
-        if code == 1:
-            assert verdict["status"] == "fails" and verdict["witness"]
-        else:
-            assert verdict.get("status") != "fails"
+        _contract_exit_code(tmp_path, capsys, argv, text)
+
+    def test_valid_inputs_reach_a_verdict(self, tmp_path, capsys):
+        codes = []
+
+        @settings(max_examples=150, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(_VALID)
+        def check(case):
+            codes.append(_contract_exit_code(tmp_path, capsys, *case))
+
+        check()
+        assert codes.count(2) <= len(codes) / 3, codes
 
 
 _IMPORT_PROBE = """
@@ -427,6 +502,30 @@ class TestScan:
             assert proc.returncode == 1, proc.stderr
             outs.append(rpt.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_huge_kernel_scans_like_unit_kernel(self, matrices, capsys):
+        # the scan's threshold scale**m was a Python power that overflowed
+        reports = []
+        for name in ("g2", "huge2"):
+            code, out, err = run_cli(["scan", "--input", matrices[name]], capsys)
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out)["result"])
+        assert reports[1]["verdict"]["status"] == "holds"
+        assert reports[1]["scanned"] == reports[0]["scanned"] == 11 * 20 * 20
+
+    def test_huge_kernel_keeps_the_witness_bits(self, matrices, capsys):
+        # 2**332 * MIX3: every per_beta on a 3-set is MIX3's times 2**996
+        code, out, _ = run_cli(["scan", "--input", matrices["mix3"]], capsys)
+        assert code == 1
+        base = json.loads(out)["result"]
+        code, out, _ = run_cli(["scan", "--input", matrices["mix3_huge"]], capsys)
+        assert code == 1
+        result = json.loads(out)["result"]
+        witness = result["verdict"]["witness"]
+        assert result["scanned"] == base["scanned"] == 14
+        assert (witness["alpha"], witness["beta"], witness["indices"]) == (0.0, 0.1, [0, 1, 2])
+        assert base["verdict"]["witness"]["value"] == -0.012167799999999998
+        assert witness["value"] == math.ldexp(-0.012167799999999998, 996)
 
     def test_custom_grids(self, matrices, capsys):
         code, out, _ = run_cli(

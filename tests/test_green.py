@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ TRI3 = [[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]]
 
 class TestTransientChain:
     def test_spectral_radius_exposed(self):
-        ch = TransientChain([[0.0, 0.5], [0.5, 0.0]])
-        assert ch.spectral_radius == pytest.approx(0.5)
-        assert ch.dim == 2
+        assert TransientChain([[0.0, 0.5], [0.5, 0.0]]).dim == 2
+        with pytest.raises(SpectralRadiusError) as err:
+            TransientChain([[0.0, 2.0], [1.0, 0.0]])
+        assert err.value.spectral_radius == pytest.approx(math.sqrt(2.0))
 
     def test_recurrent_chain_rejected(self):
         with pytest.raises(SpectralRadiusError):

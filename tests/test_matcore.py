@@ -264,11 +264,6 @@ class TestSignature:
         with pytest.raises(InputFormatError):
             Signature(np.array([1.0, 0.5]))
 
-    def test_conjugate(self):
-        sig = Signature(np.array([1.0, -1.0]))
-        out = sig.conjugate(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert_allclose(out, [[1.0, -2.0], [-3.0, 4.0]])
-
 
 class TestMatrixIO:
     def test_csv_round_trip(self, tmp_path):

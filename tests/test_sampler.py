@@ -23,14 +23,12 @@ from permacheck import (
     sample_gaussian,
     sample_permanental,
     save_batch,
-    sign_moment,
     tilt_resolvent,
 )
 from permacheck.sampler import _BLOCK_ROWS, _row_blocks, _sqrt_factor
 from oracles import (
     mc_abs_product_moment,
     mc_mean_se,
-    mc_sign_moment,
     naive_abs_product_moment,
     oneshot_gaussian_draws,
     oneshot_permanental_draws,
@@ -318,20 +316,7 @@ class TestClosedFormMoments:
             mc, se = mc_abs_product_moment(1.0, 1.0, rho, 2_000_000, seed=16)
             assert abs(abs_product_moment(1.0, 1.0, rho) - mc) <= 3 * se
 
-    def test_sign_moment_values(self):
-        assert sign_moment(0.0) == 0.0
-        assert sign_moment(1.0) == pytest.approx(1.0)
-        assert sign_moment(0.5) == pytest.approx(1.0 / 3.0)
-        assert sign_moment(-0.5) == pytest.approx(-1.0 / 3.0)
-
-    def test_sign_moment_against_mc(self):
-        for rho in (-0.6, 0.3, 0.8):
-            mc, se = mc_sign_moment(rho, 2_000_000, seed=17)
-            assert abs(sign_moment(rho) - mc) <= 3 * se
-
     def test_out_of_range_rejected(self):
-        with pytest.raises(InputFormatError):
-            sign_moment(1.5)
         with pytest.raises(InputFormatError):
             abs_product_moment(1.0, 1.0, -2.0)
 
