@@ -19,8 +19,7 @@ from . import defaults
 from .densities import marginal_quantile_grid, squared_pair_density
 from .errors import InputFormatError
 from .green import is_green
-from .idcheck import _psd_screen
-from .matcore import KernelMatrix, _resolvents
+from .matcore import KernelMatrix, _resolvents, psd_eigh
 from .sampler import PermanentalSpec, abs_product_moment, sample_permanental
 from .verdict import Verdict
 
@@ -90,6 +89,12 @@ def _projection(i):
     return f
 
 
+def _column_quantiles(x: np.ndarray, levels) -> np.ndarray:
+    """np.quantile(x, levels, axis=0), bit for bit, one column at a time:
+    it copies a column, where the one call copies all of x."""
+    return np.array([np.quantile(c, levels) for c in x.T]).T
+
+
 def default_family(reference_draws) -> IncreasingFunctionFamily:
     """Orthant indicators at marginal quantiles, projections, max, min,
     and one soft orthant; thresholds come from the reference draws."""
@@ -98,7 +103,7 @@ def default_family(reference_draws) -> IncreasingFunctionFamily:
         raise InputFormatError("need an N x n draw matrix with N >= 10")
     n = x.shape[1]
     levels = defaults.ORTHANT_QUANTILES + (0.5,)
-    *thresholds, median = np.quantile(x, levels, axis=0)
+    *thresholds, median = _column_quantiles(x, levels)
     members = [(f"orthant_q{int(round(100 * q))}", _orthant(t))
                for q, t in zip(defaults.ORTHANT_QUANTILES, thresholds)]
     for i in range(n):
@@ -221,6 +226,9 @@ def resolvent_monotonicity_scan(G: KernelMatrix, alphas=None,
     resolvent(DGD, alpha) entries must not increase between consecutive
     grid points; the witness is the first (D, i, j, alpha pair) where it
     does, from one stacked resolvent solve and one moment array per D.
+    A coordinate with G_ii <= 0 is identically 0, so its pairs' moments
+    are 0 at every alpha: the scan skips it, and witness pairs keep G's
+    own indices.
 
     Association forces this for every ID kernel, so a `fails` rules ID
     out; a `holds` is necessary for ID but not sufficient.  With
@@ -244,24 +252,25 @@ def resolvent_monotonicity_scan(G: KernelMatrix, alphas=None,
         raise InputFormatError("alpha grid must be nonempty and finite")
     if any(b <= a for a, b in zip(alphas, alphas[1:])) or alphas[0] < 0:
         raise InputFormatError("alpha grid must be nonnegative and increasing")
-    _psd_screen(G, strict=False)
+    psd_eigh(G)
     if D_set is None:
         D_set = [np.ones(G.dim)]
     n = G.dim
-    iu, ju = np.triu_indices(n, 1)  # pairs i < j, row-major
+    live = np.flatnonzero(np.diagonal(G.entries) > 0)
+    g = G.entries[np.ix_(live, live)]
+    iu, ju = np.triu_indices(live.size, 1)  # pairs i < j, row-major
     for d_index, d in enumerate(D_set):
         d = np.asarray(d, dtype=float)
         if d.shape != (n,) or np.min(d) <= 0:
             raise InputFormatError("scalings must be positive length-n vectors")
-        scaled = KernelMatrix(G.entries * np.outer(d, d), symmetric=True)
-        r, error = _resolvents(scaled, alphas)
+        if iu.size == 0:
+            continue
+        dl = d[live]
+        r = _resolvents(KernelMatrix(g * np.outer(dl, dl), symmetric=True), alphas)
         sd = np.sqrt(np.diagonal(r, axis1=1, axis2=2))
-        with np.errstate(divide="ignore", invalid="ignore"):  # sd 0 is rejected next
-            rho = r[:, iu, ju] / (sd[:, iu] * sd[:, ju])
-        # moments[t, p] at alphas[t] for pair p, checked before a bad alpha's error
+        # |rho| <= 1 holds within the PSD screen's tolerance
+        rho = np.clip(r[:, iu, ju] / (sd[:, iu] * sd[:, ju]), -1.0, 1.0)
         moments = abs_product_moment(sd[:, iu], sd[:, ju], rho)
-        if error is not None:
-            raise error
         rise = np.diff(moments, axis=0).T  # pair-major, then alpha step
         bad = rise > defaults.MONOTONE_TOL
         if bad.any():
@@ -269,7 +278,7 @@ def resolvent_monotonicity_scan(G: KernelMatrix, alphas=None,
             return Verdict.fail(
                 {"scaling_index": d_index,
                  "scaling": [float(v) for v in d],
-                 "pair": [int(iu[p]), int(ju[p])],
+                 "pair": [int(live[iu[p]]), int(live[ju[p]])],
                  "alphas": [alphas[t], alphas[t + 1]],
                  "increase": float(rise[p, t])},
                 "E|eta_a(i) eta_a(j)| increased along the grid")

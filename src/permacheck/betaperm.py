@@ -98,29 +98,14 @@ def _cycle_coefficients(a: np.ndarray) -> np.ndarray:
     return coef[-1].T
 
 
-def beta_permanent(A, beta: float, exponent: str = "cycles") -> float:
-    """per_beta of a square matrix.
-
-    exponent="cycles" (default) uses the number of cycles of tau, making
-    per_1 the permanent and per_-1 = (-1)^m det.  exponent="signature"
-    evaluates the variant where the exponent is the sign of tau, kept
-    behind this flag for side-by-side comparison only.
-    """
-    coef = cycle_polynomial(A)
-    if exponent == "cycles":
-        # Horner; exact for integer coefficients and dyadic beta
-        acc = 0.0
-        for c in coef[::-1]:
-            acc = acc * beta + c
-        return float(acc)
-    if exponent == "signature":
-        if beta == 0:
-            raise InputFormatError("signature convention needs beta != 0")
-        m = coef.size - 1
-        even = sum(float(coef[k]) for k in range(m + 1) if (m - k) % 2 == 0)
-        odd = sum(float(coef[k]) for k in range(m + 1) if (m - k) % 2 == 1)
-        return float(beta * even + odd / beta)
-    raise InputFormatError(f"unknown exponent convention {exponent!r}")
+def beta_permanent(A, beta: float) -> float:
+    """per_beta of a square matrix: per_1 is the permanent and
+    per_-1 = (-1)^m det."""
+    # Horner; exact for integer coefficients and dyadic beta
+    acc = 0.0
+    for c in cycle_polynomial(A)[::-1]:
+        acc = acc * beta + c
+    return float(acc)
 
 
 def multisets(n: int, m_max: int):

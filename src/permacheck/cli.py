@@ -243,7 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("check-id", help="infinite-divisibility verdict for a kernel")
     s.add_argument("--input", required=True, help="matrix CSV or JSON file")
-    s.add_argument("--beta", type=finite_float, default=2.0)
     s.add_argument("--betas", help="scan beta grid, list or start:stop:step")
     s.add_argument("--alphas", help="scan alpha grid, list or start:stop:step")
     s.add_argument("--m-max", type=int, dest="m_max")
@@ -252,7 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("perm", help="beta-permanent of a matrix")
     s.add_argument("--input", required=True)
     s.add_argument("--beta", type=finite_float, required=True)
-    s.add_argument("--exponent", choices=("cycles", "signature"), default="cycles")
     s.add_argument("--report")
 
     s = sub.add_parser("scan", help="beta-positivity scan over resolvents")
@@ -308,9 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("scan-monotone", help="resolvent monotonicity scan")
     s.add_argument("--kernel", required=True)
-    s.add_argument("--alphas",
-                   default=f"0:{defaults.MONOTONE_ALPHA_MAX:g}:"
-                           f"{defaults.MONOTONE_ALPHA_MAX / (defaults.MONOTONE_ALPHA_POINTS - 1):g}")
+    s.add_argument("--alphas")
     s.add_argument("--scalings", default="identity",
                    help='"identity", "random:COUNT", or semicolon-separated vectors')
     s.add_argument("--seed", type=uint64)
@@ -344,10 +340,8 @@ def _cmd_check_id(args) -> int:
     G = load_matrix(args.input)
     betas = _parse_grid(args.betas) if args.betas else None
     alphas = _parse_grid(args.alphas) if args.alphas else None
-    if args.beta <= 0:
-        raise InputFormatError("index beta must be positive")
     iv = id_verdict(G, betas=betas, alphas=alphas, m_max=args.m_max)
-    inputs = {"input": args.input, "beta": args.beta, "m_max": args.m_max,
+    inputs = {"input": args.input, "m_max": args.m_max,
               "betas": betas, "alphas": alphas}
     _emit(_report("check-id", inputs, iv.to_dict()), args)
     return _exit_code(iv.verdict)
@@ -355,8 +349,8 @@ def _cmd_check_id(args) -> int:
 
 def _cmd_perm(args) -> int:
     G = load_matrix(args.input)
-    value = beta_permanent(G.entries, args.beta, exponent=args.exponent)
-    inputs = {"input": args.input, "beta": args.beta, "exponent": args.exponent}
+    value = beta_permanent(G.entries, args.beta)
+    inputs = {"input": args.input, "beta": args.beta}
     _emit(_report("perm", inputs, {"value": value}), args,
           extra_stdout=f"{value:.17g}\n")
     return 0
@@ -444,7 +438,7 @@ def _cmd_check_assoc(args) -> int:
 def _cmd_scan_monotone(args) -> int:
     G = load_matrix(args.kernel)
     seed = _resolve_seed(args)
-    alphas = _parse_grid(args.alphas)
+    alphas = _parse_grid(args.alphas) if args.alphas else None
     scalings = _parse_scalings(args.scalings, G.dim, seed)
     verdict = resolvent_monotonicity_scan(G, alphas=alphas, D_set=scalings)
     inputs = {"kernel": args.kernel, "alphas": alphas,

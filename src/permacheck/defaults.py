@@ -35,7 +35,6 @@ QUANTILE_HI = 0.99
 Z_THRESHOLD = -3.0
 ORTHANT_QUANTILES = (0.25, 0.5, 0.75)
 SOFT_INDICATOR_SLOPE = 1.0
-ESS_MIN_FRAC = 0.1
 JACKKNIFE_BLOCKS = 200
 
 DEFAULT_SEED = 20260814

@@ -84,11 +84,11 @@ def is_green(G: KernelMatrix) -> Verdict:
     off-diagonals and nonnegative row sums.  When everything but the
     row-sum condition passes, the verdict is holds-up-to-density-factor:
     some positive diagonal D makes G = D g D with g a proper potential,
-    but G itself is not one.
+    but G itself is not one.  Every tolerance is relative, with no
+    absolute floor, so the verdict on c*G (c > 0) is the verdict on G.
     """
     a = G.entries
-    scale = max(1.0, float(np.max(np.abs(a))))
-    tol = defaults.TOL_ALGEBRAIC * scale
+    tol = defaults.TOL_ALGEBRAIC * float(np.max(np.abs(a)))
     i, j = np.unravel_index(np.argmin(a), a.shape)
     if a[i, j] < -tol:
         return Verdict.fail(
@@ -128,7 +128,7 @@ def hadamard_power(G: KernelMatrix, beta: float) -> HadamardReport:
             "entrywise powers below 1 are rejected: stability is only "
             "asserted for exponents >= 1")
     a = G.entries
-    tol = defaults.TOL_ALGEBRAIC * max(1.0, float(np.max(np.abs(a))))
+    tol = defaults.TOL_ALGEBRAIC * float(np.max(np.abs(a)))
     if np.min(a) < -tol:
         i, j = np.unravel_index(np.argmin(a), a.shape)
         raise InputFormatError(

@@ -21,7 +21,7 @@ from .errors import (
     NotPSDError,
     SingularMatrixError,
 )
-from .matcore import KernelMatrix, Signature, invert, real_eigen_nonneg
+from .matcore import KernelMatrix, Signature, invert, psd_eigh, real_eigen_nonneg
 from .verdict import Verdict
 
 __all__ = [
@@ -108,20 +108,6 @@ def _two_color(edges: np.ndarray) -> tuple:
     return sigma, None
 
 
-def _psd_screen(G: KernelMatrix, strict: bool) -> np.ndarray:
-    if not G.symmetric:
-        raise InputFormatError("positive-definiteness screen needs a symmetric kernel")
-    w = np.linalg.eigvalsh(G.entries)
-    floor = defaults.PSD_REL * float(np.max(np.abs(G.entries)))
-    if strict and w[0] <= floor:
-        raise NotPositiveDefiniteError(
-            f"smallest eigenvalue {w[0]:g} is not positive", float(w[0]))
-    if not strict and w[0] < -floor:
-        raise NotPSDError(
-            f"smallest eigenvalue {w[0]:g} is negative", float(w[0]))
-    return w
-
-
 def _inverse_certificate(G: KernelMatrix, method: str) -> IdVerdict:
     """Searches for sigma making sigma*G^(-1)*sigma off-diagonally nonpositive.
 
@@ -148,7 +134,7 @@ def _inverse_certificate(G: KernelMatrix, method: str) -> IdVerdict:
 def bapat_test(G: KernelMatrix) -> IdVerdict:
     """Exact ID verdict for symmetric positive definite kernels: the
     inverse certificate, after a strict positive-definiteness screen."""
-    _psd_screen(G, strict=True)
+    psd_eigh(G, strict=True)
     return _inverse_certificate(G, "bapat-exact")
 
 

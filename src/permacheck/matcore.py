@@ -1,6 +1,7 @@
 """Dense square-matrix primitives.
 
-Kernel matrices, resolvents, eigenvalue screens, and the sign-product
+Kernel matrices, resolvents, eigenvalue screens (psd_eigh is the one
+positive-semidefiniteness screen), and the sign-product
 and M-matrix tests of the necessary battery and the Green recognizer.
 All dimensions are desk scale (<= ~12), stored dense row-major.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .errors import InputFormatError, SingularMatrixError
+from .errors import InputFormatError, NotPositiveDefiniteError, NotPSDError, SingularMatrixError
 from .verdict import Verdict
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "identity",
     "invert",
     "resolvent",
+    "psd_eigh",
     "real_eigen_nonneg",
     "sign_product_violation",
     "is_m_matrix",
@@ -51,25 +53,33 @@ def _as_square_array(entries) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Square real matrix with a declared symmetry flag.
+    """Square real matrix with a symmetry flag.
 
-    Plays the role of a covariance or permanental kernel.  Entries are
-    immutable after construction.
+    Plays the role of a covariance or permanental kernel.  symmetric=None
+    infers the flag: set iff max |G - G^T| <= TOL_ALGEBRAIC * max|G|, the
+    same test a declared flag must pass.  Entries are immutable after
+    construction.
     """
 
     entries: np.ndarray
-    symmetric: bool = False
+    symmetric: bool | None = False
 
     def __post_init__(self):
         a = _as_square_array(self.entries)
-        if self.symmetric:
+        symmetric = self.symmetric
+        if symmetric or symmetric is None:
             skew = float(np.max(np.abs(a - a.T)))
-            if skew > defaults.TOL_ALGEBRAIC * float(np.max(np.abs(a))):
+            within = skew <= defaults.TOL_ALGEBRAIC * float(np.max(np.abs(a)))
+            if symmetric is None:
+                symmetric = within
+            elif not within:
                 raise InputFormatError(
                     f"symmetry flag set but max |G - G^T| = {skew:g}")
+        if symmetric:
             a = 0.5 * (a + a.T)
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "symmetric", bool(symmetric))
 
     @property
     def dim(self) -> int:
@@ -85,11 +95,7 @@ class KernelMatrix:
 
 def kernel(entries, symmetric: bool | None = None) -> KernelMatrix:
     """Build a KernelMatrix, inferring the symmetry flag when not declared."""
-    a = _as_square_array(entries)
-    if symmetric is None:
-        scale = float(np.max(np.abs(a)))
-        symmetric = float(np.max(np.abs(a - a.T))) <= defaults.TOL_ALGEBRAIC * scale
-    return KernelMatrix(a, symmetric)
+    return KernelMatrix(entries, symmetric)
 
 
 def identity(n: int) -> KernelMatrix:
@@ -108,10 +114,6 @@ class Signature:
             raise InputFormatError("signature entries must be exactly -1 or +1")
         s.flags.writeable = False
         object.__setattr__(self, "signs", s)
-
-    @property
-    def dim(self) -> int:
-        return self.signs.size
 
     def to_list(self) -> list:
         return [int(v) for v in self.signs]
@@ -146,38 +148,50 @@ def invert(G: KernelMatrix) -> KernelMatrix:
     return KernelMatrix(h, symmetric=G.symmetric)
 
 
-def _resolvents(G: KernelMatrix, alphas) -> tuple:
-    """Resolvents over an alpha grid from one stacked solve, as (stack, error).
+def _resolvents(G: KernelMatrix, alphas) -> np.ndarray:
+    """Resolvent entries over an alpha grid from one stacked solve.
 
-    stack[t] is resolvent(G, alphas[t]).entries, bit for bit, for every alpha
-    before the first that is negative or makes cond(I + alpha*G) exceed
-    COND_CAP; error is that alpha's exception, or None."""
+    The first alpha in grid order that is negative, or makes
+    cond(I + alpha*G) exceed COND_CAP, raises before anything is solved."""
     alphas = np.asarray(alphas, dtype=float)
     a = G.entries
     lhs = np.eye(G.dim) + alphas[:, None, None] * a
     conds = _cond_estimate(lhs)
-    bad = (alphas < 0) | ~(conds <= defaults.COND_CAP)
-    t = int(np.argmax(np.append(bad, True)))  # the first bad alpha, or alphas.size
-    r = np.linalg.solve(lhs[:t], a)
+    for alpha, cond in zip(alphas.tolist(), conds.tolist()):
+        if alpha < 0:
+            raise InputFormatError("resolvent requires alpha >= 0")
+        if not cond <= defaults.COND_CAP:
+            raise SingularMatrixError(
+                f"I + {alpha}*G is singular or ill-conditioned (cond ~ {cond:.3e})", cond)
+    r = np.linalg.solve(lhs, a)
     if G.symmetric:
         r = 0.5 * (r + r.swapaxes(1, 2))
-    r[alphas[:t] == 0] = a
-    if t == alphas.size:
-        return r, None
-    if alphas[t] < 0:
-        return r, InputFormatError("resolvent requires alpha >= 0")
-    cond = float(conds[t])
-    return r, SingularMatrixError(
-        f"I + {float(alphas[t])}*G is singular or ill-conditioned (cond ~ {cond:.3e})", cond)
+    r[alphas == 0] = a
+    return r
 
 
 def resolvent(G: KernelMatrix, alpha: float) -> KernelMatrix:
-    """The alpha-resolvent (I + alpha*G)^(-1) G; equals G at alpha = 0.
-    _resolvents gives a whole alpha grid from one stacked solve."""
-    r, error = _resolvents(G, [alpha])
-    if error is not None:
-        raise error
-    return KernelMatrix(r[0], symmetric=G.symmetric)
+    """The alpha-resolvent (I + alpha*G)^(-1) G; equals G at alpha = 0."""
+    return KernelMatrix(_resolvents(G, [alpha])[0], symmetric=G.symmetric)
+
+
+def psd_eigh(G: KernelMatrix, strict: bool = False) -> tuple:
+    """Ascending eigenvalues and eigenvectors (lam, V) of a symmetric kernel
+    that passes the positive-semidefiniteness screen.
+
+    With floor = PSD_REL * max|G|: lam[0] < -floor raises NotPSDError;
+    with strict=True, lam[0] <= floor raises NotPositiveDefiniteError.
+    """
+    if not G.symmetric:
+        raise InputFormatError("positive-semidefiniteness screen needs a symmetric kernel")
+    lam, vec = np.linalg.eigh(G.entries)
+    floor = defaults.PSD_REL * float(np.max(np.abs(G.entries)))
+    if strict and lam[0] <= floor:
+        raise NotPositiveDefiniteError(
+            f"smallest eigenvalue {lam[0]:g} is not positive", float(lam[0]))
+    if lam[0] < -floor:
+        raise NotPSDError(f"smallest eigenvalue {lam[0]:g} is negative", float(lam[0]))
+    return lam, vec
 
 
 def real_eigen_nonneg(G: KernelMatrix) -> Verdict:
@@ -208,12 +222,6 @@ class MMatrixReport:
 
     off_diagonal: Verdict
     diagonally_dominant: Verdict
-
-    def to_dict(self) -> dict:
-        return {
-            "off_diagonal": self.off_diagonal.to_dict(),
-            "diagonally_dominant": self.diagonally_dominant.to_dict(),
-        }
 
 
 def sign_product_violation(a: np.ndarray):
@@ -250,10 +258,11 @@ def is_m_matrix(M) -> MMatrixReport:
     """Sign tests behind the Green recognizer.
 
     The off-diagonal witness is the first positive entry in row-major
-    order; the row-sum witness is the first negative row sum.
+    order; the row-sum witness is the first negative row sum.  The
+    tolerance is TOL_ALGEBRAIC * max|M|, so the report on c*M is M's.
     """
     a = _as_square_array(M.entries if isinstance(M, KernelMatrix) else M)
-    tol = defaults.TOL_ALGEBRAIC * max(1.0, float(np.max(np.abs(a))))
+    tol = defaults.TOL_ALGEBRAIC * float(np.max(np.abs(a)))
     bad = (a > tol) & ~np.eye(a.shape[0], dtype=bool)
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)

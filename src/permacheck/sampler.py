@@ -21,7 +21,7 @@ import numpy as np
 
 from . import defaults
 from .errors import InputFormatError, InvalidIndexError, NotPSDError
-from .matcore import KernelMatrix
+from .matcore import KernelMatrix, psd_eigh
 
 __all__ = [
     "PermanentalSpec",
@@ -161,13 +161,7 @@ def _row_blocks(n_rows: int) -> list:
 
 def _sqrt_factor(G: KernelMatrix) -> np.ndarray:
     """Symmetric square root via eigen-decomposition; PSD within tolerance."""
-    if not G.symmetric:
-        raise InputFormatError("sampling needs a symmetric kernel")
-    lam, vec = np.linalg.eigh(G.entries)
-    floor = -defaults.PSD_REL * float(np.max(np.abs(G.entries)))
-    if lam[0] < floor:
-        raise NotPSDError(
-            f"kernel has negative eigenvalue {lam[0]:g}", float(lam[0]))
+    lam, vec = psd_eigh(G)
     return vec * np.sqrt(np.clip(lam, 0.0, None))
 
 

@@ -114,20 +114,6 @@ def naive_beta_permanent_multi(A, betas) -> dict:
     return acc
 
 
-def naive_signature_convention(A, beta: float) -> float:
-    """Permutation sum with beta^(sign of tau) instead of beta^(cycles)."""
-    a = np.asarray(A, dtype=float)
-    m = a.shape[0]
-    total = 0.0
-    for perm in itertools.permutations(range(m)):
-        prod = 1.0
-        for i in range(m):
-            prod *= a[i, perm[i]]
-        sign = 1 if (m - cycle_count(perm)) % 2 == 0 else -1
-        total += beta ** sign * prod
-    return total
-
-
 def mc_mean_se(values) -> tuple:
     v = np.asarray(values, dtype=float)
     return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
@@ -252,10 +238,11 @@ def loop_inverse_m_route(a, inverse, zero_rel: float, negativity_rel: float,
 def naive_m_matrix_witnesses(a, tol_rel: float) -> tuple:
     """Loop form of the M-matrix sign tests: (off-diagonal witness,
     row-sum witness), each None when its test passes.  A failing
-    off-diagonal test also fails the row-sum test with the same witness."""
+    off-diagonal test also fails the row-sum test with the same witness.
+    The tolerance is tol_rel * max|a|, with no absolute floor."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    tol = tol_rel * max(1.0, float(np.max(np.abs(a))))
+    tol = tol_rel * float(np.max(np.abs(a)))
     for i in range(n):
         for j in range(n):
             if i != j and a[i, j] > tol:

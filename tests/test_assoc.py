@@ -32,6 +32,7 @@ from oracles import (
     naive_monotonicity_scan,
     random_green,
 )
+from permacheck.assoc import _column_quantiles
 from permacheck.defaults import (
     JACKKNIFE_BLOCKS,
     MONOTONE_TOL,
@@ -72,6 +73,20 @@ class TestFamily:
         finally:
             tracemalloc.stop()
         assert peak < 3 * x.shape[0] * x.itemsize
+
+    def test_thresholds_allocate_under_two_columns(self):
+        # one np.quantile call over all columns would copy the whole matrix
+        rng = np.random.default_rng(9)
+        spec = PermanentalSpec(kernel(random_green(rng, 4, symmetric=True)), 2.0)
+        x = sample_permanental(spec, 100_000, seed=9).draws
+        default_family(x[:10])
+        tracemalloc.start()
+        try:
+            default_family(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.shape[0] * x.itemsize
 
     def test_tiny_reference_rejected(self):
         with pytest.raises(InputFormatError):
@@ -144,6 +159,17 @@ class TestAssociationOracle:
                 zero_se += sum(row["se"] == 0.0 for row in got["pairs"])
         assert statuses == {"holds", "fails"}
         assert zero_se > 0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_column_quantiles_match_one_call(self, n, k):
+        rng = np.random.default_rng(100 * n + k)
+        spec = PermanentalSpec(kernel(random_green(rng, n, symmetric=True)), 2.0 / k)
+        levels = ORTHANT_QUANTILES + (0.5,)
+        for n_draws in (10, 150, 12_345, 10 ** 5):
+            x = sample_permanental(spec, n_draws, int(rng.integers(1 << 32))).draws
+            want = np.quantile(x, levels, axis=0)
+            assert _column_quantiles(x, levels).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("members, n_draws", [
         ((PROJ_0, ("nan", lambda x: np.full(len(x), np.nan))), 1000),
@@ -313,11 +339,6 @@ class TestMonotonicityScanOracle:
         # the scaling makes I + alpha DGD ill-conditioned at the second alpha
         ([[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]], [1e7, 1.0, 1.0],
          SingularMatrixError, "I + 0.25*G is singular"),
-        ([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]], [1.0, 1.0, 1.0],
-         InputFormatError, "standard deviations must be positive"),
-        # both at once: the zero variance at alpha 0 comes first in grid order
-        ([[0.0, 0.0], [0.0, 1.0]], [1.0, 1e7],
-         InputFormatError, "standard deviations must be positive"),
     ])
     def test_errors_match_loop_oracle(self, g, d, error, message):
         d_set = [np.array(d)]
@@ -327,6 +348,52 @@ class TestMonotonicityScanOracle:
             _loop_scan(np.array(g), self.ALPHAS, d_set)
         assert str(new.value) == str(old.value)
         assert str(new.value).startswith(message)
+
+    # A PSD kernel with G_ii = 0 has row i = 0, since G_ij^2 <= G_ii G_jj;
+    # then row i of (I + alpha*G)^-1 G is 0 at every alpha too.  So eta_i is
+    # identically 0, the moments of its pairs are 0 along the grid, and the
+    # scan is the scan of the other coordinates' block.
+    @pytest.mark.parametrize("g, d", [
+        ([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]], [1.0, 1.0, 1.0]),
+        # one live coordinate: no pair is left, and the scaling that made
+        # I + alpha*DGD ill-conditioned only scales that coordinate
+        ([[0.0, 0.0], [0.0, 1.0]], [1.0, 1e7]),
+    ])
+    def test_zero_variance_kernels_hold(self, g, d):
+        v = resolvent_monotonicity_scan(kernel(g), alphas=self.ALPHAS,
+                                        D_set=[np.array(d)])
+        assert v.holds
+
+    def test_zero_variance_coordinate_matches_live_block(self):
+        rng = np.random.default_rng(65)
+        fails = 0
+        for case in range(60):
+            n = int(rng.integers(2, 5)) if case % 2 else 3
+            g = _mixed_sign_kernel(rng, n)
+            zero = int(rng.integers(0, n + 1))
+            full = np.insert(np.insert(g, zero, 0.0, axis=0), zero, 0.0, axis=1)
+            d_set = random_scalings(n + 1, 20, seed=2000 + case)
+            v = resolvent_monotonicity_scan(kernel(full), alphas=self.ALPHAS, D_set=d_set)
+            witness = _loop_scan(g, self.ALPHAS, [np.delete(d, zero) for d in d_set])
+            if witness is None:
+                assert v.holds, case
+                continue
+            fails += 1
+            got = dict(v.witness)
+            assert got.pop("increase") == pytest.approx(witness.pop("increase"),
+                                                         rel=1e-12, abs=0), case
+            # the report keeps the full scaling and the kernel's own indices
+            witness["scaling"] = [float(x) for x in d_set[witness["scaling_index"]]]
+            witness["pair"] = [i + (i >= zero) for i in witness["pair"]]
+            assert got == witness, case
+        assert fails >= 5
+
+    def test_correlation_rounded_past_one_is_clipped(self):
+        # eigenvalues 2 + 1e-10 and -1e-10 pass the PSD screen (floor 1e-9
+        # max|G|), and rho = 1 + 1e-10 is 1 within it.  The kernel is the
+        # all-ones J up to that size, whose resolvent J / (1 + 2 alpha) falls.
+        g = [[1.0, 1 + 1e-10], [1 + 1e-10, 1.0]]
+        assert resolvent_monotonicity_scan(kernel(g)).holds
 
     @pytest.mark.parametrize("g", [[[-1.0, 0.0], [0.0, -1.0]],
                                    [[1.0, 2.0], [2.0, 1.0]]])

@@ -22,7 +22,6 @@ from oracles import (
     naive_beta_permanent,
     naive_permanent,
     naive_positivity_scan,
-    naive_signature_convention,
     random_green,
     random_pd_kernel,
     scalar_cycle_coefficients,
@@ -103,16 +102,6 @@ class TestBetaPermanent:
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
             beta_permanent(np.eye(9), 1.0)
-
-    def test_signature_convention_flag(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            m = int(rng.integers(1, 5))
-            a = rng.normal(size=(m, m))
-            for beta in (0.5, 1.0, 2.0):
-                lib = beta_permanent(a, beta, exponent="signature")
-                ref = naive_signature_convention(a, beta)
-                assert lib == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 class TestPositivityScan:

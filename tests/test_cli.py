@@ -15,6 +15,7 @@ from permacheck import (
     green_from_chain,
     load_batch,
     load_matrix,
+    resolvent_monotonicity_scan,
     save_matrix,
     kernel,
 )
@@ -122,6 +123,7 @@ def _one_json_error(err: str) -> dict:
 
 # (argv with {name} placeholders for fixture files, expected exit code)
 BAD_INPUTS = {
+    # an ID verdict has no index, so check-id has no --beta option
     "check-id beta nan": (["check-id", "--input", "{g2}", "--beta", "nan"], 2),
     "perm beta nan": (["perm", "--input", "{perm2}", "--beta", "nan"], 2),
     "perm beta inf": (["perm", "--input", "{perm2}", "--beta", "inf"], 2),
@@ -182,14 +184,6 @@ class TestBadInputs:
         assert code == expected, err
         assert out == ""
         _one_json_error(err)
-
-    @pytest.mark.parametrize("beta", ["-1", "0"])
-    def test_check_id_beta_must_be_positive(self, beta, matrices, capsys):
-        code, out, err = run_cli(["check-id", "--input", matrices["tri"],
-                                  "--beta", beta], capsys)
-        assert (code, out) == (2, "")
-        assert err == ('{"error": "InputFormatError", '
-                       '"message": "index beta must be positive"}\n')
 
     @pytest.mark.parametrize("name", ["negdiag2", "indefinite2"])
     def test_scan_monotone_non_psd_kernel_is_not_psd_error(self, name, matrices, capsys):
@@ -471,15 +465,7 @@ class TestPerm:
         assert float(out.strip()) == -2.0
         saved = json.loads(rpt.read_text())
         assert saved["result"]["value"] == -2.0
-        assert saved["inputs"]["exponent"] == "cycles"
-
-    def test_signature_exponent_flag(self, matrices, capsys):
-        code, out, _ = run_cli(
-            ["perm", "--input", matrices["perm2"], "--beta", "2",
-             "--exponent", "signature"], capsys)
-        assert code == 0
-        # even-cycle part 4, odd part 6: 2*4 + 6/2
-        assert float(out.strip()) == pytest.approx(11.0)
+        assert saved["inputs"] == {"input": matrices["perm2"], "beta": -1.0}
 
 
 class TestScan:
@@ -564,6 +550,16 @@ class TestGreen:
         assert code == 1
         rep = json.loads(out)
         assert rep["result"]["verdict"]["witness"]["entry"] == [0, 2]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e11])
+    def test_tridiagonal_exits_one_at_any_scale(self, scale, capsys, tmp_path):
+        path = tmp_path / "tri.csv"
+        save_matrix(kernel(scale * np.array(TRI3)), path)
+        for argv in (["green", "check", "--input", path],
+                     ["green", "power", "--input", path, "--beta", "2",
+                      "--out", tmp_path / "power.csv"],
+                     ["check-id", "--input", path]):
+            assert run_cli(argv, capsys)[0] == 1, argv
 
     def test_power(self, matrices, capsys, tmp_path):
         out_csv = tmp_path / "pow.csv"
@@ -651,6 +647,28 @@ class TestChecks:
         code, out, _ = run_cli(["scan-monotone", "--kernel", matrices["g2"],
                                 "--alphas", "0:2:0.5"], capsys)
         assert code == 0
+        assert json.loads(out)["result"]["verdict"]["status"] == "holds"
+
+    def test_scan_monotone_default_grid_is_the_library_grid(self, matrices, capsys):
+        code, out, _ = run_cli(["scan-monotone", "--kernel", matrices["tri"]], capsys)
+        rep = json.loads(out)
+        assert rep["inputs"]["alphas"] is None
+        want = resolvent_monotonicity_scan(load_matrix(matrices["tri"]))
+        assert (code, rep["result"]["verdict"]) == (0, want.to_dict())
+        assert want.detail.endswith("over 25 grid points")
+
+    # PSD kernels with a zero-variance coordinate, or with a correlation
+    # rounded just past 1: the screen accepts them, so the scan answers
+    @pytest.mark.parametrize("g", [
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]],
+        [[1.0, 1 + 1e-10], [1 + 1e-10, 1.0]],
+    ], ids=["zero-last", "zero-first", "rho-past-one"])
+    def test_scan_monotone_psd_edge_kernels_hold(self, g, capsys, tmp_path):
+        path = tmp_path / "g.csv"
+        save_matrix(kernel(g), path)
+        code, out, err = run_cli(["scan-monotone", "--kernel", path], capsys)
+        assert code == 0, err
         assert json.loads(out)["result"]["verdict"]["status"] == "holds"
 
     def test_scan_monotone_random_scalings(self, matrices, capsys):

@@ -102,6 +102,20 @@ class TestIsGreen:
         v = is_green(kernel(d @ g @ d))
         assert v.status == Verdict.HOLDS_UP_TO_DENSITY
 
+    def test_status_does_not_depend_on_scale(self):
+        # (cG)^-1 = G^-1 / c keeps every sign of G^-1 and of its row sums,
+        # so c*G has G's status for every c > 0
+        rng = np.random.default_rng(34)
+        g = green_from_chain(TransientChain([[0.0, 0.5], [0.25, 0.0]])).entries
+        d = np.diag([1.0, 10.0])
+        cases = [(TRI3, Verdict.FAILS),
+                 (random_green(rng, 4, symmetric=True), Verdict.HOLDS),
+                 (random_green(rng, 4), Verdict.HOLDS),
+                 (d @ g @ d, Verdict.HOLDS_UP_TO_DENSITY)]
+        for a, want in cases:
+            for k in range(-100, 101, 5):
+                assert is_green(kernel(10.0 ** k * np.asarray(a))).status == want, k
+
     def test_density_weak_form_counts_as_not_failing(self):
         g = green_from_chain(TransientChain([[0.0, 0.5], [0.25, 0.0]])).entries
         d = np.diag([1.0, 10.0])

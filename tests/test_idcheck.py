@@ -274,3 +274,78 @@ class TestScaleInvariance:
         assert seen == {("holds", "bapat-exact"), ("fails", "bapat-exact"),
                         ("fails", "battery-necessary"),
                         ("holds", "inverse-M-sufficient")}, seen
+
+
+def _invariance_kernels() -> dict:
+    rng = np.random.default_rng(92)
+    q = np.array([[0.0, 0.3, 0.2], [0.1, 0.2, 0.3], [0.4, 0.0, 0.1]])
+    kernels = {
+        "TRI3": np.array(TRI3),
+        "MIX3": np.array(MIX3),
+        "nonsymmetric Green": np.linalg.inv(np.eye(3) - q),
+        "PSD-singular": _B @ _B.T,
+        # positive and nonsymmetric, with a positive inverse off-diagonal:
+        # no certificate applies, so the scan decides
+        "nonsymmetric positive": 0.005 * (2.0 * np.eye(4) + rng.uniform(0.0, 1.0, (4, 4))),
+    }
+    for case in range(4):
+        kernels[f"SPD {case}"] = random_pd_kernel(rng, int(rng.integers(2, 6)))
+    # ID with a mixed signature, on one component and on two
+    s = np.array([1.0, -1.0, 1.0])
+    m = np.array([[2.0, -0.5, -0.3], [-0.5, 2.0, -0.4], [-0.3, -0.4, 2.0]])
+    kernels["SPD ID"] = np.linalg.inv(m) * np.outer(s, s)
+    blocks = np.zeros((4, 4))
+    blocks[:2, :2], blocks[2:, 2:] = [[1.0, -0.4], [-0.4, 1.0]], [[2.0, 0.5], [0.5, 1.0]]
+    p = [2, 0, 3, 1]
+    kernels["SPD two components"] = blocks[np.ix_(p, p)]
+    return kernels
+
+
+INVARIANCE_KERNELS = _invariance_kernels()
+
+
+def _outcome(v) -> tuple:
+    return v.verdict.status, v.method
+
+
+def _signs(v):
+    return None if v.signature is None else v.signature.to_list()
+
+
+class TestConjugationInvariance:
+    # sigma G sigma and G give eta^2 the same law, and every stage of
+    # id_verdict sees sigma-conjugated inputs (resolvents, inverses,
+    # products, beta-permanents), on which sign flips are exact in float64
+
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_KERNELS))
+    def test_sign_conjugation(self, name):
+        g = INVARIANCE_KERNELS[name]
+        n = g.shape[0]
+        v0 = id_verdict(kernel(g))
+        if v0.signature is not None:
+            h = np.linalg.inv(g)
+            # edges of the colouring: the inverse's entries above the zero cut
+            edges = np.argwhere(np.abs(h) > defaults.ZERO_REL * np.abs(h).max())
+        rng = np.random.default_rng(27)
+        for s in [-np.ones(n)] + [rng.choice([-1.0, 1.0], size=n) for _ in range(4)]:
+            v = id_verdict(kernel(g * np.outer(s, s)))
+            assert _outcome(v) == _outcome(v0), s
+            assert (v.signature is None) == (v0.signature is None)
+            if v0.signature is not None:
+                # s times the old signature, up to one flip per component
+                flip = v.signature.signs * s * v0.signature.signs
+                assert all(flip[i] == flip[j] for i, j in edges), s
+
+    @pytest.mark.parametrize("name", ["nonsymmetric Green", "SPD 0", "SPD 1", "SPD 2",
+                                      "SPD 3", "SPD ID", "SPD two components"])
+    def test_diagonal_scaling(self, name):
+        # (DGD)^-1 = D^-1 G^-1 D^-1 has G^-1's sign pattern, which decides
+        # both the exact criterion and the inverse-M route
+        g = INVARIANCE_KERNELS[name]
+        v0 = id_verdict(kernel(g))
+        rng = np.random.default_rng(28)
+        for _ in range(5):
+            d = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=g.shape[0]))
+            v = id_verdict(kernel(g * np.outer(d, d)))
+            assert _outcome(v) == _outcome(v0), d
+            assert _signs(v) == _signs(v0), d

@@ -122,8 +122,7 @@ class TestResolvent:
         for n in (1, 2, 3, 5, 8):
             a = rng.normal(size=(n, n))
             for G in (kernel(a @ a.T), kernel(a @ a.T + 0.3 * a, symmetric=False)):
-                stack, error = _resolvents(G, alphas)
-                assert error is None
+                stack = _resolvents(G, alphas)
                 for alpha, r in zip(alphas, stack):
                     assert np.array_equal(r, resolvent(G, alpha).entries)
 
@@ -132,17 +131,17 @@ class TestResolvent:
         assert resolvent(G, 0.0).entries.tobytes() == G.entries.tobytes()
 
     def test_stacked_grid_stops_at_first_bad_alpha(self):
-        G = kernel([[1.0, 2.0], [2.0, 1.0]])  # I + G is singular
-        stack, error = _resolvents(G, [0.0, 0.5, 1.0, -1.0])
-        assert stack.shape == (2, 2, 2)
-        assert isinstance(error, SingularMatrixError)
-        with pytest.raises(SingularMatrixError) as err:
+        # I + G is singular and -1 is negative: the grid raises the error
+        # of whichever comes first, as a loop of resolvent calls would
+        G = kernel([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(SingularMatrixError) as one:
             resolvent(G, 1.0)
-        assert str(err.value) == str(error)
-        stack, error = _resolvents(G, [0.5, -1.0, 1.0])
-        assert stack.shape == (1, 2, 2)
-        assert isinstance(error, InputFormatError)
-        assert str(error) == "resolvent requires alpha >= 0"
+        with pytest.raises(SingularMatrixError) as grid:
+            _resolvents(G, [0.0, 0.5, 1.0, -1.0])
+        assert str(grid.value) == str(one.value)
+        assert grid.value.cond_estimate == one.value.cond_estimate
+        with pytest.raises(InputFormatError, match=r"^resolvent requires alpha >= 0$"):
+            _resolvents(G, [0.5, -1.0, 1.0])
 
     def test_truncated_series_converges(self):
         # resolvent(G, alpha+eps) = sum_k (-1)^k eps^k G_alpha^(k+1)
