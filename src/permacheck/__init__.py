@@ -29,6 +29,7 @@ from .errors import (
     DimensionCapError,
     InputFormatError,
     InvalidIndexError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     NotPSDError,
     PermacheckError,

@@ -292,27 +292,38 @@ def _cross_lattice_check(F_hi: np.ndarray, F_lo: np.ndarray, gx, gy,
 
     F_hi and F_lo are densities tabulated on the gx x gy lattice.
     Returns None or a witness dict.  Enumeration order: x-row index
-    pairs ascending, then row-major over the column pair.
+    pairs ascending, then row-major over the column pair.  Each x-row i1
+    is one array pass over (i2, j1, j2), so memory stays at a few
+    nx * ny^2 slabs, not the whole nx^2 * ny^2 lattice.
     """
-    nx = len(gx)
+    i = np.arange(len(gx))
     j = np.arange(len(gy))
     jmax = np.maximum.outer(j, j)
     jmin = np.minimum.outer(j, j)
-    for i1 in range(nx):
-        for i2 in range(nx):
-            hi, lo = max(i1, i2), min(i1, i2)
-            lhs = np.outer(F_hi[i1], F_lo[i2])
-            rhs = F_hi[hi][jmax] * F_lo[lo][jmin]
-            viol = lhs > rhs * (1.0 + tol)
-            if viol.any():
-                j1, j2 = map(int, np.argwhere(viol)[0])
-                return {
-                    "x": [float(gx[i1]), float(gy[j1])],
-                    "y": [float(gx[i2]), float(gy[j2])],
-                    "lhs": float(lhs[j1, j2]),
-                    "rhs": float(rhs[j1, j2]),
-                }
+    for i1 in range(len(gx)):
+        lhs = F_hi[i1][None, :, None] * F_lo[:, None, :]
+        rhs = F_hi[np.maximum(i1, i)][:, jmax] * F_lo[np.minimum(i1, i)][:, jmin]
+        viol = lhs > rhs * (1.0 + tol)
+        if viol.any():
+            i2, j1, j2 = map(int, np.argwhere(viol)[0])
+            return {
+                "x": [float(gx[i1]), float(gy[j1])],
+                "y": [float(gx[i2]), float(gy[j2])],
+                "lhs": float(lhs[i2, j1, j2]),
+                "rhs": float(rhs[i2, j1, j2]),
+            }
     return None
+
+
+def _lattice_grid(grid) -> tuple:
+    """(gx, gy) as arrays, each nonempty, strictly positive and strictly
+    increasing.  The comparisons are False for a NaN, so NaN fails them."""
+    gx, gy = (np.asarray(g, dtype=float) for g in grid)
+    if not all(g.size and np.all(g > 0) for g in (gx, gy)):
+        raise InputFormatError("lattice grid must be strictly positive")
+    if not all(np.all(np.diff(g) > 0) for g in (gx, gy)):
+        raise InputFormatError("lattice grid must be strictly increasing")
+    return gx, gy
 
 
 def fkg_lattice_test(density, grid) -> Verdict:
@@ -321,11 +332,7 @@ def fkg_lattice_test(density, grid) -> Verdict:
     density is a bivariate oracle on the open positive quadrant; grid is
     a (gx, gy) pair of strictly positive increasing arrays.
     """
-    gx, gy = (np.asarray(g, dtype=float) for g in grid)
-    if np.min(gx) <= 0 or np.min(gy) <= 0:
-        raise InputFormatError("lattice grid must be strictly positive")
-    if np.any(np.diff(gx) <= 0) or np.any(np.diff(gy) <= 0):
-        raise InputFormatError("lattice grid must be strictly increasing")
+    gx, gy = _lattice_grid(grid)
     F = np.asarray(density(gx[:, None], gy[None, :]), dtype=float)
     witness = _cross_lattice_check(F, F, gx, gy, defaults.LATTICE_REL_TOL)
     if witness is None:
@@ -383,7 +390,7 @@ def shifted_strong_order_test(G: KernelMatrix, r_pairs) -> StrongOrderReport:
             size = len(g_hi)
             grids.append(np.geomspace(min(g_hi[0], g_lo[0]),
                                       max(g_hi[-1], g_lo[-1]), size))
-        gx, gy = grids
+        gx, gy = _lattice_grid(grids)
         f_hi = squared_pair_density(G, r)
         f_lo = squared_pair_density(G, rp)
         F_hi = np.asarray(f_hi(gx[:, None], gy[None, :]), dtype=float)

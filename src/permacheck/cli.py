@@ -10,6 +10,7 @@ error is reported as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -107,18 +108,19 @@ def _parse_grid(text: str) -> list:
     return _parse_list(text)
 
 
-def _parse_r_pairs(text: str) -> list:
-    pairs = []
+def _parse_vectors(text: str, length: int, what: str) -> list:
+    """Semicolon-separated comma lists of `length` numbers each."""
+    out = []
     for chunk in text.split(";"):
         if not chunk.strip():
             continue
         vals = _parse_list(chunk)
-        if len(vals) != 2:
-            raise InputFormatError(f"r-pair {chunk!r} is not r,r'")
-        pairs.append((vals[0], vals[1]))
-    if not pairs:
-        raise InputFormatError("no r-pairs given")
-    return pairs
+        if len(vals) != length:
+            raise InputFormatError(f"{what} {chunk!r} has {len(vals)} entries, needs {length}")
+        out.append(vals)
+    if not out:
+        raise InputFormatError(f"no {what}s given")
+    return out
 
 
 def _parse_scalings(text: str, n: int, seed: int) -> list:
@@ -130,18 +132,7 @@ def _parse_scalings(text: str, n: int, seed: int) -> list:
         return random_scalings(n, count, seed)
     if text == "identity":
         return [np.ones(n)]
-    out = []
-    for chunk in text.split(";"):
-        if not chunk.strip():
-            continue
-        vals = _parse_list(chunk)
-        if len(vals) != n:
-            raise InputFormatError(
-                f"scaling {chunk!r} has {len(vals)} entries, kernel needs {n}")
-        out.append(np.array(vals))
-    if not out:
-        raise InputFormatError("no scalings given")
-    return out
+    return [np.array(v) for v in _parse_vectors(text, n, "scaling")]
 
 
 def _resolve_seed(args) -> int:
@@ -165,35 +156,35 @@ def _exit_code(verdict: Verdict) -> int:
     return 4
 
 
-def _report(command: str, inputs: dict, result: dict) -> dict:
-    return {
-        "schema": defaults.SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "defaults": defaults.defaults_table(),
-    }
+def _run(handler, command: str, args) -> int:
+    """Runs a reporting handler, writes its report and returns the exit code.
 
-
-def _emit(report: dict, args, extra_stdout: str = None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
-    path = getattr(args, "report", None)
-    if extra_stdout is not None:
-        sys.stdout.write(extra_stdout)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+    The handler returns (inputs, result, verdict or exit code, stdout text
+    or None).  Its text goes to stdout; the report goes to --report, or
+    else to stdout when the handler printed nothing.
+    """
+    inputs, result, outcome, stdout = handler(args)
+    text = json.dumps({"schema": defaults.SCHEMA_VERSION, "command": command,
+                       "inputs": inputs, "result": result,
+                       "defaults": defaults.defaults_table()}, sort_keys=True, indent=2)
+    if stdout is not None:
+        sys.stdout.write(stdout)
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    elif extra_stdout is None:
+    elif stdout is None:
         sys.stdout.write(text + "\n")
+    return outcome if isinstance(outcome, int) else _exit_code(outcome)
 
 
-def _emit_with_matrix(report: dict, args, G) -> None:
-    """Writes G as CSV to --out, or else to stdout, then emits the report."""
+def _matrix_stdout(G, path):
+    """Writes G as CSV to path and returns None, or returns the CSV for stdout."""
     csv_text = dumps_matrix(G)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    _emit(report, args, extra_stdout=None if args.out else csv_text)
+    if not path:
+        return csv_text
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(csv_text)
+    return None
 
 
 def report_render(report: dict, fmt: str = "json") -> str:
@@ -240,168 +231,161 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and ignored: every command runs on one thread")
     sub = p.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", help="write the JSON report here, not to stdout")
 
-    s = sub.add_parser("check-id", help="infinite-divisibility verdict for a kernel")
+    def reporting(subparsers, name, handler, summary):
+        """A leaf whose report _run writes under its path, e.g. "green gen"."""
+        s = subparsers.add_parser(name, help=summary, parents=[report])
+        s.set_defaults(run=functools.partial(_run, handler, s.prog.partition(" ")[2]))
+        return s
+
+    s = reporting(sub, "check-id", _cmd_check_id, "infinite-divisibility verdict for a kernel")
     s.add_argument("--input", required=True, help="matrix CSV or JSON file")
     s.add_argument("--betas", help="scan beta grid, list or start:stop:step")
     s.add_argument("--alphas", help="scan alpha grid, list or start:stop:step")
     s.add_argument("--m-max", type=int, dest="m_max")
-    s.add_argument("--report")
 
-    s = sub.add_parser("perm", help="beta-permanent of a matrix")
+    s = reporting(sub, "perm", _cmd_perm, "beta-permanent of a matrix")
     s.add_argument("--input", required=True)
     s.add_argument("--beta", type=finite_float, required=True)
-    s.add_argument("--report")
 
-    s = sub.add_parser("scan", help="beta-positivity scan over resolvents")
+    s = reporting(sub, "scan", _cmd_scan, "beta-positivity scan over resolvents")
     s.add_argument("--input", required=True)
     s.add_argument("--betas")
     s.add_argument("--alphas")
     s.add_argument("--m-max", type=int, dest="m_max")
-    s.add_argument("--report")
 
     g = sub.add_parser("green", help="Green-matrix operations")
     gsub = g.add_subparsers(dest="green_command", required=True)
 
-    s = gsub.add_parser("gen", help="potential matrix of a transient chain")
+    s = reporting(gsub, "gen", _cmd_green_gen, "potential matrix of a transient chain")
     s.add_argument("--chain", required=True, help="one-step kernel CSV or JSON")
     s.add_argument("--out", help="write the matrix CSV here instead of stdout")
-    s.add_argument("--report")
 
-    s = gsub.add_parser("check", help="recognize a Green matrix")
+    s = reporting(gsub, "check", _cmd_green_check, "recognize a Green matrix")
     s.add_argument("--input", required=True)
-    s.add_argument("--report")
 
-    s = gsub.add_parser("power", help="entrywise power with Green verdict")
+    s = reporting(gsub, "power", _cmd_green_power, "entrywise power with Green verdict")
     s.add_argument("--input", required=True)
     s.add_argument("--beta", type=finite_float, required=True)
     s.add_argument("--out")
-    s.add_argument("--report")
 
-    s = gsub.add_parser("plus-c", help="ID verdicts for G + c*ones over a grid")
+    s = reporting(gsub, "plus-c", _cmd_green_plus_c, "ID verdicts for G + c*ones over a grid")
     s.add_argument("--input", required=True)
-    s.add_argument("--grid", default=",".join(str(c) for c in defaults.C_GRID))
-    s.add_argument("--report")
+    s.add_argument("--grid", help="comma list of c; default: the library grid C_GRID")
 
-    s = gsub.add_parser("restrict", help="principal submatrix with Green verdict")
+    s = reporting(gsub, "restrict", _cmd_green_restrict,
+                  "principal submatrix with Green verdict")
     s.add_argument("--input", required=True)
     s.add_argument("--keep", required=True, help="comma list of 0-based indices")
     s.add_argument("--out")
-    s.add_argument("--report")
 
-    s = sub.add_parser("sample", help="draw a permanental sample batch")
+    s = reporting(sub, "sample", _cmd_sample, "draw a permanental sample batch")
     s.add_argument("--kernel", required=True)
     s.add_argument("--k", type=int, default=1, help="index beta = 2/k")
     s.add_argument("--n", type=finite_float, default=1000.0)
     s.add_argument("--seed", type=uint64)
     s.add_argument("--out", required=True, help="binary batch file")
-    s.add_argument("--report")
 
-    s = sub.add_parser("check-assoc", help="Monte Carlo association test")
+    s = reporting(sub, "check-assoc", _cmd_check_assoc, "Monte Carlo association test")
     s.add_argument("--kernel", required=True)
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--n", type=finite_float, default=1e5)
     s.add_argument("--seed", type=uint64)
-    s.add_argument("--report")
 
-    s = sub.add_parser("scan-monotone", help="resolvent monotonicity scan")
+    s = reporting(sub, "scan-monotone", _cmd_scan_monotone, "resolvent monotonicity scan")
     s.add_argument("--kernel", required=True)
     s.add_argument("--alphas")
     s.add_argument("--scalings", default="identity",
                    help='"identity", "random:COUNT", or semicolon-separated vectors')
     s.add_argument("--seed", type=uint64)
-    s.add_argument("--report")
 
-    s = sub.add_parser("shifted-order", help="strong stochastic ordering of shifted pairs")
+    s = reporting(sub, "shifted-order", _cmd_shifted_order,
+                  "strong stochastic ordering of shifted pairs")
     s.add_argument("--kernel", required=True)
     s.add_argument("--r-pairs", required=True, dest="r_pairs",
                    help='semicolon-separated r,r\' pairs, e.g. "1,0.5;2,1"')
-    s.add_argument("--report")
 
-    s = sub.add_parser("check-fkg", help="FKG lattice test for a 2x2 kernel")
+    s = reporting(sub, "check-fkg", _cmd_check_fkg, "FKG lattice test for a 2x2 kernel")
     s.add_argument("--kernel", required=True)
     s.add_argument("--shift", type=finite_float, default=0.0)
-    s.add_argument("--report")
 
-    s = sub.add_parser("check-shifted-pair",
-                       help="shift-stable ID test for a Gaussian pair")
+    s = reporting(sub, "check-shifted-pair", _cmd_check_shifted_pair,
+                  "shift-stable ID test for a Gaussian pair")
     s.add_argument("--vx", type=finite_float, required=True)
     s.add_argument("--c", type=finite_float, required=True)
     s.add_argument("--vy", type=finite_float, required=True)
-    s.add_argument("--report")
 
+    # render writes no report, so it runs its handler directly
     s = sub.add_parser("render", help="re-render a report JSON")
     s.add_argument("--input", required=True)
     s.add_argument("--format", choices=("json", "table"), default="json")
+    s.set_defaults(run=_cmd_render)
     return p
 
 
-def _cmd_check_id(args) -> int:
+# Reporting handlers return (inputs, result, verdict or exit code, stdout
+# text or None); _run turns that into the report and the exit code.
+def _cmd_check_id(args):
     G = load_matrix(args.input)
     betas = _parse_grid(args.betas) if args.betas else None
     alphas = _parse_grid(args.alphas) if args.alphas else None
     iv = id_verdict(G, betas=betas, alphas=alphas, m_max=args.m_max)
     inputs = {"input": args.input, "m_max": args.m_max,
               "betas": betas, "alphas": alphas}
-    _emit(_report("check-id", inputs, iv.to_dict()), args)
-    return _exit_code(iv.verdict)
+    return inputs, iv.to_dict(), iv.verdict, None
 
 
-def _cmd_perm(args) -> int:
-    G = load_matrix(args.input)
-    value = beta_permanent(G.entries, args.beta)
-    inputs = {"input": args.input, "beta": args.beta}
-    _emit(_report("perm", inputs, {"value": value}), args,
-          extra_stdout=f"{value:.17g}\n")
-    return 0
+def _cmd_perm(args):
+    value = beta_permanent(load_matrix(args.input).entries, args.beta)
+    return {"input": args.input, "beta": args.beta}, {"value": value}, 0, f"{value:.17g}\n"
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     G = load_matrix(args.input)
     betas = _parse_grid(args.betas) if args.betas else None
     alphas = _parse_grid(args.alphas) if args.alphas else None
     rep = beta_positivity_scan(G, betas=betas, alphas=alphas, m_max=args.m_max)
     inputs = {"input": args.input, "betas": betas, "alphas": alphas,
               "m_max": args.m_max}
-    _emit(_report("scan", inputs, rep.to_dict()), args)
-    return _exit_code(rep.verdict)
+    return inputs, rep.to_dict(), rep.verdict, None
 
 
-def _cmd_green(args) -> int:
-    if args.green_command == "gen":
-        chain = TransientChain(load_matrix(args.chain).entries)
-        G = green_from_chain(chain)
-        verdict = is_green(G)
-        result = {"verdict": verdict.to_dict(), "kernel": G.to_dict()}
-        _emit_with_matrix(_report("green gen", {"chain": args.chain}, result), args, G)
-        return _exit_code(verdict)
-    if args.green_command == "check":
-        verdict = is_green(load_matrix(args.input))
-        _emit(_report("green check", {"input": args.input},
-                      {"verdict": verdict.to_dict()}), args)
-        return _exit_code(verdict)
-    if args.green_command == "power":
-        rep = hadamard_power(load_matrix(args.input), args.beta)
-        _emit_with_matrix(_report("green power", {"input": args.input, "beta": args.beta},
-                                  rep.to_dict()), args, rep.kernel)
-        return _exit_code(rep.verdict)
-    if args.green_command == "plus-c":
-        rep = plus_constant_check(load_matrix(args.input), _parse_list(args.grid))
-        _emit(_report("green plus-c", {"input": args.input, "grid": args.grid},
-                      rep.to_dict()), args)
-        return _exit_code(rep.verdict)
-    if args.green_command == "restrict":
-        try:
-            keep = [int(v) for v in args.keep.split(",") if v.strip()]
-        except ValueError as exc:
-            raise InputFormatError(f"--keep {args.keep!r} is not a list of indices") from exc
-        sub = restriction(load_matrix(args.input), keep)
-        verdict = is_green(sub)
-        result = {"verdict": verdict.to_dict(), "kernel": sub.to_dict()}
-        _emit_with_matrix(_report("green restrict", {"input": args.input, "keep": keep},
-                                  result), args, sub)
-        return _exit_code(verdict)
-    raise InputFormatError(f"unknown green subcommand {args.green_command!r}")
+def _cmd_green_gen(args):
+    G = green_from_chain(TransientChain(load_matrix(args.chain).entries))
+    verdict = is_green(G)
+    return ({"chain": args.chain}, {"verdict": verdict.to_dict(), "kernel": G.to_dict()},
+            verdict, _matrix_stdout(G, args.out))
+
+
+def _cmd_green_check(args):
+    verdict = is_green(load_matrix(args.input))
+    return {"input": args.input}, {"verdict": verdict.to_dict()}, verdict, None
+
+
+def _cmd_green_power(args):
+    rep = hadamard_power(load_matrix(args.input), args.beta)
+    return ({"input": args.input, "beta": args.beta}, rep.to_dict(), rep.verdict,
+            _matrix_stdout(rep.kernel, args.out))
+
+
+def _cmd_green_plus_c(args):
+    grid = _parse_list(args.grid) if args.grid is not None else None
+    rep = plus_constant_check(load_matrix(args.input), grid)
+    return {"input": args.input, "grid": args.grid}, rep.to_dict(), rep.verdict, None
+
+
+def _cmd_green_restrict(args):
+    try:
+        keep = [int(v) for v in args.keep.split(",") if v.strip()]
+    except ValueError as exc:
+        raise InputFormatError(f"--keep {args.keep!r} is not a list of indices") from exc
+    sub = restriction(load_matrix(args.input), keep)
+    verdict = is_green(sub)
+    return ({"input": args.input, "keep": keep},
+            {"verdict": verdict.to_dict(), "kernel": sub.to_dict()},
+            verdict, _matrix_stdout(sub, args.out))
 
 
 def _permanental_spec(G, k: int) -> PermanentalSpec:
@@ -411,7 +395,7 @@ def _permanental_spec(G, k: int) -> PermanentalSpec:
     return PermanentalSpec(G, 2.0 / k)
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args):
     G = load_matrix(args.kernel)
     seed = _resolve_seed(args)
     n = _draw_count(args.n)
@@ -419,23 +403,19 @@ def _cmd_sample(args) -> int:
     save_batch(batch, args.out)
     result = {"n_draws": batch.n_draws, "dim": batch.dim, "seed": seed,
               "out": args.out, "ess": batch.ess}
-    _emit(_report("sample", {"kernel": args.kernel, "k": args.k, "n": n,
-                             "seed": seed}, result), args)
-    return 0
+    return {"kernel": args.kernel, "k": args.k, "n": n, "seed": seed}, result, 0, None
 
 
-def _cmd_check_assoc(args) -> int:
+def _cmd_check_assoc(args):
     G = load_matrix(args.kernel)
     seed = _resolve_seed(args)
     n = _draw_count(args.n)
     rep = association_mc_test(_permanental_spec(G, args.k), n_draws=n, seed=seed)
-    _emit(_report("check-assoc", {"kernel": args.kernel, "k": args.k,
-                                  "n": n, "seed": seed},
-                  rep.to_dict()), args)
-    return _exit_code(rep.verdict)
+    inputs = {"kernel": args.kernel, "k": args.k, "n": n, "seed": seed}
+    return inputs, rep.to_dict(), rep.verdict, None
 
 
-def _cmd_scan_monotone(args) -> int:
+def _cmd_scan_monotone(args):
     G = load_matrix(args.kernel)
     seed = _resolve_seed(args)
     alphas = _parse_grid(args.alphas) if args.alphas else None
@@ -443,34 +423,26 @@ def _cmd_scan_monotone(args) -> int:
     verdict = resolvent_monotonicity_scan(G, alphas=alphas, D_set=scalings)
     inputs = {"kernel": args.kernel, "alphas": alphas,
               "scalings": args.scalings, "seed": seed}
-    _emit(_report("scan-monotone", inputs, {"verdict": verdict.to_dict()}), args)
-    return _exit_code(verdict)
+    return inputs, {"verdict": verdict.to_dict()}, verdict, None
 
 
-def _cmd_shifted_order(args) -> int:
+def _cmd_shifted_order(args):
     G = load_matrix(args.kernel)
-    rep = shifted_strong_order_test(G, _parse_r_pairs(args.r_pairs))
-    _emit(_report("shifted-order", {"kernel": args.kernel,
-                                    "r_pairs": args.r_pairs}, rep.to_dict()), args)
-    return _exit_code(rep.verdict)
+    rep = shifted_strong_order_test(G, _parse_vectors(args.r_pairs, 2, "r-pair"))
+    return {"kernel": args.kernel, "r_pairs": args.r_pairs}, rep.to_dict(), rep.verdict, None
 
 
-def _cmd_check_fkg(args) -> int:
+def _cmd_check_fkg(args):
     G = load_matrix(args.kernel)
-    density = squared_pair_density(G, args.shift)
-    grid = pair_grid(G, args.shift)
-    verdict = fkg_lattice_test(density, grid)
-    _emit(_report("check-fkg", {"kernel": args.kernel, "shift": args.shift},
-                  {"verdict": verdict.to_dict()}), args)
-    return _exit_code(verdict)
+    verdict = fkg_lattice_test(squared_pair_density(G, args.shift), pair_grid(G, args.shift))
+    return ({"kernel": args.kernel, "shift": args.shift},
+            {"verdict": verdict.to_dict()}, verdict, None)
 
 
-def _cmd_check_shifted_pair(args) -> int:
+def _cmd_check_shifted_pair(args):
     verdict = shifted_pair_id_test(args.vx, args.c, args.vy)
-    _emit(_report("check-shifted-pair",
-                  {"vx": args.vx, "c": args.c, "vy": args.vy},
-                  {"verdict": verdict.to_dict()}), args)
-    return _exit_code(verdict)
+    return ({"vx": args.vx, "c": args.c, "vy": args.vy},
+            {"verdict": verdict.to_dict()}, verdict, None)
 
 
 def _cmd_render(args) -> int:
@@ -481,21 +453,6 @@ def _cmd_render(args) -> int:
             raise InputFormatError(f"bad report JSON: {exc}") from exc
     sys.stdout.write(report_render(report, args.format))
     return 0
-
-
-_HANDLERS = {
-    "check-id": _cmd_check_id,
-    "perm": _cmd_perm,
-    "scan": _cmd_scan,
-    "green": _cmd_green,
-    "sample": _cmd_sample,
-    "check-assoc": _cmd_check_assoc,
-    "scan-monotone": _cmd_scan_monotone,
-    "shifted-order": _cmd_shifted_order,
-    "check-fkg": _cmd_check_fkg,
-    "check-shifted-pair": _cmd_check_shifted_pair,
-    "render": _cmd_render,
-}
 
 
 def _error_object(exc: Exception) -> dict:
@@ -520,7 +477,7 @@ def parse_and_dispatch(argv) -> int:
     """
     try:
         args = _build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:  # --help; argparse errors raise UsageError
         return exc.code if isinstance(exc.code, int) else 0
     except _USAGE_ERRORS as exc:

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import defaults
-from .errors import InputFormatError, NotPositiveDefiniteError
+from .errors import InputFormatError, NonFiniteError, NotPositiveDefiniteError
 from .matcore import KernelMatrix
 
 __all__ = [
@@ -86,6 +86,8 @@ def marginal_quantile_grid(variance: float, r: float = 0.0, size: int = None,
     quantiles come from the scipy.special kernels behind
     scipy.stats.chi2/ncx2.ppf, bit for bit, branching like ncx2 on the
     noncentrality itself, which can underflow to 0 for a tiny r.
+    chndtrix returns NaN once the noncentrality reaches about 1e11;
+    quantiles that are not finite and positive raise NonFiniteError.
     """
     # imported here, not at module scope, so the CLI starts without scipy
     from scipy.special import chndtrix, gammaincinv
@@ -99,8 +101,11 @@ def marginal_quantile_grid(variance: float, r: float = 0.0, size: int = None,
         raise InputFormatError("need 0 < lo < hi < 1 and at least 2 grid points")
     nc = r * r / variance
     p = np.array([lo, hi])
-    qlo, qhi = 2.0 * gammaincinv(0.5, p) if nc == 0.0 else chndtrix(p, 1, nc)
-    return np.geomspace(variance * qlo, variance * qhi, size)
+    qlo, qhi = variance * (2.0 * gammaincinv(0.5, p) if nc == 0.0 else chndtrix(p, 1, nc))
+    if not 0 < qlo < qhi < math.inf:  # False for a NaN
+        raise NonFiniteError(f"quantiles {qlo:g}, {qhi:g} of (eta + {r:g})^2 with variance "
+                             f"{variance:g} are not finite and increasing")
+    return np.geomspace(qlo, qhi, size)
 
 
 def pair_grid(C, r: float = 0.0, size: int = None) -> tuple:

@@ -1,7 +1,8 @@
 """Exception types shared across permacheck modules.
 
 Exit-code mapping (see cli): usage/validation errors -> 2, numeric
-failures (singularity, nonconvergence, spectral radius) -> 3.
+failures (singularity, nonconvergence, spectral radius, a result
+that is not finite) -> 3.
 """
 
 
@@ -43,6 +44,10 @@ class SpectralRadiusError(PermacheckError):
     def __init__(self, message, spectral_radius=None):
         super().__init__(message)
         self.spectral_radius = spectral_radius
+
+
+class NonFiniteError(PermacheckError):
+    """A computed quantity that must be a finite number is not one."""
 
 
 class InvalidIndexError(PermacheckError):

@@ -18,7 +18,6 @@ from .betaperm import beta_positivity_scan, id_necessary_battery
 from .errors import (
     InputFormatError,
     NotPositiveDefiniteError,
-    NotPSDError,
     SingularMatrixError,
 )
 from .matcore import KernelMatrix, Signature, invert, psd_eigh, real_eigen_nonneg
@@ -181,17 +180,14 @@ def id_verdict(G: KernelMatrix, betas=None, alphas=None, m_max=None) -> IdVerdic
 def shifted_pair_id_test(v_x: float, c: float, v_y: float) -> Verdict:
     """Shift-stable ID test for a Gaussian pair with covariance [[v_x,c],[c,v_y]].
 
+    The covariance must pass psd_eigh's screen (NotPSDError otherwise).
     Holds iff c >= 0 and c <= v_x*v_y.  The upper bound is applied as a
     product of the variances, exactly as stated; the verdict detail
     flags this reading since it is not scale-invariant.
     """
     if v_x <= 0 or v_y <= 0:
         raise InputFormatError("variances must be positive")
-    det = v_x * v_y - c * c
-    if det < -defaults.TOL_ALGEBRAIC * max(1.0, v_x * v_y):
-        raise NotPSDError(
-            f"[[v_x,c],[c,v_y]] is not positive semidefinite (det {det:g})",
-            det)
+    psd_eigh(KernelMatrix(np.array([[v_x, c], [c, v_y]]), symmetric=True))
     note = "upper bound applied as printed: c <= v_x*v_y (product of variances)"
     if c < 0:
         return Verdict.fail({"c": float(c), "reason": "negative covariance"}, note)

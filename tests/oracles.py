@@ -339,6 +339,24 @@ def naive_monotonicity_scan(g, alphas, D_set, resolvent_of, moment,
     return None
 
 
+def naive_cross_lattice(F_hi, F_lo, gx, gy, tol: float):
+    """First violation of F_hi(x) F_lo(y) <= F_hi(x v y) F_lo(x ^ y) on the
+    gx x gy lattice, by a plain loop over i1, i2, j1, j2 in that order
+    (x-row index pairs, then the column pair row-major); None if none."""
+    for i1 in range(len(gx)):
+        for i2 in range(len(gx)):
+            for j1 in range(len(gy)):
+                for j2 in range(len(gy)):
+                    lhs = F_hi[i1, j1] * F_lo[i2, j2]
+                    rhs = (F_hi[max(i1, i2), max(j1, j2)]
+                           * F_lo[min(i1, i2), min(j1, j2)])
+                    if lhs > rhs * (1.0 + tol):
+                        return {"x": [float(gx[i1]), float(gy[j1])],
+                                "y": [float(gx[i2]), float(gy[j2])],
+                                "lhs": float(lhs), "rhs": float(rhs)}
+    return None
+
+
 def naive_default_family(x, quantiles, slope: float) -> list:
     """(name, function) members of the default increasing family as the
     library first built them: one np.quantile call per level, and every

@@ -28,13 +28,15 @@ from oracles import (
     loop_random_scalings,
     mc_mean_se,
     naive_association_report,
+    naive_cross_lattice,
     naive_default_family,
     naive_monotonicity_scan,
     random_green,
 )
-from permacheck.assoc import _column_quantiles
+from permacheck.assoc import _column_quantiles, _cross_lattice_check
 from permacheck.defaults import (
     JACKKNIFE_BLOCKS,
+    LATTICE_REL_TOL,
     MONOTONE_TOL,
     ORTHANT_QUANTILES,
     SOFT_INDICATOR_SLOPE,
@@ -216,6 +218,40 @@ class TestFkgLattice:
             fkg_lattice_test(h, (np.array([0.0, 1.0]), np.array([1.0, 2.0])))
         with pytest.raises(InputFormatError):
             fkg_lattice_test(h, (np.array([2.0, 1.0]), np.array([1.0, 2.0])))
+
+    @pytest.mark.parametrize("gx", [[1.0, np.nan, 3.0], [np.nan, np.nan], [1.0, 2.0, np.nan], []],
+                             ids=["inner", "all", "last", "empty"])
+    def test_nan_or_empty_grid_rejected(self, gx):
+        # every comparison with NaN is False, so "min <= 0" and
+        # "diff <= 0" let a NaN grid through to a holds verdict
+        h = squared_pair_density(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+        with pytest.raises(InputFormatError):
+            fkg_lattice_test(h, (np.array(gx), np.array([1.0, 2.0])))
+        with pytest.raises(InputFormatError):
+            fkg_lattice_test(h, (np.array([1.0, 2.0]), np.array(gx)))
+
+
+class TestCrossLatticeOracle:
+    def test_witness_matches_loop_oracle(self):
+        # seeded 2x2 kernels of either correlation sign, each giving an
+        # (F, F) lattice of the FKG test and an (F_r, F_r') lattice of the
+        # strong-order test; the first violation must be the loop's
+        rng = np.random.default_rng(71)
+        outcomes = []
+        for _ in range(30):
+            v = rng.uniform(0.5, 2.0, 2)
+            c = rng.uniform(-0.9, 0.9) * np.sqrt(v[0] * v[1])
+            g = np.array([[v[0], c], [c, v[1]]])
+            r = float(rng.uniform(0.0, 2.0))
+            rp = float(rng.uniform(0.0, r))
+            gx, gy = pair_grid(g, r, size=12)
+            f_r = squared_pair_density(g, r)(gx[:, None], gy[None, :])
+            f_rp = squared_pair_density(g, rp)(gx[:, None], gy[None, :])
+            for f_hi, f_lo in ((f_r, f_r), (f_r, f_rp)):
+                got = _cross_lattice_check(f_hi, f_lo, gx, gy, LATTICE_REL_TOL)
+                assert got == naive_cross_lattice(f_hi, f_lo, gx, gy, LATTICE_REL_TOL)
+                outcomes.append(got is None)
+        assert 10 <= sum(outcomes) <= len(outcomes) - 10, sum(outcomes)
 
 
 class TestMonotonicityScan:

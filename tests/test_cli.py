@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from permacheck import (
     save_matrix,
     kernel,
 )
-from permacheck.cli import parse_and_dispatch, report_render
+from permacheck.cli import _build_parser, parse_and_dispatch, report_render
 
 TRI3 = [[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]]
 MIX3 = [[1.0, -0.31, 0.58], [-0.31, 1.0, 0.58], [0.58, 0.58, 1.0]]
@@ -185,6 +186,52 @@ class TestBadInputs:
         assert out == ""
         _one_json_error(err)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["shifted-order", "--kernel", "{g2}", "--r-pairs", "1,0.5;2,1,0"],
+         "r-pair '2,1,0' has 3 entries, needs 2"),
+        (["shifted-order", "--kernel", "{g2}", "--r-pairs", ";"], "no r-pairs given"),
+        (["scan-monotone", "--kernel", "{g2}", "--scalings", "1,2;1,2,3"],
+         "scaling '1,2,3' has 3 entries, needs 2"),
+        (["scan-monotone", "--kernel", "{g2}", "--scalings", " ; "], "no scalings given"),
+    ])
+    def test_vector_list_messages(self, argv, message, matrices, capsys):
+        code, out, err = run_cli([a.format(**matrices) for a in argv], capsys)
+        assert (code, out) == (2, "")
+        assert _one_json_error(err)["message"] == message
+
+    @pytest.mark.parametrize("argv", [
+        ["check-fkg", "--kernel", "{neg2}", "--shift", "1e6"],
+        ["shifted-order", "--kernel", "{neg2}", "--r-pairs", "1e6,0"],
+    ])
+    def test_nan_lattice_grid_is_three(self, argv, matrices, capsys):
+        # the noncentral chi-square quantiles are NaN at noncentrality 1e12;
+        # a lattice of NaN points has no violation, so this once said holds
+        code, out, err = run_cli([a.format(**matrices) for a in argv], capsys)
+        assert (code, out) == (3, "")
+        assert _one_json_error(err)["error"] == "NonFiniteError"
+
+    @pytest.mark.parametrize("vx, c, vy, eigenvalue", [
+        ("1e200", "1e201", "1e200", -9e200),
+        ("1e-200", "1e-199", "1e-200", -9e-200),
+        ("1", "2", "1", -1.0),
+    ])
+    def test_shifted_pair_not_psd_at_any_scale(self, vx, c, vy, eigenvalue, capsys):
+        # the determinant test overflowed (holds), underflowed (fails) and
+        # reported the determinant -3 as the smallest eigenvalue
+        code, out, err = run_cli(["check-shifted-pair", "--vx", vx, "--c", c,
+                                  "--vy", vy], capsys)
+        assert (code, out) == (3, "")
+        error = _one_json_error(err)
+        assert error["error"] == "NotPSDError"
+        assert error["min_eigenvalue"] == pytest.approx(eigenvalue, rel=1e-12)
+
+    def test_shifted_pair_within_relative_psd_floor_fails(self, capsys):
+        # smallest eigenvalue -1e-10 is inside the floor PSD_REL * max|G|,
+        # so the pair is screened as PSD and c > v_x * v_y fails
+        code, _, _ = run_cli(["check-shifted-pair", "--vx", "1", "--c", "1.0000000001",
+                              "--vy", "1"], capsys)
+        assert code == 1
+
     @pytest.mark.parametrize("name", ["negdiag2", "indefinite2"])
     def test_scan_monotone_non_psd_kernel_is_not_psd_error(self, name, matrices, capsys):
         code, out, err = run_cli(["scan-monotone", "--kernel", matrices[name]], capsys)
@@ -210,10 +257,10 @@ class TestBadInputs:
     def test_unexpected_exception_is_three(self, monkeypatch, capsys):
         import permacheck.cli as cli
 
-        def broken(args):
+        def broken(*args):
             raise AttributeError("boom")
 
-        monkeypatch.setitem(cli._HANDLERS, "check-shifted-pair", broken)
+        monkeypatch.setattr(cli, "shifted_pair_id_test", broken)
         code, _, err = run_cli(["check-shifted-pair", "--vx", "1", "--c", "0",
                                 "--vy", "1"], capsys)
         assert code == 3
@@ -737,6 +784,67 @@ class TestRender:
         from permacheck import InputFormatError
         with pytest.raises(InputFormatError):
             report_render({"schema": 1}, fmt="yaml")
+
+
+# one run of every reporting leaf, keyed by its subcommand path
+REPORTING = {
+    "check-id": ["check-id", "--input", "{g2}"],
+    "perm": ["perm", "--input", "{perm2}", "--beta", "1"],
+    "scan": ["scan", "--input", "{g2}", "--m-max", "2"],
+    "green gen": ["green", "gen", "--chain", "{chain2}", "--out", "{dir}/gen.csv"],
+    "green check": ["green", "check", "--input", "{green2}"],
+    "green power": ["green", "power", "--input", "{green2}", "--beta", "2",
+                    "--out", "{dir}/power.csv"],
+    "green plus-c": ["green", "plus-c", "--input", "{green2}"],
+    "green restrict": ["green", "restrict", "--input", "{tri}", "--keep", "0,2",
+                       "--out", "{dir}/sub.csv"],
+    "sample": ["sample", "--kernel", "{g2}", "--n", "10", "--out", "{dir}/x.bin"],
+    "check-assoc": ["check-assoc", "--kernel", "{g2}", "--n", "200"],
+    "scan-monotone": ["scan-monotone", "--kernel", "{g2}"],
+    "shifted-order": ["shifted-order", "--kernel", "{green2}", "--r-pairs", "1,0.5"],
+    "check-fkg": ["check-fkg", "--kernel", "{g2}"],
+    "check-shifted-pair": ["check-shifted-pair", "--vx", "1", "--c", "0.5", "--vy", "1"],
+}
+
+
+def _leaf_paths(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [" ".join(path)]
+    return [leaf for a in subs for name, child in a.choices.items()
+            for leaf in _leaf_paths(child, path + (name,))]
+
+
+class TestWiring:
+    def test_leaves_are_the_reporting_commands_and_render(self):
+        assert sorted(_leaf_paths(_build_parser())) == sorted([*REPORTING, "render"])
+        assert len(REPORTING) + 1 == 15
+
+    @pytest.mark.parametrize("path", sorted([*REPORTING, "render"]))
+    def test_help_lists_report_except_for_render(self, path, capsys):
+        code, out, err = run_cli(path.split() + ["--help"], capsys)
+        assert (code, err) == (0, "")
+        assert ("--report" in out) == (path != "render")
+
+    @pytest.mark.parametrize("path", sorted(REPORTING))
+    def test_report_names_the_subcommand_path(self, path, matrices, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        argv = [a.format(**matrices) for a in REPORTING[path]]
+        code, _, err = run_cli(argv + ["--report", report], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(report.read_text())["command"] == path
+
+    def test_plus_c_default_grid_is_the_library_grid(self, matrices, capsys):
+        results = []
+        for grid in ([], ["--grid", "0.5,1.0,2.0"]):
+            code, out, _ = run_cli(["green", "plus-c", "--input", matrices["tri"]] + grid,
+                                   capsys)
+            assert code == 1
+            results.append(json.loads(out))
+        assert results[0]["inputs"]["grid"] is None
+        assert results[1]["inputs"]["grid"] == "0.5,1.0,2.0"
+        assert results[0]["result"]["per_c"] == results[1]["result"]["per_c"]
+        assert [row["c"] for row in results[0]["result"]["per_c"]] == [0.5, 1.0, 2.0]
 
 
 class TestReportShape:

@@ -4,6 +4,7 @@ from scipy.stats import chi2, ncx2
 
 from permacheck import (
     InputFormatError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     gaussian_pair_pdf,
     marginal_quantile_grid,
@@ -149,6 +150,16 @@ class TestQuantileGrids:
         gx, gy = pair_grid(cov, size=7)
         assert np.array_equal(gx, _scipy_stats_grid(2.0, 0.0, 7))
         assert np.array_equal(gy, _scipy_stats_grid(0.5, 0.0, 7))
+
+    @pytest.mark.parametrize("r", [3e5, 1e6, 1e10])
+    def test_nan_quantiles_raise(self, r):
+        # chndtrix gives NaN once the noncentrality r^2/v reaches about 1e11
+        with pytest.raises(NonFiniteError):
+            marginal_quantile_grid(1.0, r)
+
+    def test_large_finite_noncentrality_keeps_its_grid(self):
+        g = marginal_quantile_grid(1.0, 1e5)
+        assert np.all(np.isfinite(g)) and np.all(np.diff(g) > 0)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(InputFormatError):
