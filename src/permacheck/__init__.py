@@ -22,7 +22,6 @@ from .betaperm import (
 from .densities import (
     gaussian_pair_pdf,
     marginal_quantile_grid,
-    pair_grid,
     squared_pair_density,
 )
 from .errors import (
@@ -55,12 +54,10 @@ from .idcheck import (
 )
 from .matcore import (
     KernelMatrix,
-    MMatrixReport,
     Signature,
     dumps_matrix,
     identity,
     invert,
-    is_m_matrix,
     kernel,
     load_matrix,
     loads_matrix,

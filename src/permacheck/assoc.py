@@ -10,14 +10,15 @@ the closed form E|eta_alpha(i) eta_alpha(j)| along resolvent grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from . import defaults
-from .densities import marginal_quantile_grid, squared_pair_density
-from .errors import InputFormatError
+from .densities import _pd_pair, marginal_quantile_grid, squared_pair_density
+from .errors import InputFormatError, NonFiniteError
 from .green import is_green
 from .matcore import KernelMatrix, _resolvents, psd_eigh
 from .sampler import PermanentalSpec, abs_product_moment, sample_permanental
@@ -315,26 +316,47 @@ def _cross_lattice_check(F_hi: np.ndarray, F_lo: np.ndarray, gx, gy,
     return None
 
 
-def _lattice_grid(grid) -> tuple:
-    """(gx, gy) as arrays, each nonempty, strictly positive and strictly
-    increasing.  The comparisons are False for a NaN, so NaN fails them."""
-    gx, gy = (np.asarray(g, dtype=float) for g in grid)
-    if not all(g.size and np.all(g > 0) for g in (gx, gy)):
-        raise InputFormatError("lattice grid must be strictly positive")
-    if not all(np.all(np.diff(g) > 0) for g in (gx, gy)):
-        raise InputFormatError("lattice grid must be strictly increasing")
-    return gx, gy
+def _pair_lattice(G, r: float, r_lo: float):
+    """First violation of f_r(x) f_r_lo(y) <= f_r(x v y) f_r_lo(x ^ y), or None.
 
-
-def fkg_lattice_test(density, grid) -> Verdict:
-    """Check h(x)h(y) <= h(x^y)h(x v y) over all pairs of lattice points.
-
-    density is a bivariate oracle on the open positive quadrant; grid is
-    a (gx, gy) pair of strictly positive increasing arrays.
+    f_s is the density of ((eta_1+s)^2, (eta_2+s)^2) under the 2x2
+    kernel G, which must be symmetric (else InputFormatError) and pass
+    psd_eigh's strict screen (else NotPositiveDefiniteError).  Each axis
+    is geometric between the pooled marginal quantiles of the two
+    shifted laws; when r = r_lo that is marginal_quantile_grid's grid.
+    The test runs on the pair divided by 4^j and the shifts by 2^j, with
+    j = frexp(max variance)[1] // 2, so the largest variance lies in
+    [0.5, 2) whatever the kernel's scale.  The division is exact, so
+    4^k G with shifts 2^k r gets G's verdict and witness for every
+    integer k: lhs and rhs are the divided pair's, and x and y are
+    multiplied back with ldexp.
     """
-    gx, gy = _lattice_grid(grid)
-    F = np.asarray(density(gx[:, None], gy[None, :]), dtype=float)
-    witness = _cross_lattice_check(F, F, gx, gy, defaults.LATTICE_REL_TOL)
+    v1, v2, c, _ = _pd_pair(G)
+    j = math.frexp(max(v1, v2))[1] // 2
+    pair = np.ldexp([[v1, c], [c, v2]], -2 * j)
+    # one key when r = r_lo, so FKG builds each grid and density once
+    shifts = dict.fromkeys((math.ldexp(r, -j), math.ldexp(r_lo, -j)))
+    axes = []
+    for v in (pair[0, 0], pair[1, 1]):
+        grids = [marginal_quantile_grid(v, s) for s in shifts]
+        axes.append(np.geomspace(min(g[0] for g in grids), max(g[-1] for g in grids),
+                                 defaults.LATTICE_GRID_SIZE))
+    gx, gy = axes
+    F = [squared_pair_density(pair, s)(gx[:, None], gy[None, :]) for s in shifts]
+    if not all(np.all(np.isfinite(f)) for f in F):
+        raise NonFiniteError("the pair density is not finite on the lattice")
+    witness = _cross_lattice_check(F[0], F[-1], gx, gy, defaults.LATTICE_REL_TOL)
+    if witness is not None:
+        for key in ("x", "y"):
+            witness[key] = [math.ldexp(t, 2 * j) for t in witness[key]]
+    return witness
+
+
+def fkg_lattice_test(G: KernelMatrix, shift: float = 0.0) -> Verdict:
+    """Check h(x)h(y) <= h(x^y)h(x v y) over all pairs of lattice points,
+    for the density h of ((eta_1+shift)^2, (eta_2+shift)^2) under the
+    2x2 kernel G on _pair_lattice's grid."""
+    witness = _pair_lattice(G, shift, shift)
     if witness is None:
         return Verdict.ok("lattice product inequality holds on the grid")
     return Verdict.fail(witness, "lattice product inequality violated")
@@ -368,11 +390,8 @@ def shifted_strong_order_test(G: KernelMatrix, r_pairs) -> StrongOrderReport:
     """Check f_r(x) f_r'(y) <= f_r(x v y) f_r'(x ^ y) for shifts r > r'.
 
     f_r is the density of ((eta_1+r)^2, (eta_2+r)^2) under the 2x2
-    kernel G.  Grids are geometric between pooled marginal quantiles of
-    the two shifted laws.
+    kernel G, tested on _pair_lattice's grid.
     """
-    if G.dim != 2:
-        raise InputFormatError("strong-order densities are implemented for 2x2 only")
     pairs = [(float(r), float(rp)) for r, rp in r_pairs]
     if not pairs:
         raise InputFormatError("need at least one (r, r') pair")
@@ -382,21 +401,7 @@ def shifted_strong_order_test(G: KernelMatrix, r_pairs) -> StrongOrderReport:
     per_pair = []
     overall = None
     for r, rp in pairs:
-        grids = []
-        for coord in range(2):
-            v = float(G.entries[coord, coord])
-            g_hi = marginal_quantile_grid(v, r)
-            g_lo = marginal_quantile_grid(v, rp)
-            size = len(g_hi)
-            grids.append(np.geomspace(min(g_hi[0], g_lo[0]),
-                                      max(g_hi[-1], g_lo[-1]), size))
-        gx, gy = _lattice_grid(grids)
-        f_hi = squared_pair_density(G, r)
-        f_lo = squared_pair_density(G, rp)
-        F_hi = np.asarray(f_hi(gx[:, None], gy[None, :]), dtype=float)
-        F_lo = np.asarray(f_lo(gx[:, None], gy[None, :]), dtype=float)
-        witness = _cross_lattice_check(F_hi, F_lo, gx, gy,
-                                       defaults.LATTICE_REL_TOL)
+        witness = _pair_lattice(G, r, rp)
         if witness is None:
             v = Verdict.ok(f"cross inequality holds for r = {r}, r' = {rp}")
         else:

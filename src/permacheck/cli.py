@@ -28,7 +28,6 @@ from .assoc import (
     shifted_strong_order_test,
 )
 from .betaperm import beta_permanent, beta_positivity_scan
-from .densities import pair_grid, squared_pair_density
 from .errors import (
     InputFormatError,
     InvalidIndexError,
@@ -433,8 +432,7 @@ def _cmd_shifted_order(args):
 
 
 def _cmd_check_fkg(args):
-    G = load_matrix(args.kernel)
-    verdict = fkg_lattice_test(squared_pair_density(G, args.shift), pair_grid(G, args.shift))
+    verdict = fkg_lattice_test(load_matrix(args.kernel), args.shift)
     return ({"kernel": args.kernel, "shift": args.shift},
             {"verdict": verdict.to_dict()}, verdict, None)
 

@@ -19,32 +19,36 @@ import math
 import numpy as np
 
 from . import defaults
-from .errors import InputFormatError, NonFiniteError, NotPositiveDefiniteError
-from .matcore import KernelMatrix
+from .errors import InputFormatError, NonFiniteError
+from .matcore import KernelMatrix, psd_eigh
 
 __all__ = [
     "gaussian_pair_pdf",
     "squared_pair_density",
     "marginal_quantile_grid",
-    "pair_grid",
 ]
 
+# chndtrix gives no finite quantile pair from a noncentrality of about
+# 10^10.65 on (sampled every 0.05 decade to 1e14, every 0.25 decade to
+# 1e16), and its time grows with it: 0.4 s at 1e14, 4 s at 1e16, 53 s at 1e18
+_CHNDTRIX_NC_MAX = 1e11
 
-def _pair_cov(C) -> tuple:
+
+def _pd_pair(C) -> tuple:
+    """(v1, v2, c, det) of a symmetric 2x2 covariance that passes
+    psd_eigh's strict screen."""
     a = np.asarray(C.entries if isinstance(C, KernelMatrix) else C, dtype=float)
     if a.shape != (2, 2):
         raise InputFormatError("pair density needs a 2x2 covariance")
-    v1, v2, c = float(a[0, 0]), float(a[1, 1]), float(0.5 * (a[0, 1] + a[1, 0]))
-    det = v1 * v2 - c * c
-    if v1 <= 0 or v2 <= 0 or det <= 0:
-        raise NotPositiveDefiniteError(
-            f"pair covariance must be positive definite (det {det:g})", det)
-    return v1, v2, c, det
+    pair = KernelMatrix(a, symmetric=True)
+    psd_eigh(pair, strict=True)
+    (v1, c), (_, v2) = pair.entries.tolist()
+    return v1, v2, c, v1 * v2 - c * c
 
 
 def gaussian_pair_pdf(C):
     """Vectorized density of a centered bivariate normal with covariance C."""
-    v1, v2, c, det = _pair_cov(C)
+    v1, v2, c, det = _pd_pair(C)
     i11, i22, i12 = v2 / det, v1 / det, -c / det
     norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
 
@@ -77,39 +81,31 @@ def squared_pair_density(C, r: float = 0.0):
     return h
 
 
-def marginal_quantile_grid(variance: float, r: float = 0.0, size: int = None,
-                           lo: float = None, hi: float = None) -> np.ndarray:
-    """Geometric grid between quantiles of the (eta + r)^2 marginal.
+def marginal_quantile_grid(variance: float, r: float = 0.0) -> np.ndarray:
+    """Geometric grid of LATTICE_GRID_SIZE points between the QUANTILE_LO
+    and QUANTILE_HI quantiles of the (eta + r)^2 marginal.
 
     (eta + r)^2 / variance is noncentral chi-square with 1 degree of
     freedom and noncentrality r^2 / variance (central when r = 0).  The
     quantiles come from the scipy.special kernels behind
     scipy.stats.chi2/ncx2.ppf, bit for bit, branching like ncx2 on the
     noncentrality itself, which can underflow to 0 for a tiny r.
-    chndtrix returns NaN once the noncentrality reaches about 1e11;
-    quantiles that are not finite and positive raise NonFiniteError.
+    A noncentrality of at least 1e11, where chndtrix has no finite
+    answer, and quantiles that are not finite and positive raise
+    NonFiniteError.
     """
+    if variance <= 0:
+        raise InputFormatError("variance must be positive")
+    nc = r * r / variance
+    if nc >= _CHNDTRIX_NC_MAX:
+        raise NonFiniteError(f"(eta + {r:g})^2 with variance {variance:g} has noncentrality "
+                             f"{nc:g}, where the chi-square quantiles are not finite")
     # imported here, not at module scope, so the CLI starts without scipy
     from scipy.special import chndtrix, gammaincinv
 
-    if variance <= 0:
-        raise InputFormatError("variance must be positive")
-    size = defaults.LATTICE_GRID_SIZE if size is None else int(size)
-    lo = defaults.QUANTILE_LO if lo is None else float(lo)
-    hi = defaults.QUANTILE_HI if hi is None else float(hi)
-    if not (0 < lo < hi < 1) or size < 2:
-        raise InputFormatError("need 0 < lo < hi < 1 and at least 2 grid points")
-    nc = r * r / variance
-    p = np.array([lo, hi])
+    p = np.array([defaults.QUANTILE_LO, defaults.QUANTILE_HI])
     qlo, qhi = variance * (2.0 * gammaincinv(0.5, p) if nc == 0.0 else chndtrix(p, 1, nc))
     if not 0 < qlo < qhi < math.inf:  # False for a NaN
         raise NonFiniteError(f"quantiles {qlo:g}, {qhi:g} of (eta + {r:g})^2 with variance "
                              f"{variance:g} are not finite and increasing")
-    return np.geomspace(qlo, qhi, size)
-
-
-def pair_grid(C, r: float = 0.0, size: int = None) -> tuple:
-    """Per-coordinate quantile grids for a 2x2 covariance and shift r."""
-    v1, v2, _, _ = _pair_cov(C)
-    return (marginal_quantile_grid(v1, r, size),
-            marginal_quantile_grid(v2, r, size))
+    return np.geomspace(qlo, qhi, defaults.LATTICE_GRID_SIZE)

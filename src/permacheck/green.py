@@ -22,7 +22,7 @@ from .errors import (
     SpectralRadiusError,
 )
 from .idcheck import id_verdict
-from .matcore import KernelMatrix, invert, is_m_matrix, kernel
+from .matcore import KernelMatrix, invert, kernel
 from .verdict import Verdict
 
 __all__ = [
@@ -95,15 +95,17 @@ def is_green(G: KernelMatrix) -> Verdict:
             {"entry": [int(i), int(j)], "value": float(a[i, j])},
             "negative entry")
     try:
-        h = invert(G)
+        h = invert(G).entries
     except SingularMatrixError as exc:
         return Verdict.fail(
             {"cond_estimate": exc.cond_estimate}, "kernel is numerically singular")
-    report = is_m_matrix(h)
-    if report.off_diagonal.fails:
-        return Verdict.fail(report.off_diagonal.witness,
+    tol = defaults.TOL_ALGEBRAIC * float(np.max(np.abs(h)))
+    bad = (h > tol) & ~np.eye(G.dim, dtype=bool)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        return Verdict.fail({"entry": [int(i), int(j)], "value": float(h[i, j])},
                             "inverse has a positive off-diagonal entry")
-    if report.diagonally_dominant.fails:
+    if np.any(h.sum(axis=1) < -tol):
         return Verdict(Verdict.HOLDS_UP_TO_DENSITY,
                        detail="inverse is an M-matrix but a row sum is negative: "
                               "Green only up to a positive density factor")

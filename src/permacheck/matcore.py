@@ -1,8 +1,8 @@
 """Dense square-matrix primitives.
 
 Kernel matrices, resolvents, eigenvalue screens (psd_eigh is the one
-positive-semidefiniteness screen), and the sign-product
-and M-matrix tests of the necessary battery and the Green recognizer.
+positive-semidefiniteness screen), and the sign-product test of the
+necessary battery.
 All dimensions are desk scale (<= ~12), stored dense row-major.
 """
 
@@ -23,7 +23,6 @@ from .verdict import Verdict
 __all__ = [
     "KernelMatrix",
     "Signature",
-    "MMatrixReport",
     "kernel",
     "identity",
     "invert",
@@ -31,7 +30,6 @@ __all__ = [
     "psd_eigh",
     "real_eigen_nonneg",
     "sign_product_violation",
-    "is_m_matrix",
     "load_matrix",
     "loads_matrix",
     "save_matrix",
@@ -215,15 +213,6 @@ def real_eigen_nonneg(G: KernelMatrix) -> Verdict:
     return Verdict.ok()
 
 
-@dataclass(frozen=True)
-class MMatrixReport:
-    """Two sub-verdicts: (a) off-diagonals nonpositive; (b) additionally
-    all row sums nonnegative (the diagonally dominant variant)."""
-
-    off_diagonal: Verdict
-    diagonally_dominant: Verdict
-
-
 def sign_product_violation(a: np.ndarray):
     """First negative pair or cyclic triple product of a, or None.
 
@@ -252,31 +241,6 @@ def sign_product_violation(a: np.ndarray):
         i, j, k = np.unravel_index(np.argmax(bad), bad.shape)
         return "triple", (int(i), int(j), int(k)), float(triples[i, j, k])
     return None
-
-
-def is_m_matrix(M) -> MMatrixReport:
-    """Sign tests behind the Green recognizer.
-
-    The off-diagonal witness is the first positive entry in row-major
-    order; the row-sum witness is the first negative row sum.  The
-    tolerance is TOL_ALGEBRAIC * max|M|, so the report on c*M is M's.
-    """
-    a = _as_square_array(M.entries if isinstance(M, KernelMatrix) else M)
-    tol = defaults.TOL_ALGEBRAIC * float(np.max(np.abs(a)))
-    bad = (a > tol) & ~np.eye(a.shape[0], dtype=bool)
-    if bad.any():
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        off = Verdict.fail({"entry": [int(i), int(j)], "value": float(a[i, j])},
-                           "positive off-diagonal entry")
-        return MMatrixReport(
-            off, Verdict.fail(off.witness, "off-diagonal sign test already fails"))
-    sums = a.sum(axis=1)
-    low = np.flatnonzero(sums < -tol)
-    if low.size:
-        i = int(low[0])
-        return MMatrixReport(Verdict.ok(), Verdict.fail(
-            {"row": i, "row_sum": float(sums[i])}, "negative row sum"))
-    return MMatrixReport(Verdict.ok(), Verdict.ok())
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from permacheck import (
     is_green,
     kernel,
     laplace_transform,
-    pair_grid,
     plus_constant_check,
     random_scalings,
     resolvent,
@@ -36,7 +35,6 @@ from permacheck import (
     sample_permanental,
     shifted_pair_id_test,
     shifted_strong_order_test,
-    squared_pair_density,
     save_matrix,
     tilt_resolvent,
 )
@@ -144,8 +142,7 @@ def test_criterion_2_divisibility_equivalence(capsys, corpus):
     holds_count = 0
     for idx, (G, v) in enumerate(corpus):
         if G.dim == 2:
-            f = fkg_lattice_test(squared_pair_density(G.entries),
-                                 pair_grid(G.entries))
+            f = fkg_lattice_test(G)
             if f.holds != v.holds:
                 fkg_mismatch += 1
         if v.holds:

@@ -7,6 +7,7 @@ from permacheck import (
     IncreasingFunctionFamily,
     InputFormatError,
     KernelMatrix,
+    NonFiniteError,
     NotPSDError,
     PermanentalSpec,
     SingularMatrixError,
@@ -15,7 +16,7 @@ from permacheck import (
     default_family,
     fkg_lattice_test,
     kernel,
-    pair_grid,
+    marginal_quantile_grid,
     random_scalings,
     resolvent,
     resolvent_monotonicity_scan,
@@ -189,15 +190,11 @@ class TestAssociationOracle:
 
 class TestFkgLattice:
     def test_product_density_holds_with_equality(self):
-        c = np.diag([1.0, 2.0])
-        v = fkg_lattice_test(squared_pair_density(c), pair_grid(c, size=25))
-        assert v.holds
+        assert fkg_lattice_test(kernel(np.diag([1.0, 2.0]))).holds
 
     def test_squared_pair_holds_both_correlation_signs(self):
         for rho in (0.5, -0.5):
-            c = np.array([[1.0, rho], [rho, 1.0]])
-            v = fkg_lattice_test(squared_pair_density(c), pair_grid(c, size=30))
-            assert v.holds
+            assert fkg_lattice_test(kernel([[1.0, rho], [rho, 1.0]])).holds
 
     def test_two_bump_mixture_fails(self):
         # mass on (1,3) and (3,1) only: anti-diagonal dependence
@@ -208,34 +205,23 @@ class TestFkgLattice:
             return b1 + b2
 
         g = np.array([1.0, 3.0])
-        v = fkg_lattice_test(h, (g, g))
-        assert v.fails
-        assert v.witness["lhs"] > v.witness["rhs"]
+        F = h(g[:, None], g[None, :])
+        witness = _cross_lattice_check(F, F, g, g, LATTICE_REL_TOL)
+        assert witness is not None
+        assert witness["lhs"] > witness["rhs"]
 
     def test_bad_grid_rejected(self):
-        h = squared_pair_density(np.eye(2))
-        with pytest.raises(InputFormatError):
-            fkg_lattice_test(h, (np.array([0.0, 1.0]), np.array([1.0, 2.0])))
-        with pytest.raises(InputFormatError):
-            fkg_lattice_test(h, (np.array([2.0, 1.0]), np.array([1.0, 2.0])))
-
-    @pytest.mark.parametrize("gx", [[1.0, np.nan, 3.0], [np.nan, np.nan], [1.0, 2.0, np.nan], []],
-                             ids=["inner", "all", "last", "empty"])
-    def test_nan_or_empty_grid_rejected(self, gx):
-        # every comparison with NaN is False, so "min <= 0" and
-        # "diff <= 0" let a NaN grid through to a holds verdict
-        h = squared_pair_density(np.array([[1.0, -0.5], [-0.5, 1.0]]))
-        with pytest.raises(InputFormatError):
-            fkg_lattice_test(h, (np.array(gx), np.array([1.0, 2.0])))
-        with pytest.raises(InputFormatError):
-            fkg_lattice_test(h, (np.array([1.0, 2.0]), np.array(gx)))
+        # quantiles that are not finite leave no grid to test on
+        with pytest.raises(NonFiniteError):
+            fkg_lattice_test(kernel([[1.0, -0.5], [-0.5, 1.0]]), 1e6)
 
 
 class TestCrossLatticeOracle:
     def test_witness_matches_loop_oracle(self):
         # seeded 2x2 kernels of either correlation sign, each giving an
         # (F, F) lattice of the FKG test and an (F_r, F_r') lattice of the
-        # strong-order test; the first violation must be the loop's
+        # strong-order test on every third point of the quantile grids;
+        # the first violation must be the loop's
         rng = np.random.default_rng(71)
         outcomes = []
         for _ in range(30):
@@ -244,7 +230,7 @@ class TestCrossLatticeOracle:
             g = np.array([[v[0], c], [c, v[1]]])
             r = float(rng.uniform(0.0, 2.0))
             rp = float(rng.uniform(0.0, r))
-            gx, gy = pair_grid(g, r, size=12)
+            gx, gy = (marginal_quantile_grid(vi, r)[::3] for vi in v)
             f_r = squared_pair_density(g, r)(gx[:, None], gy[None, :])
             f_rp = squared_pair_density(g, rp)(gx[:, None], gy[None, :])
             for f_hi, f_lo in ((f_r, f_r), (f_r, f_rp)):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -209,6 +210,35 @@ class TestBadInputs:
         code, out, err = run_cli([a.format(**matrices) for a in argv], capsys)
         assert (code, out) == (3, "")
         assert _one_json_error(err)["error"] == "NonFiniteError"
+
+    @pytest.mark.parametrize("argv", [
+        ["check-fkg", "--kernel", "{g2}", "--shift", "1e9"],
+        ["shifted-order", "--kernel", "{g2}", "--r-pairs", "1e9,0"],
+    ])
+    def test_huge_shift_is_three_at_once(self, argv, matrices, capsys):
+        # chndtrix took about a minute at noncentrality 1e18 to return NaN
+        start = time.monotonic()
+        code, out, err = run_cli([a.format(**matrices) for a in argv], capsys)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (3, "")
+        assert _one_json_error(err)["error"] == "NonFiniteError"
+
+    @pytest.mark.parametrize("argv", [["check-fkg"], ["shifted-order", "--r-pairs", "1,0.5"]])
+    def test_nonsymmetric_pair_is_two(self, argv, tmp_path, capsys):
+        # the pair densities once averaged the off-diagonals silently
+        save_matrix(kernel([[1.0, 0.9], [-0.5, 1.0]], symmetric=False), tmp_path / "ns.csv")
+        code, out, err = run_cli(argv + ["--kernel", tmp_path / "ns.csv"], capsys)
+        assert (code, out) == (2, "")
+        assert _one_json_error(err)["error"] == "InputFormatError"
+
+    @pytest.mark.parametrize("argv", [["check-fkg"], ["shifted-order", "--r-pairs", "1,0.5"]])
+    def test_indefinite_pair_reports_its_eigenvalue(self, argv, matrices, capsys):
+        # the determinant -3 was once reported as the smallest eigenvalue
+        code, out, err = run_cli(argv + ["--kernel", matrices["indefinite2"]], capsys)
+        assert (code, out) == (3, "")
+        error = _one_json_error(err)
+        assert error["error"] == "NotPositiveDefiniteError"
+        assert error["min_eigenvalue"] == pytest.approx(-1.0, rel=1e-12)
 
     @pytest.mark.parametrize("vx, c, vy, eigenvalue", [
         ("1e200", "1e201", "1e200", -9e200),
@@ -742,6 +772,36 @@ class TestChecks:
         code, _, _ = run_cli(["check-fkg", "--kernel", matrices["g2"],
                               "--shift", "0.5"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("j", [-150, -80, 80, 150])
+    def test_pair_lattices_do_not_depend_on_scale(self, j, tmp_path, capsys):
+        # 4^j G with shifts 2^j r is the same pair in other units: the same
+        # status and witness, its points multiplied by 4^j.  Computed on the
+        # unscaled pair, the densities overflowed or underflowed, or moved
+        # in their last bits.
+        def verdict(g, argv):
+            save_matrix(kernel(g), tmp_path / "g.csv")
+            code, out, _ = run_cli(argv + ["--kernel", tmp_path / "g.csv"], capsys)
+            return code, json.loads(out)["result"]["verdict"]
+
+        def shifts(rs, k):
+            return ",".join(repr(math.ldexp(r, k)) for r in rs)
+
+        neg, pos = [[1.0, -0.5], [-0.5, 1.0]], [[1.0, 0.3], [0.3, 1.5]]
+        for g, argv in ((neg, lambda k: ["check-fkg", "--shift", shifts([0.5], k)]),
+                        (pos, lambda k: ["check-fkg", "--shift", shifts([0.0], k)]),
+                        (neg, lambda k: ["shifted-order", "--r-pairs", shifts([1.0, 0.5], k)]),
+                        (pos, lambda k: ["shifted-order", "--r-pairs", shifts([2.0, 1.0], k)])):
+            code, unit = verdict(g, argv(0))
+            scaled_code, scaled = verdict(np.ldexp(g, 2 * j), argv(j))
+            assert (scaled_code, scaled["status"]) == (code, unit["status"])
+            if code == 1:
+                expected = dict(unit["witness"])
+                for key in ("x", "y"):
+                    expected[key] = [math.ldexp(t, 2 * j) for t in expected[key]]
+                if "r" in expected:
+                    expected.update(r=math.ldexp(1.0, j), r_prime=math.ldexp(0.5, j))
+                assert scaled["witness"] == expected
 
     def test_check_shifted_pair(self, capsys):
         code, _, _ = run_cli(["check-shifted-pair", "--vx", "1", "--c", "0",

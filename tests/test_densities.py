@@ -6,9 +6,10 @@ from permacheck import (
     InputFormatError,
     NonFiniteError,
     NotPositiveDefiniteError,
+    fkg_lattice_test,
     gaussian_pair_pdf,
+    kernel,
     marginal_quantile_grid,
-    pair_grid,
     squared_pair_density,
 )
 from oracles import gaussian_pairs, mc_mean_se
@@ -94,66 +95,68 @@ class TestSquaredPairDensity:
             h(1.0, -0.5)
 
 
-def _scipy_stats_grid(variance, r, size, lo=0.01, hi=0.99):
+def _scipy_stats_grid(variance, r):
     # the grid as built from scipy.stats, the reference for bit equality
     if r == 0.0:
-        qlo, qhi = chi2.ppf(lo, df=1), chi2.ppf(hi, df=1)
+        qlo, qhi = chi2.ppf(0.01, df=1), chi2.ppf(0.99, df=1)
     else:
         nc = r * r / variance
-        qlo, qhi = ncx2.ppf(lo, df=1, nc=nc), ncx2.ppf(hi, df=1, nc=nc)
-    return np.geomspace(variance * qlo, variance * qhi, size)
+        qlo, qhi = ncx2.ppf(0.01, df=1, nc=nc), ncx2.ppf(0.99, df=1, nc=nc)
+    return np.geomspace(variance * qlo, variance * qhi, 40)
 
 
 class TestQuantileGrids:
     def test_central_endpoints(self):
-        g = marginal_quantile_grid(2.0, size=10)
-        assert np.array_equal(g, _scipy_stats_grid(2.0, 0.0, 10))
+        g = marginal_quantile_grid(2.0)
+        assert np.array_equal(g, _scipy_stats_grid(2.0, 0.0))
         assert g[0] == 2.0 * chi2.ppf(0.01, df=1)
         assert g[-1] == 2.0 * chi2.ppf(0.99, df=1)
         assert np.all(np.diff(g) > 0)
 
     def test_shifted_endpoints(self):
         v, r = 1.5, 0.8
-        g = marginal_quantile_grid(v, r, size=10)
-        assert np.array_equal(g, _scipy_stats_grid(v, r, 10))
+        g = marginal_quantile_grid(v, r)
+        assert np.array_equal(g, _scipy_stats_grid(v, r))
         assert g[0] == v * ncx2.ppf(0.01, df=1, nc=r * r / v)
 
     @pytest.mark.parametrize("r", [1e-200, -1e-180, 1e-170])
     def test_underflowing_noncentrality_takes_the_central_branch(self, r):
         # r*r/variance underflows to 0, where ncx2.ppf falls back to chi2
         assert r * r / 1.0 == 0.0
-        g = marginal_quantile_grid(1.0, r, size=5)
-        assert np.array_equal(g, _scipy_stats_grid(1.0, r, 5))
-        assert np.array_equal(g, marginal_quantile_grid(1.0, 0.0, size=5))
+        g = marginal_quantile_grid(1.0, r)
+        assert np.array_equal(g, _scipy_stats_grid(1.0, r))
+        assert np.array_equal(g, marginal_quantile_grid(1.0, 0.0))
 
     def test_seeded_pairs_bit_identical_to_scipy_stats(self):
         rng = np.random.default_rng(44)
         for _ in range(300):
             v = float(np.exp(rng.uniform(-7.0, 7.0)))
             r = float(rng.choice([0.0, 1e-200, rng.normal(scale=3.0)]))
-            lo = float(rng.uniform(1e-4, 0.5))
-            hi = float(rng.uniform(0.5, 1.0 - 1e-9))
-            g = marginal_quantile_grid(v, r, size=7, lo=lo, hi=hi)
-            assert np.array_equal(g, _scipy_stats_grid(v, r, 7, lo, hi)), (v, r, lo, hi)
+            g = marginal_quantile_grid(v, r)
+            assert np.array_equal(g, _scipy_stats_grid(v, r)), (v, r)
 
     def test_quantiles_cover_mass(self):
         # empirical fraction below/above the endpoints matches lo/hi
         v, r = 1.0, 0.7
-        g = marginal_quantile_grid(v, r, size=5)
+        g = marginal_quantile_grid(v, r)
         x, _ = gaussian_pairs(0.0, 1_000_000, seed=43)
         s = (x + r) ** 2
         assert np.mean(s < g[0]) == pytest.approx(0.01, abs=5e-4)
         assert np.mean(s < g[-1]) == pytest.approx(0.99, abs=5e-4)
 
     def test_pair_grid_uses_marginal_variances(self):
-        cov = np.array([[2.0, 0.3], [0.3, 0.5]])
-        gx, gy = pair_grid(cov, size=7)
-        assert np.array_equal(gx, _scipy_stats_grid(2.0, 0.0, 7))
-        assert np.array_equal(gy, _scipy_stats_grid(0.5, 0.0, 7))
+        # the FKG lattice of a pair is each coordinate's own quantile grid,
+        # so a witness's coordinates lie on the two marginal grids
+        v = fkg_lattice_test(kernel([[1.5, -0.6], [-0.6, 0.5]]), 0.5)
+        assert v.fails
+        for point in (v.witness["x"], v.witness["y"]):
+            assert point[0] in _scipy_stats_grid(1.5, 0.5)
+            assert point[1] in _scipy_stats_grid(0.5, 0.5)
 
     @pytest.mark.parametrize("r", [3e5, 1e6, 1e10])
     def test_nan_quantiles_raise(self, r):
-        # chndtrix gives NaN once the noncentrality r^2/v reaches about 1e11
+        # chndtrix gives NaN once the noncentrality r^2/v reaches about
+        # 10^10.65 (r = 3e5 gives 9e10); from 1e11 on it is not called
         with pytest.raises(NonFiniteError):
             marginal_quantile_grid(1.0, r)
 
@@ -162,9 +165,6 @@ class TestQuantileGrids:
         assert np.all(np.isfinite(g)) and np.all(np.diff(g) > 0)
 
     def test_bad_arguments_rejected(self):
-        with pytest.raises(InputFormatError):
-            marginal_quantile_grid(0.0)
-        with pytest.raises(InputFormatError):
-            marginal_quantile_grid(1.0, size=1)
-        with pytest.raises(InputFormatError):
-            marginal_quantile_grid(1.0, lo=0.9, hi=0.1)
+        for variance in (0.0, -1.0):
+            with pytest.raises(InputFormatError):
+                marginal_quantile_grid(variance)

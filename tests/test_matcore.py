@@ -10,10 +10,11 @@ from permacheck import (
     KernelMatrix,
     Signature,
     SingularMatrixError,
+    Verdict,
     dumps_matrix,
     identity,
     invert,
-    is_m_matrix,
+    is_green,
     kernel,
     load_matrix,
     loads_matrix,
@@ -176,25 +177,24 @@ class TestRealEigenNonneg:
 
 
 class TestIsMMatrix:
+    """is_green's M-matrix sign tests, on kernels whose inverse is the
+    matrix named."""
+
     def test_identity(self):
-        rep = is_m_matrix(identity(3))
-        assert rep.off_diagonal.holds and rep.diagonally_dominant.holds
+        assert is_green(identity(3)).holds
 
     def test_dominant_example(self):
-        rep = is_m_matrix(np.array([[1.0, -0.4], [-0.4, 1.0]]))
-        assert rep.off_diagonal.holds and rep.diagonally_dominant.holds
+        assert is_green(kernel(np.linalg.inv([[1.0, -0.4], [-0.4, 1.0]]))).holds
 
     def test_positive_off_diagonal_fails(self):
-        rep = is_m_matrix(np.array([[1.0, 0.2], [0.2, 1.0]]))
-        assert rep.off_diagonal.fails
-        assert rep.off_diagonal.witness["entry"] == [0, 1]
-        assert rep.diagonally_dominant.fails
+        v = is_green(kernel(np.linalg.inv([[-1.0, 2.0], [2.0, -1.0]])))
+        assert v.fails
+        assert v.witness["entry"] == [0, 1]
+        assert v.detail == "inverse has a positive off-diagonal entry"
 
     def test_negative_row_sum(self):
-        rep = is_m_matrix(np.array([[1.0, -2.0], [0.0, 1.0]]))
-        assert rep.off_diagonal.holds
-        assert rep.diagonally_dominant.fails
-        assert rep.diagonally_dominant.witness["row"] == 0
+        v = is_green(kernel(np.linalg.inv([[1.0, -2.0], [0.0, 1.0]])))
+        assert v.status == Verdict.HOLDS_UP_TO_DENSITY
 
 
 def _sign_test_kernels(seed: int, count: int):
@@ -239,21 +239,30 @@ class TestSignProducts:
 
 class TestIsMMatrixOracle:
     def test_matches_loop_oracle(self):
+        # is_green on kernels whose inverse is a seeded matrix, at scales
+        # 1e-3..1e3; it tests invert's inverse, so the loop oracle runs on
+        # that inverse too
         rng = np.random.default_rng(33)
         outcomes = {"off": 0, "row": 0, "both hold": 0}
         for a in _sign_test_kernels(32, 2500):
             n = a.shape[0]
-            # positive off-diagonals shrunk around the tolerance, so the
-            # row-sum test runs too
-            shrink = rng.choice([1e-11, 1e-10, 1e-9, 1.0])
-            a = np.where(np.eye(n, dtype=bool), np.abs(a) * n,
-                         np.where(a > 0, a * shrink, a))
-            rep = is_m_matrix(a)
-            off, row = naive_m_matrix_witnesses(a, TOL_ALGEBRAIC)
-            assert rep.off_diagonal.witness == off
-            assert rep.diagonally_dominant.witness == row
-            assert rep.off_diagonal.holds == (off is None)
-            assert rep.diagonally_dominant.holds == (row is None)
+            # an M-matrix by column dominance, so its inverse is a
+            # nonnegative kernel and some row sums may be negative ...
+            m = -np.abs(a) * (1.0 - np.eye(n))
+            np.fill_diagonal(m, np.abs(m).sum(axis=0) * rng.uniform(1.01, 1.5)
+                             + 0.01 * np.max(np.abs(a)))
+            # ... with positive off-diagonals around the tolerance
+            flip = (rng.random((n, n)) < 0.3) & (m < 0)
+            m[flip] *= -rng.choice([1e-11, 1e-10, 1e-9])
+            G = kernel(np.linalg.inv(m))
+            v = is_green(G)
+            if np.min(G.entries) < -TOL_ALGEBRAIC * np.max(np.abs(G.entries)):
+                assert v.detail == "negative entry"  # the inverse is not tested
+                continue
+            off, row = naive_m_matrix_witnesses(invert(G).entries, TOL_ALGEBRAIC)
+            assert v.witness == off
+            assert v.status == (Verdict.FAILS if off else
+                                Verdict.HOLDS_UP_TO_DENSITY if row else Verdict.HOLDS)
             outcomes["off" if off else "row" if row else "both hold"] += 1
         assert min(outcomes.values()) >= 300, outcomes
 
