@@ -37,7 +37,6 @@ from .errors import (
     SpectralRadiusError,
 )
 from .green import (
-    HadamardReport,
     PlusConstantReport,
     TransientChain,
     green_from_chain,
@@ -56,7 +55,6 @@ from .matcore import (
     KernelMatrix,
     Signature,
     dumps_matrix,
-    identity,
     invert,
     kernel,
     load_matrix,

@@ -331,7 +331,7 @@ def _pair_lattice(G, r: float, r_lo: float):
     integer k: lhs and rhs are the divided pair's, and x and y are
     multiplied back with ldexp.
     """
-    v1, v2, c, _ = _pd_pair(G)
+    v1, v2, c = _pd_pair(G)
     j = math.frexp(max(v1, v2))[1] // 2
     pair = np.ldexp([[v1, c], [c, v2]], -2 * j)
     # one key when r = r_lo, so FKG builds each grid and density once

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .errors import DimensionCapError, InputFormatError
+from .errors import DimensionCapError, InputFormatError, NonFiniteError
 from .matcore import KernelMatrix, _as_square_array, resolvent, sign_product_violation
 from .verdict import Verdict
 
@@ -100,12 +100,14 @@ def _cycle_coefficients(a: np.ndarray) -> np.ndarray:
 
 def beta_permanent(A, beta: float) -> float:
     """per_beta of a square matrix: per_1 is the permanent and
-    per_-1 = (-1)^m det."""
-    # Horner; exact for integer coefficients and dyadic beta
-    acc = 0.0
-    for c in cycle_polynomial(A)[::-1]:
+    per_-1 = (-1)^m det.  A value that is not finite raises NonFiniteError."""
+    # Horner on Python floats, silent on overflow; exact for integer c and dyadic beta
+    acc, beta = 0.0, float(beta)
+    for c in cycle_polynomial(A)[::-1].tolist():
         acc = acc * beta + c
-    return float(acc)
+    if not math.isfinite(acc):
+        raise NonFiniteError(f"per_beta at beta = {beta:g} is not finite ({acc})")
+    return acc
 
 
 def multisets(n: int, m_max: int):
@@ -185,12 +187,14 @@ def beta_positivity_scan(G: KernelMatrix, betas=None, alphas=None,
         bad = values < limits
         if bad.any():
             b, s = np.unravel_index(np.argmax(bad), bad.shape)
-            witness = {
-                "alpha": float(alpha),
-                "beta": float(betas[b]),
-                "indices": list(sets[s]),
-                "value": math.ldexp(float(values[b, s]), int(shifts[s])),
-            }
+            witness = {"alpha": float(alpha), "beta": float(betas[b]),
+                       "indices": list(sets[s])}
+            try:
+                witness["value"] = math.ldexp(float(values[b, s]), int(shifts[s]))
+            except OverflowError:
+                raise NonFiniteError(
+                    "per_beta at alpha = {alpha:g}, beta = {beta:g}, indices {indices} is "
+                    "negative and not finite in float64".format(**witness)) from None
             scanned = int(a_index * bad.size + b * len(sets) + s + 1)
             return PositivityReport(
                 Verdict.fail(witness, "negative beta-permanent"), scanned)
@@ -208,7 +212,11 @@ def id_necessary_battery(G: KernelMatrix) -> Verdict:
     """
     grid = [0.0] + [float(a) for a in defaults.ALPHA_GRID if a != 0.0]
     for alpha in grid:
-        found = sign_product_violation(resolvent(G, alpha).entries)
+        try:
+            found = sign_product_violation(resolvent(G, alpha).entries)
+        except OverflowError:
+            raise NonFiniteError(f"a sign-product threshold of the resolvent at alpha = "
+                                 f"{alpha:g} is not finite") from None
         if found is not None:
             kind, indices, value = found
             detail = ("negative pairwise product G(i,j)G(j,i)" if kind == "pair"

@@ -14,7 +14,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -31,6 +30,7 @@ from .betaperm import beta_permanent, beta_positivity_scan
 from .errors import (
     InputFormatError,
     InvalidIndexError,
+    NonFiniteError,
     PermacheckError,
     SchemaMismatchError,
 )
@@ -43,8 +43,8 @@ from .green import (
     restriction,
 )
 from .idcheck import id_verdict, shifted_pair_id_test
-from .matcore import dumps_matrix, load_matrix
-from .sampler import PermanentalSpec, _draw_count, sample_permanental, save_batch
+from .matcore import dumps_matrix, load_matrix, save_matrix
+from .sampler import PermanentalSpec, sample_permanental, save_batch
 from .verdict import Verdict
 
 __all__ = ["main", "parse_and_dispatch", "report_render"]
@@ -134,19 +134,6 @@ def _parse_scalings(text: str, n: int, seed: int) -> list:
     return [np.array(v) for v in _parse_vectors(text, n, "scaling")]
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("PERMACHECK_SEED")
-    if env is not None:
-        try:
-            return uint64(env)
-        except ValueError as exc:
-            raise InputFormatError(
-                f"PERMACHECK_SEED must be an integer in 0..2^64-1: {env!r}") from exc
-    return defaults.DEFAULT_SEED
-
-
 def _exit_code(verdict: Verdict) -> int:
     if verdict.status in (Verdict.HOLDS, Verdict.HOLDS_UP_TO_DENSITY):
         return 0
@@ -160,12 +147,17 @@ def _run(handler, command: str, args) -> int:
 
     The handler returns (inputs, result, verdict or exit code, stdout text
     or None).  Its text goes to stdout; the report goes to --report, or
-    else to stdout when the handler printed nothing.
+    else to stdout when the handler printed nothing.  A report number that
+    is not finite, which JSON cannot hold, raises NonFiniteError first.
     """
     inputs, result, outcome, stdout = handler(args)
-    text = json.dumps({"schema": defaults.SCHEMA_VERSION, "command": command,
-                       "inputs": inputs, "result": result,
-                       "defaults": defaults.defaults_table()}, sort_keys=True, indent=2)
+    try:
+        text = json.dumps({"schema": defaults.SCHEMA_VERSION, "command": command,
+                           "inputs": inputs, "result": result,
+                           "defaults": defaults.defaults_table()},
+                          sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"the {command} report holds a number that is not finite") from exc
     if stdout is not None:
         sys.stdout.write(stdout)
     if args.report:
@@ -174,16 +166,6 @@ def _run(handler, command: str, args) -> int:
     elif stdout is None:
         sys.stdout.write(text + "\n")
     return outcome if isinstance(outcome, int) else _exit_code(outcome)
-
-
-def _matrix_stdout(G, path):
-    """Writes G as CSV to path and returns None, or returns the CSV for stdout."""
-    csv_text = dumps_matrix(G)
-    if not path:
-        return csv_text
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
-    return None
 
 
 def report_render(report: dict, fmt: str = "json") -> str:
@@ -241,9 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = reporting(sub, "check-id", _cmd_check_id, "infinite-divisibility verdict for a kernel")
     s.add_argument("--input", required=True, help="matrix CSV or JSON file")
-    s.add_argument("--betas", help="scan beta grid, list or start:stop:step")
-    s.add_argument("--alphas", help="scan alpha grid, list or start:stop:step")
-    s.add_argument("--m-max", type=int, dest="m_max")
 
     s = reporting(sub, "perm", _cmd_perm, "beta-permanent of a matrix")
     s.add_argument("--input", required=True)
@@ -251,8 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = reporting(sub, "scan", _cmd_scan, "beta-positivity scan over resolvents")
     s.add_argument("--input", required=True)
-    s.add_argument("--betas")
-    s.add_argument("--alphas")
+    s.add_argument("--betas", help="scan beta grid, list or start:stop:step")
+    s.add_argument("--alphas", help="scan alpha grid, list or start:stop:step")
     s.add_argument("--m-max", type=int, dest="m_max")
 
     g = sub.add_parser("green", help="Green-matrix operations")
@@ -284,21 +263,21 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kernel", required=True)
     s.add_argument("--k", type=int, default=1, help="index beta = 2/k")
     s.add_argument("--n", type=finite_float, default=1000.0)
-    s.add_argument("--seed", type=uint64)
+    s.add_argument("--seed", type=uint64, default=defaults.DEFAULT_SEED)
     s.add_argument("--out", required=True, help="binary batch file")
 
     s = reporting(sub, "check-assoc", _cmd_check_assoc, "Monte Carlo association test")
     s.add_argument("--kernel", required=True)
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--n", type=finite_float, default=1e5)
-    s.add_argument("--seed", type=uint64)
+    s.add_argument("--seed", type=uint64, default=defaults.DEFAULT_SEED)
 
     s = reporting(sub, "scan-monotone", _cmd_scan_monotone, "resolvent monotonicity scan")
     s.add_argument("--kernel", required=True)
     s.add_argument("--alphas")
     s.add_argument("--scalings", default="identity",
                    help='"identity", "random:COUNT", or semicolon-separated vectors')
-    s.add_argument("--seed", type=uint64)
+    s.add_argument("--seed", type=uint64, default=defaults.DEFAULT_SEED)
 
     s = reporting(sub, "shifted-order", _cmd_shifted_order,
                   "strong stochastic ordering of shifted pairs")
@@ -327,13 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # Reporting handlers return (inputs, result, verdict or exit code, stdout
 # text or None); _run turns that into the report and the exit code.
 def _cmd_check_id(args):
-    G = load_matrix(args.input)
-    betas = _parse_grid(args.betas) if args.betas else None
-    alphas = _parse_grid(args.alphas) if args.alphas else None
-    iv = id_verdict(G, betas=betas, alphas=alphas, m_max=args.m_max)
-    inputs = {"input": args.input, "m_max": args.m_max,
-              "betas": betas, "alphas": alphas}
-    return inputs, iv.to_dict(), iv.verdict, None
+    iv = id_verdict(load_matrix(args.input))
+    return {"input": args.input}, iv.to_dict(), iv.verdict, None
 
 
 def _cmd_perm(args):
@@ -351,11 +325,19 @@ def _cmd_scan(args):
     return inputs, rep.to_dict(), rep.verdict, None
 
 
+def _green_kernel(inputs: dict, G, path):
+    """The handler tail of the green commands that make a kernel: is_green
+    on G, and G as CSV to path, or to stdout when path is not given."""
+    verdict = is_green(G)
+    if path:
+        save_matrix(G, path)
+    return (inputs, {"verdict": verdict.to_dict(), "kernel": G.to_dict()}, verdict,
+            None if path else dumps_matrix(G))
+
+
 def _cmd_green_gen(args):
     G = green_from_chain(TransientChain(load_matrix(args.chain).entries))
-    verdict = is_green(G)
-    return ({"chain": args.chain}, {"verdict": verdict.to_dict(), "kernel": G.to_dict()},
-            verdict, _matrix_stdout(G, args.out))
+    return _green_kernel({"chain": args.chain}, G, args.out)
 
 
 def _cmd_green_check(args):
@@ -364,9 +346,8 @@ def _cmd_green_check(args):
 
 
 def _cmd_green_power(args):
-    rep = hadamard_power(load_matrix(args.input), args.beta)
-    return ({"input": args.input, "beta": args.beta}, rep.to_dict(), rep.verdict,
-            _matrix_stdout(rep.kernel, args.out))
+    G = hadamard_power(load_matrix(args.input), args.beta)
+    return _green_kernel({"input": args.input, "beta": args.beta}, G, args.out)
 
 
 def _cmd_green_plus_c(args):
@@ -381,10 +362,7 @@ def _cmd_green_restrict(args):
     except ValueError as exc:
         raise InputFormatError(f"--keep {args.keep!r} is not a list of indices") from exc
     sub = restriction(load_matrix(args.input), keep)
-    verdict = is_green(sub)
-    return ({"input": args.input, "keep": keep},
-            {"verdict": verdict.to_dict(), "kernel": sub.to_dict()},
-            verdict, _matrix_stdout(sub, args.out))
+    return _green_kernel({"input": args.input, "keep": keep}, sub, args.out)
 
 
 def _permanental_spec(G, k: int) -> PermanentalSpec:
@@ -394,34 +372,31 @@ def _permanental_spec(G, k: int) -> PermanentalSpec:
     return PermanentalSpec(G, 2.0 / k)
 
 
+# sample_permanental checks the draw count; inputs echo the count it used
 def _cmd_sample(args):
     G = load_matrix(args.kernel)
-    seed = _resolve_seed(args)
-    n = _draw_count(args.n)
-    batch = sample_permanental(_permanental_spec(G, args.k), n, seed)
+    batch = sample_permanental(_permanental_spec(G, args.k), args.n, args.seed)
     save_batch(batch, args.out)
-    result = {"n_draws": batch.n_draws, "dim": batch.dim, "seed": seed,
+    result = {"n_draws": batch.n_draws, "dim": batch.dim, "seed": args.seed,
               "out": args.out, "ess": batch.ess}
-    return {"kernel": args.kernel, "k": args.k, "n": n, "seed": seed}, result, 0, None
+    inputs = {"kernel": args.kernel, "k": args.k, "n": batch.n_draws, "seed": args.seed}
+    return inputs, result, 0, None
 
 
 def _cmd_check_assoc(args):
     G = load_matrix(args.kernel)
-    seed = _resolve_seed(args)
-    n = _draw_count(args.n)
-    rep = association_mc_test(_permanental_spec(G, args.k), n_draws=n, seed=seed)
-    inputs = {"kernel": args.kernel, "k": args.k, "n": n, "seed": seed}
+    rep = association_mc_test(_permanental_spec(G, args.k), n_draws=args.n, seed=args.seed)
+    inputs = {"kernel": args.kernel, "k": args.k, "n": rep.n_draws, "seed": args.seed}
     return inputs, rep.to_dict(), rep.verdict, None
 
 
 def _cmd_scan_monotone(args):
     G = load_matrix(args.kernel)
-    seed = _resolve_seed(args)
     alphas = _parse_grid(args.alphas) if args.alphas else None
-    scalings = _parse_scalings(args.scalings, G.dim, seed)
+    scalings = _parse_scalings(args.scalings, G.dim, args.seed)
     verdict = resolvent_monotonicity_scan(G, alphas=alphas, D_set=scalings)
     inputs = {"kernel": args.kernel, "alphas": alphas,
-              "scalings": args.scalings, "seed": seed}
+              "scalings": args.scalings, "seed": args.seed}
     return inputs, {"verdict": verdict.to_dict()}, verdict, None
 
 

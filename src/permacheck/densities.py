@@ -35,26 +35,29 @@ _CHNDTRIX_NC_MAX = 1e11
 
 
 def _pd_pair(C) -> tuple:
-    """(v1, v2, c, det) of a symmetric 2x2 covariance that passes
-    psd_eigh's strict screen."""
+    """(v1, v2, c) of a symmetric 2x2 covariance that passes psd_eigh's strict screen."""
     a = np.asarray(C.entries if isinstance(C, KernelMatrix) else C, dtype=float)
     if a.shape != (2, 2):
         raise InputFormatError("pair density needs a 2x2 covariance")
     pair = KernelMatrix(a, symmetric=True)
     psd_eigh(pair, strict=True)
     (v1, c), (_, v2) = pair.entries.tolist()
-    return v1, v2, c, v1 * v2 - c * c
+    return v1, v2, c
 
 
 def gaussian_pair_pdf(C):
-    """Vectorized density of a centered bivariate normal with covariance C."""
-    v1, v2, c, det = _pd_pair(C)
+    """Vectorized density of a centered bivariate normal with covariance C:
+    exactly C / 4^j's at (x, y) / 2^j times 4^-j, j as in assoc._pair_lattice."""
+    v1, v2, c = _pd_pair(C)
+    j = math.frexp(max(v1, v2))[1] // 2
+    v1, v2, c = (math.ldexp(v, -2 * j) for v in (v1, v2, c))
+    det = v1 * v2 - c * c
     i11, i22, i12 = v2 / det, v1 / det, -c / det
-    norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
+    norm = math.ldexp(1.0 / (2.0 * math.pi * math.sqrt(det)), -2 * j)
 
     def pdf(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x = np.ldexp(np.asarray(x, dtype=float), -j)
+        y = np.ldexp(np.asarray(y, dtype=float), -j)
         q = i11 * x * x + 2.0 * i12 * x * y + i22 * y * y
         return norm * np.exp(-0.5 * q)
 

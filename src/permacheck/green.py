@@ -18,6 +18,7 @@ from . import defaults
 from .errors import (
     InputFormatError,
     InvalidIndexError,
+    NonFiniteError,
     SingularMatrixError,
     SpectralRadiusError,
 )
@@ -29,7 +30,6 @@ __all__ = [
     "TransientChain",
     "green_from_chain",
     "is_green",
-    "HadamardReport",
     "hadamard_power",
     "PlusConstantReport",
     "plus_constant_check",
@@ -112,19 +112,8 @@ def is_green(G: KernelMatrix) -> Verdict:
     return Verdict.ok("inverse is a row-diagonally-dominant M-matrix")
 
 
-@dataclass(frozen=True)
-class HadamardReport:
-    """Entrywise power of a kernel with the Green verdict on the result."""
-
-    kernel: KernelMatrix
-    verdict: Verdict
-
-    def to_dict(self) -> dict:
-        return {"kernel": self.kernel.to_dict(), "verdict": self.verdict.to_dict()}
-
-
-def hadamard_power(G: KernelMatrix, beta: float) -> HadamardReport:
-    """Entrywise power G(i,j)^beta for beta >= 1, with is_green attached."""
+def hadamard_power(G: KernelMatrix, beta: float) -> KernelMatrix:
+    """Entrywise power G(i,j)^beta for beta >= 1; overflow raises NonFiniteError."""
     if beta < 1.0:
         raise InputFormatError(
             "entrywise powers below 1 are rejected: stability is only "
@@ -135,9 +124,12 @@ def hadamard_power(G: KernelMatrix, beta: float) -> HadamardReport:
         i, j = np.unravel_index(np.argmin(a), a.shape)
         raise InputFormatError(
             f"entrywise power needs nonnegative entries; G({i},{j}) = {a[i, j]:g}")
-    powered = np.maximum(a, 0.0) ** float(beta)
-    out = KernelMatrix(powered, symmetric=G.symmetric)
-    return HadamardReport(out, is_green(out))
+    with np.errstate(over="ignore"):
+        powered = np.maximum(a, 0.0) ** float(beta)
+    if not np.all(np.isfinite(powered)):
+        raise NonFiniteError(f"entrywise power {beta:g} of a kernel with max|G| = "
+                             f"{np.max(a):g} is not finite")
+    return KernelMatrix(powered, symmetric=G.symmetric)
 
 
 @dataclass(frozen=True)

@@ -137,14 +137,14 @@ def bapat_test(G: KernelMatrix) -> IdVerdict:
     return _inverse_certificate(G, "bapat-exact")
 
 
-def id_verdict(G: KernelMatrix, betas=None, alphas=None, m_max=None) -> IdVerdict:
+def id_verdict(G: KernelMatrix) -> IdVerdict:
     """Is the permanental vector with this kernel infinitely divisible?
 
     Prerequisites checked first: real eigenvalues nonnegative and the
     necessary sign battery.  Symmetric positive definite kernels get the
     exact signature criterion.  Otherwise: a sufficient inverse-M-matrix
-    route, then a range-bounded positivity scan (grids configurable),
-    then an honest inconclusive.  The verdict does not depend on the
+    route, then a positivity scan on the defaults table's grids, then an
+    honest inconclusive.  The verdict does not depend on the
     index beta: infinite divisibility is a property of the kernel.
     """
     eig = real_eigen_nonneg(G)
@@ -168,7 +168,7 @@ def id_verdict(G: KernelMatrix, betas=None, alphas=None, m_max=None) -> IdVerdic
                 return certificate
         except SingularMatrixError:
             pass
-    scan = beta_positivity_scan(G, betas=betas, alphas=alphas, m_max=m_max)
+    scan = beta_positivity_scan(G)
     if scan.verdict.fails:
         return IdVerdict(scan.verdict, "battery-necessary")
     return IdVerdict(

@@ -24,7 +24,6 @@ __all__ = [
     "KernelMatrix",
     "Signature",
     "kernel",
-    "identity",
     "invert",
     "resolvent",
     "psd_eigh",
@@ -55,8 +54,9 @@ class KernelMatrix:
 
     Plays the role of a covariance or permanental kernel.  symmetric=None
     infers the flag: set iff max |G - G^T| <= TOL_ALGEBRAIC * max|G|, the
-    same test a declared flag must pass.  Entries are immutable after
-    construction.
+    same test a declared flag must pass.  A symmetric kernel is stored as
+    0.5 * G + 0.5 * G^T, which cannot overflow where G + G^T can.  Entries
+    are immutable after construction.
     """
 
     entries: np.ndarray
@@ -74,7 +74,7 @@ class KernelMatrix:
                 raise InputFormatError(
                     f"symmetry flag set but max |G - G^T| = {skew:g}")
         if symmetric:
-            a = 0.5 * (a + a.T)
+            a = 0.5 * a + 0.5 * a.T
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "symmetric", bool(symmetric))
@@ -94,10 +94,6 @@ class KernelMatrix:
 def kernel(entries, symmetric: bool | None = None) -> KernelMatrix:
     """Build a KernelMatrix, inferring the symmetry flag when not declared."""
     return KernelMatrix(entries, symmetric)
-
-
-def identity(n: int) -> KernelMatrix:
-    return KernelMatrix(np.eye(n), symmetric=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +138,7 @@ def invert(G: KernelMatrix) -> KernelMatrix:
         raise SingularMatrixError(
             f"inverse residual {resid:.3e} exceeds tolerance (cond ~ {cond:.3e})", cond)
     if G.symmetric:
-        h = 0.5 * (h + h.T)
+        h = 0.5 * h + 0.5 * h.T
     return KernelMatrix(h, symmetric=G.symmetric)
 
 
@@ -163,7 +159,7 @@ def _resolvents(G: KernelMatrix, alphas) -> np.ndarray:
                 f"I + {alpha}*G is singular or ill-conditioned (cond ~ {cond:.3e})", cond)
     r = np.linalg.solve(lhs, a)
     if G.symmetric:
-        r = 0.5 * (r + r.swapaxes(1, 2))
+        r = 0.5 * r + 0.5 * r.swapaxes(1, 2)
     r[alphas == 0] = a
     return r
 
@@ -223,20 +219,24 @@ def sign_product_violation(a: np.ndarray):
     -TOL_ALGEBRAIC*scale^3 is a violation, returned as
     (kind, indices, value) with kind "pair" or "triple".  The floor of 1
     stays, unlike the relative screens: the benchmark's oracle
-    (bench/oracle.py) mirrors this test to pin battery verdicts.
+    (bench/oracle.py) mirrors this test to pin battery verdicts.  A
+    threshold that overflows raises OverflowError before the products
+    it bounds are formed.
     """
     scale = max(1.0, float(np.max(np.abs(a))))
+    pair_floor = -defaults.TOL_ALGEBRAIC * scale ** 2
     pairs = a * a.T
-    bad = np.triu(pairs < -defaults.TOL_ALGEBRAIC * scale ** 2, 1)
+    bad = np.triu(pairs < pair_floor, 1)
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         return "pair", (int(i), int(j)), float(pairs[i, j])
+    triple_floor = -defaults.TOL_ALGEBRAIC * scale ** 3
     at = a.T
     # triples[i, j, k] = (a[j, i] * a[j, k]) * a[k, i], the loop's order
     triples = (at[:, :, None] * a[None, :, :]) * at[:, None, :]
     ne = ~np.eye(a.shape[0], dtype=bool)
     distinct = ne[:, :, None] & ne[None, :, :] & ne[:, None, :]
-    bad = distinct & (triples < -defaults.TOL_ALGEBRAIC * scale ** 3)
+    bad = distinct & (triples < triple_floor)
     if bad.any():
         i, j, k = np.unravel_index(np.argmax(bad), bad.shape)
         return "triple", (int(i), int(j), int(k)), float(triples[i, j, k])

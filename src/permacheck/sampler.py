@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .errors import InputFormatError, InvalidIndexError, NotPSDError
+from .errors import InputFormatError, InvalidIndexError, NonFiniteError, NotPSDError
 from .matcore import KernelMatrix, psd_eigh
 
 __all__ = [
@@ -70,7 +70,8 @@ class SampleBatch:
 
     kind is "gaussian" (draws are eta) or "permanental" (draws are psi,
     nonnegative).  alpha records the tilt; weighted averages estimate
-    expectations under the alpha-resolvent kernel.
+    expectations under the alpha-resolvent kernel.  Draws that are not
+    finite, as from a sampler's overflow, raise NonFiniteError.
     """
 
     draws: np.ndarray
@@ -87,7 +88,7 @@ class SampleBatch:
             raise InputFormatError("draws must be a nonempty N x n matrix")
         # min and max propagate NaN, so this checks every draw without a copy
         if not (np.isfinite(np.min(d)) and np.isfinite(np.max(d))):
-            raise InputFormatError("draws must be finite")
+            raise NonFiniteError("draws must be finite")
         if w.shape != (d.shape[0],) or not np.all(np.isfinite(w) & (w >= 0)):
             raise InputFormatError("weights must be N finite nonnegative reals")
         if abs(float(w.sum()) - d.shape[0]) > 1e-6 * d.shape[0]:
@@ -211,9 +212,10 @@ def sample_permanental(spec: PermanentalSpec, n_draws: int, seed: int) -> Sample
     n_draws = _draw_count(n_draws)
     k = spec.k
     psi = np.zeros((n_draws, spec.kernel.dim))  # +0.0 + eta is eta, bit for bit
-    for rows, eta in _gaussian_blocks(_sqrt_factor(spec.kernel), n_draws, k, seed):
-        eta *= eta
-        psi[rows] += eta
+    with np.errstate(over="ignore"):  # SampleBatch rejects draws that overflow
+        for rows, eta in _gaussian_blocks(_sqrt_factor(spec.kernel), n_draws, k, seed):
+            eta *= eta
+            psi[rows] += eta
     return SampleBatch(psi, np.ones(n_draws), int(seed), spec, kind="permanental")
 
 
@@ -337,4 +339,7 @@ def load_batch(path) -> SampleBatch:
         for a in (draws, weights):
             if fh.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:
                 raise InputFormatError("batch body ended early")
-    return SampleBatch(draws, weights, seed, spec, kind=kind, alpha=alpha)
+    try:
+        return SampleBatch(draws, weights, seed, spec, kind=kind, alpha=alpha)
+    except NonFiniteError as exc:
+        raise InputFormatError(f"batch file: {exc}") from exc

@@ -315,7 +315,7 @@ def test_criterion_7_green_stability(capsys):
     hadamard_bad = 0
     for G in greens:
         for beta in (1.5, 2.0, 3.0):
-            if not hadamard_power(G, beta).verdict.holds:
+            if not is_green(hadamard_power(G, beta)).holds:
                 hadamard_bad += 1
     restrict_bad = 0
     for G in greens[:50]:

@@ -2,10 +2,12 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from permacheck.cli import _build_parser, parse_and_dispatch, report_render
 
 TRI3 = [[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]]
 MIX3 = [[1.0, -0.31, 0.58], [-0.31, 1.0, 0.58], [0.58, 0.58, 1.0]]
+PSD_SINGULAR3 = [[2.0, 1.0, 1.0], [1.0, 2.0, -1.0], [1.0, -1.0, 2.0]]
+NONSYM3 = [[2.0, 0.5, 0.2], [0.3, 2.0, 0.4], [0.1, 0.6, 2.0]]
 
 
 @pytest.fixture
@@ -296,13 +300,13 @@ class TestBadInputs:
         assert code == 3
         assert _one_json_error(err) == {"error": "AttributeError", "message": "boom"}
 
-    @pytest.mark.parametrize("value", ["-3", "x", str(2 ** 64)])
-    def test_bad_env_seed_is_two(self, value, matrices, monkeypatch, capsys, tmp_path):
-        monkeypatch.setenv("PERMACHECK_SEED", value)
-        code, _, err = run_cli(["sample", "--kernel", matrices["g2"], "--n", "10",
-                                "--out", str(tmp_path / "x.bin")], capsys)
-        assert code == 2
-        assert "PERMACHECK_SEED" in _one_json_error(err)["message"]
+    @pytest.mark.parametrize("option", [["--betas", "0.5"], ["--alphas", "0:1:0.5"],
+                                        ["--m-max", "3"]])
+    def test_check_id_takes_no_scan_grid(self, option, matrices, capsys):
+        # the fallback scan runs on the defaults table's grids; scan takes custom ones
+        code, out, err = run_cli(["check-id", "--input", matrices["g2"]] + option, capsys)
+        assert (code, out) == (2, "")
+        assert _one_json_error(err)["error"] == "UsageError"
 
     def test_whole_float_count_accepted(self, matrices, capsys, tmp_path):
         code, out, _ = run_cli(["sample", "--kernel", matrices["g2"], "--n", "1e2",
@@ -385,7 +389,6 @@ _COUNTS = st.sampled_from(["10", "2.5", "nan", "1e1", "0", "-5", "x", "12"])
 _KEEPS = st.sampled_from(["0", "0,1", "1,0", "0,0", "5", "-1", "a", ""])
 _COMMANDS = st.one_of(
     st.just(["check-id", "--input", "{m}"]),
-    st.builds(lambda g: ["check-id", "--input", "{m}", "--alphas", g, "--m-max", "2"], _GRIDS),
     st.builds(lambda g: ["scan", "--input", "{m}", "--betas", g, "--m-max", "2"], _GRIDS),
     st.builds(lambda b: ["perm", "--input", "{m}", "--beta", b],
               st.sampled_from(["1", "-1", "0.5", "nan", "x"])),
@@ -418,8 +421,6 @@ _PD2 = st.builds(
 _GOOD_GRIDS = st.sampled_from(["0:1:0.5", "0,0.5,1", "0.5", "0:2:1"])
 _VALID = st.one_of(
     st.tuples(st.just(["check-id", "--input", "{m}"]), _SQUARE),
-    st.tuples(st.builds(lambda g: ["check-id", "--input", "{m}", "--alphas", g,
-                                   "--m-max", "2"], _GOOD_GRIDS), _SQUARE),
     st.tuples(st.builds(lambda g, m: ["scan", "--input", "{m}", "--betas", g,
                                       "--m-max", m],
                         st.sampled_from(["0.1:0.5:0.2", "0.5,1", "2"]),
@@ -441,8 +442,10 @@ _VALID = st.one_of(
 )
 
 
-def _contract_exit_code(tmp_path, capsys, argv, text) -> int:
-    """Runs argv on a matrix file holding text and checks the CLI contract."""
+def _contract_exit_code(tmp_path, capsys, argv, text) -> tuple:
+    """Runs argv on a matrix file holding text and checks the CLI contract.
+
+    Returns the exit code and the JSON error object, or None."""
     (tmp_path / "m.txt").write_text(text)
     report = tmp_path / "report.json"
     report.unlink(missing_ok=True)
@@ -452,18 +455,16 @@ def _contract_exit_code(tmp_path, capsys, argv, text) -> int:
         code, _, err = run_cli(argv + ["--report", report], capsys)
     # a warning would reach a real run's stderr beside the JSON error
     assert not caught, [str(w.message) for w in caught]
-    event(f"exit {code}")
     assert code in (0, 1, 2, 3, 4)
     if code in (2, 3):
-        _one_json_error(err)
-        return code
+        return code, _one_json_error(err)
     assert err == ""
     verdict = json.loads(report.read_text())["result"].get("verdict", {})
     if code == 1:
         assert verdict["status"] == "fails" and verdict["witness"]
     else:
         assert verdict.get("status") != "fails"
-    return code
+    return code, None
 
 
 class TestContract:
@@ -472,7 +473,7 @@ class TestContract:
                                      HealthCheck.too_slow])
     @given(_COMMANDS, _MATRIX_TEXT)
     def test_exit_code_report_and_stderr(self, tmp_path, capsys, argv, text):
-        _contract_exit_code(tmp_path, capsys, argv, text)
+        event(f"exit {_contract_exit_code(tmp_path, capsys, argv, text)[0]}")
 
     def test_valid_inputs_reach_a_verdict(self, tmp_path, capsys):
         codes = []
@@ -481,10 +482,43 @@ class TestContract:
                   suppress_health_check=[HealthCheck.too_slow])
         @given(_VALID)
         def check(case):
-            codes.append(_contract_exit_code(tmp_path, capsys, *case))
+            codes.append(_contract_exit_code(tmp_path, capsys, *case)[0])
+            event(f"exit {codes[-1]}")
 
         check()
         assert codes.count(2) <= len(codes) / 3, codes
+
+    @pytest.mark.parametrize("argv, entries", [
+        (["perm", "--input", "{m}", "--beta", "1e200"], [[2, 1, 0.5], [1, 2, 1], [0.5, 1, 2]]),
+        (["perm", "--input", "{m}", "--beta", "1"], 1e300 * np.array(MIX3)),
+        (["green", "power", "--input", "{m}", "--beta", "1000", "--out", "{dir}/p.csv"],
+         [[3, 1], [1, 3]]),
+        (["check-id", "--input", "{m}"], 1e110 * np.array(PSD_SINGULAR3)),
+        (["check-id", "--input", "{m}"], 1e160 * np.array(PSD_SINGULAR3)),
+        (["check-id", "--input", "{m}"], 1e160 * np.array(NONSYM3)),
+        (["scan", "--input", "{m}"], 1e300 * np.array(MIX3)),
+        (["sample", "--kernel", "{m}", "--n", "10", "--out", "{dir}/x.bin"],
+         1e308 * np.eye(2)),
+        (["check-assoc", "--kernel", "{m}", "--n", "100"], 1e308 * np.eye(2)),
+    ], ids=["perm-big-beta", "perm-huge", "power", "psd-1e110", "psd-1e160",
+            "nonsym-1e160", "scan-huge", "sample-1e308", "assoc-1e308"])
+    def test_value_that_is_not_finite_is_three(self, argv, entries, tmp_path, capsys):
+        # each once exited 0 with inf or NaN, or 2 or 3 with the wrong error
+        # and an overflow warning on stderr
+        code, error = _contract_exit_code(tmp_path, capsys, argv,
+                                          _json_text(np.array(entries, dtype=float)))
+        assert (code, error["error"]) == (3, "NonFiniteError")
+
+    def test_report_that_is_not_json_is_three(self, monkeypatch, capsys):
+        # json.dumps wrote Infinity, which no JSON parser reads
+        import permacheck.cli as cli
+
+        monkeypatch.setattr(cli, "shifted_pair_id_test",
+                            lambda *args: cli.Verdict.fail({"c": math.inf}, "stub"))
+        code, out, err = run_cli(["check-shifted-pair", "--vx", "1", "--c", "0",
+                                  "--vy", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert _one_json_error(err)["error"] == "NonFiniteError"
 
 
 _IMPORT_PROBE = """
@@ -683,31 +717,21 @@ class TestSample:
         assert batch.draws.shape == (250, 2)
         assert batch.kind == "permanental"
 
-    def test_env_seed_reproducible(self, matrices, tmp_path):
+    def test_seed_comes_only_from_the_option(self, matrices, tmp_path):
+        # --seed is the only way in: its default is the defaults table's
+        # seed, and an environment variable that once took its place is ignored
         files = []
-        for tag in ("a", "b"):
-            out = tmp_path / f"{tag}.bin"
-            env = dict(os.environ, PERMACHECK_SEED="777")
+        for tag, seed_args in (("env", []), ("option", ["--seed", "20260814"])):
+            out, report = tmp_path / f"{tag}.bin", tmp_path / f"{tag}.json"
             cmd = [sys.executable, "-m", "permacheck.cli", "sample",
                    "--kernel", matrices["g2"], "--k", "1", "--n", "100",
-                   "--out", str(out)]
-            proc = subprocess.run(cmd, capture_output=True, env=env)
+                   "--out", str(out), "--report", str(report)] + seed_args
+            proc = subprocess.run(cmd, capture_output=True,
+                                  env=dict(os.environ, PERMACHECK_SEED="777"))
             assert proc.returncode == 0, proc.stderr
             files.append(out.read_bytes())
+            assert json.loads(report.read_text())["inputs"]["seed"] == 20260814
         assert files[0] == files[1]
-
-    def test_explicit_seed_beats_env(self, matrices, tmp_path):
-        outs = []
-        for seed_args, tag in ((["--seed", "1"], "x"), ([], "y")):
-            out = tmp_path / f"{tag}.bin"
-            env = dict(os.environ, PERMACHECK_SEED="2")
-            cmd = [sys.executable, "-m", "permacheck.cli", "sample",
-                   "--kernel", matrices["g2"], "--k", "1", "--n", "100",
-                   "--out", str(out)] + seed_args
-            proc = subprocess.run(cmd, capture_output=True, env=env)
-            assert proc.returncode == 0, proc.stderr
-            outs.append(out.read_bytes())
-        assert outs[0] != outs[1]
 
 
 class TestChecks:
@@ -893,6 +917,27 @@ class TestWiring:
         code, _, err = run_cli(argv + ["--report", report], capsys)
         assert (code, err) == (0, "")
         assert json.loads(report.read_text())["command"] == path
+
+    def test_readme_cli_table_matches_the_parser(self):
+        # each row of the README's CLI reference names a leaf and its options
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## CLI reference", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `([^`]*)` \|", table, flags=re.MULTILINE)
+        documented = {}
+        for usage in rows:
+            path = " ".join(re.match(r"[a-z -]*?(?= --|$)", usage).group(0).split())
+            documented[path] = set(re.findall(r"--[a-z][a-z-]*", usage))
+        leaves = {}
+        for path in _leaf_paths(_build_parser()):
+            leaf = _build_parser()
+            for name in path.split():
+                sub = next(a for a in leaf._actions
+                           if isinstance(a, argparse._SubParsersAction))
+                leaf = sub.choices[name]
+            leaves[path] = {o for a in leaf._actions for o in a.option_strings
+                            if o.startswith("--")} - {"--help", "--report"}
+        assert len(rows) == len(documented) == 15
+        assert documented == leaves
 
     def test_plus_c_default_grid_is_the_library_grid(self, matrices, capsys):
         results = []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import chi2, ncx2
@@ -86,6 +88,33 @@ class TestSquaredPairDensity:
         vals = h(grid[:, None], grid[None, :])
         total = np.trapezoid(np.trapezoid(vals, grid, axis=1), grid)
         assert total == pytest.approx(1.0, abs=2e-3)
+
+    @pytest.mark.parametrize("j", [-300, -200, -80, 80, 200, 300])
+    def test_oracles_scale_exactly(self, j):
+        # 4^j C with shift 2^j r is the same pair in other units; computed
+        # on the unscaled covariance, the determinant overflowed (NaN) or
+        # underflowed from |j| of about 256 on
+        rng = np.random.default_rng(45)
+        for _ in range(50):
+            v1, v2 = rng.uniform(0.1, 5.0, 2)
+            c = rng.uniform(-0.95, 0.95) * math.sqrt(v1 * v2)
+            cov, r = np.array([[v1, c], [c, v2]]), rng.uniform(0.0, 2.0)
+            s, t = rng.uniform(0.01, 8.0, (2, 30))
+            big = np.ldexp(cov, 2 * j)
+            x, y = s - r, t - r
+            pdf = gaussian_pair_pdf(big)(np.ldexp(x, j), np.ldexp(y, j))
+            assert np.array_equal(pdf, np.ldexp(gaussian_pair_pdf(cov)(x, y), -2 * j))
+            if abs(j) > 200:
+                continue  # 4^-2j times a squared-pair density leaves the normal range
+            h = squared_pair_density(cov, r)(s, t)
+            scaled = squared_pair_density(big, math.ldexp(r, j))(np.ldexp(s, 2 * j),
+                                                                 np.ldexp(t, 2 * j))
+            assert np.array_equal(scaled, np.ldexp(h, -4 * j))
+
+    def test_huge_pair_density_is_finite(self):
+        value = squared_pair_density(1e160 * np.array([[1.0, -0.5], [-0.5, 1.0]]),
+                                     5e79)(1e160, 1e160)
+        assert 0.0 < value < 1e-300
 
     def test_axis_evaluation_rejected(self):
         h = squared_pair_density(C)

@@ -8,6 +8,8 @@ from numpy.testing import assert_allclose
 from permacheck import (
     InputFormatError,
     InvalidIndexError,
+    KernelMatrix,
+    NonFiniteError,
     SpectralRadiusError,
     TransientChain,
     Verdict,
@@ -127,15 +129,15 @@ class TestIsGreen:
 class TestHadamardPower:
     def test_unit_power_is_identity_map(self):
         g = kernel([[4 / 3, 2 / 3], [2 / 3, 4 / 3]])
-        rep = hadamard_power(g, 1.0)
-        assert_allclose(rep.kernel.entries, g.entries)
+        assert_allclose(hadamard_power(g, 1.0).entries, g.entries)
 
     def test_square_power_exact(self):
         g = kernel([[4 / 3, 2 / 3], [2 / 3, 4 / 3]])
-        rep = hadamard_power(g, 2.0)
-        assert_allclose(rep.kernel.entries,
+        powered = hadamard_power(g, 2.0)
+        assert isinstance(powered, KernelMatrix) and powered.symmetric
+        assert_allclose(powered.entries,
                         [[16 / 9, 4 / 9], [4 / 9, 16 / 9]], rtol=1e-14)
-        assert rep.verdict.holds
+        assert is_green(powered).holds
 
     def test_powers_of_potentials_stay_green(self):
         rng = np.random.default_rng(34)
@@ -143,7 +145,7 @@ class TestHadamardPower:
             n = int(rng.integers(2, 6))
             g = kernel(random_green(rng, n))
             for beta in (1.5, 2.0, 3.0):
-                assert hadamard_power(g, beta).verdict.holds
+                assert is_green(hadamard_power(g, beta)).holds
 
     def test_fractional_power_below_one_rejected(self):
         with pytest.raises(InputFormatError):
@@ -152,6 +154,12 @@ class TestHadamardPower:
     def test_negative_entries_rejected(self):
         with pytest.raises(InputFormatError):
             hadamard_power(kernel([[1.0, -0.5], [-0.5, 1.0]]), 2.0)
+
+    def test_power_that_overflows_raises_non_finite(self):
+        # 3^1000 once became inf with a RuntimeWarning, and the kernel
+        # check then called the valid input malformed
+        with pytest.raises(NonFiniteError, match="entrywise power 1000"):
+            hadamard_power(kernel([[3.0, 1.0], [1.0, 3.0]]), 1000.0)
 
 
 class TestPlusConstant:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from permacheck import (
     SingularMatrixError,
     Verdict,
     dumps_matrix,
-    identity,
     invert,
     is_green,
     kernel,
@@ -43,6 +43,16 @@ class TestKernelMatrix:
         assert kernel([[1, 0.5], [0.5, 1]]).symmetric
         assert not kernel([[1, 2], [0.5, 1]]).symmetric
 
+    @pytest.mark.parametrize("a", [[[1e308, 0.0], [0.0, 1e308]],
+                                   [[1e308, 1.5e308], [1.5e308, 1e308]]])
+    def test_huge_finite_kernel_stays_finite(self, a):
+        # symmetrising as 0.5 * (G + G^T) once overflowed to inf, with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            G = kernel(a)
+        assert G.symmetric
+        assert np.array_equal(G.entries, a)
+
     def test_entries_are_immutable(self):
         G = kernel([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
@@ -51,7 +61,7 @@ class TestKernelMatrix:
 
 class TestInvert:
     def test_identity(self):
-        assert_allclose(invert(identity(3)).entries, np.eye(3))
+        assert_allclose(invert(kernel(np.eye(3))).entries, np.eye(3))
 
     def test_diagonal_reciprocal(self):
         H = invert(kernel([[2.0, 0.0], [0.0, 4.0]]))
@@ -111,7 +121,7 @@ class TestResolvent:
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(InputFormatError):
-            resolvent(identity(2), -0.5)
+            resolvent(kernel(np.eye(2)), -0.5)
 
     def test_singular_shift_raises(self):
         with pytest.raises(SingularMatrixError):
@@ -164,7 +174,7 @@ class TestResolvent:
 
 class TestRealEigenNonneg:
     def test_identity_holds(self):
-        assert real_eigen_nonneg(identity(4)).holds
+        assert real_eigen_nonneg(kernel(np.eye(4))).holds
 
     def test_rotation_vacuous(self):
         # eigenvalues +-i: no real eigenvalue, condition holds vacuously
@@ -181,7 +191,7 @@ class TestIsMMatrix:
     matrix named."""
 
     def test_identity(self):
-        assert is_green(identity(3)).holds
+        assert is_green(kernel(np.eye(3))).holds
 
     def test_dominant_example(self):
         assert is_green(kernel(np.linalg.inv([[1.0, -0.4], [-0.4, 1.0]]))).holds
