@@ -42,8 +42,9 @@ class IncreasingFunctionFamily:
     """Named coordinatewise-nondecreasing functions of a draw matrix.
 
     members: tuple of at least two (name, callable); each callable maps
-    an N x n draw matrix to N per-draw values and is nondecreasing in
-    every coordinate.
+    an N x n draw matrix to N per-draw values, each depending only on its
+    draw (the association test calls members on row blocks of the draws),
+    and is nondecreasing in every coordinate.
     """
 
     members: tuple
@@ -118,24 +119,6 @@ def default_family(reference_draws) -> IncreasingFunctionFamily:
     return IncreasingFunctionFamily(tuple(members))
 
 
-def _pair_cov(f: tuple, h: tuple, starts: np.ndarray, rest: np.ndarray,
-              buffer: np.ndarray) -> tuple:
-    """Covariance estimate and delete-block jackknife standard error of
-    two members, each given as (values, mean, delete-block means);
-    buffer receives the products."""
-    (x, mean_x, loo_x), (y, mean_y, loo_y) = f, h
-    n = x.size
-    blocks = starts.size
-    # BLAS picks its kernel by memory layout, so the dot runs on the arrays
-    # the members returned: a contiguous copy or a Gram matrix moves bits
-    dot = x @ y
-    cov = float(dot / n - mean_x * mean_y)
-    np.multiply(x, y, out=buffer)
-    loo = (float(dot) - np.add.reduceat(buffer, starts)) / rest - loo_x * loo_y
-    se = float(np.sqrt((blocks - 1) / blocks * np.sum((loo - loo.mean()) ** 2)))
-    return cov, se
-
-
 @dataclass(frozen=True)
 class AssociationReport:
     """Per-pair covariance estimates with jackknife z-scores."""
@@ -163,7 +146,9 @@ def association_mc_test(spec: PermanentalSpec, family=None,
     noise around zero both count as holds-within-CI.  Each family member
     must give one finite value per draw, and n_draws must be a whole
     number of at least 2; otherwise InputFormatError is raised before any
-    pair is formed.
+    pair is formed.  Only the column sums and Gram matrix V.T @ V of each
+    jackknife block's member values V are kept; a statistic that is not
+    finite raises NonFiniteError.
     """
     seed = defaults.DEFAULT_SEED if seed is None else int(seed)
     batch = sample_permanental(spec, n_draws, seed)
@@ -174,28 +159,41 @@ def association_mc_test(spec: PermanentalSpec, family=None,
         raise InputFormatError("the jackknife needs at least two draws")
     blocks = min(defaults.JACKKNIFE_BLOCKS, n)
     edges = np.linspace(0, n, blocks + 1).astype(int)
-    starts, rest = edges[:-1], n - np.diff(edges)
-    members = []
-    for name, f in family.members:
-        values = np.asarray(f(batch.draws), dtype=float)
-        if values.shape != (n,) or not np.all(np.isfinite(values)):
-            raise InputFormatError(
-                f"family member {name!r} must give {n} finite values, "
-                f"one per draw")
-        # what the jackknife of every pair needs from this member alone
-        loo_mean = (values.sum() - np.add.reduceat(values, starts)) / rest
-        members.append((name, (values, values.mean(), loo_mean)))
-    buffer = np.empty(n)
-    rows = []
-    worst = None
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            (fn, fx), (hn, hy) = members[a], members[b]
-            cov, se = _pair_cov(fx, hy, starts, rest, buffer)
-            z = cov / se if se > 0 else 0.0
-            rows.append({"f": fn, "h": hn, "cov": cov, "se": se, "z": z})
-            if worst is None or z < worst["z"]:
-                worst = rows[-1]
+    names = [name for name, _ in family.members]
+    sums = np.empty((blocks, len(names)))
+    grams = np.empty((blocks, len(names), len(names)))
+    rest = n - np.diff(edges)
+    # overflow leaves inf or NaN, which the check below turns into an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            v = np.empty((hi - lo, len(names)))
+            for j, (name, f) in enumerate(family.members):
+                values = np.asarray(f(batch.draws[lo:hi]), dtype=float)
+                if values.shape != (hi - lo,) or not np.all(np.isfinite(values)):
+                    raise InputFormatError(
+                        f"family member {name!r} must give one finite value per draw")
+                v[:, j] = values
+            sums[b] = v.sum(axis=0)
+            grams[b] = v.T @ v
+        total, gram = sums.sum(axis=0), grams.sum(axis=0)
+        cov = gram / n - np.multiply.outer(total / n, total / n)
+        loo_mean = (total - sums) / rest[:, None]
+        loo = ((gram - grams) / rest[:, None, None]
+               - loo_mean[:, :, None] * loo_mean[:, None, :])
+        dev = loo - loo.mean(axis=0)
+        # squares of deviations divided by a power of two per pair stay
+        # finite at any kernel scale; the division is exact
+        scale = np.frexp(np.abs(dev).max(axis=0))[1]
+        ss = (np.ldexp(dev, -scale) ** 2).sum(axis=0)
+        se = np.ldexp(np.sqrt((blocks - 1) / blocks * ss), scale)
+        z = np.divide(cov, se, out=np.zeros_like(cov), where=se > 0)
+    iu, ju = np.triu_indices(len(names), 1)  # pairs a < b, row-major
+    cov, se, z = cov[iu, ju], se[iu, ju], z[iu, ju]
+    if not np.isfinite([cov, se, z]).all():
+        raise NonFiniteError("the association statistics are not finite")
+    rows = [{"f": names[a], "h": names[b], "cov": c, "se": s, "z": t}
+            for a, b, c, s, t in zip(iu, ju, cov.tolist(), se.tolist(), z.tolist())]
+    worst = rows[int(np.argmin(z))]
     bad = [r for r in rows if r["z"] <= defaults.Z_THRESHOLD]
     if bad:
         verdict = Verdict.fail(

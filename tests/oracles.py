@@ -379,58 +379,84 @@ def naive_default_family(x, quantiles, slope: float) -> list:
     return members
 
 
-def naive_jackknife_cov(x, y, blocks: int) -> tuple:
-    """Covariance estimate and delete-block jackknife standard error of
-    one pair, every sum taken afresh."""
-    n = x.size
-    blocks = min(blocks, n)
-    cov = float(x @ y / n - x.mean() * y.mean())
-    edges = np.linspace(0, n, blocks + 1).astype(int)
-    sx = np.add.reduceat(x, edges[:-1])
-    sy = np.add.reduceat(y, edges[:-1])
-    sxy = np.add.reduceat(x * y, edges[:-1])
-    sizes = np.diff(edges)
-    tx, ty, txy = x.sum(), y.sum(), float(x @ y)
-    rest = n - sizes
-    mx = (tx - sx) / rest
-    my = (ty - sy) / rest
-    loo = (txy - sxy) / rest - mx * my
-    se = float(np.sqrt((blocks - 1) / blocks * np.sum((loo - loo.mean()) ** 2)))
-    return cov, se
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) with u = 2^-53."""
+    u = 2.0 ** -53
+    return k * u / (1 - k * u)
 
 
-def naive_association_rows(draws, members, blocks: int) -> list:
-    """Rows {"f", "h", "cov", "se", "z"} of the association test, one
-    naive_jackknife_cov call per pair of members, pairs in member order."""
+def fsum_association_rows(draws, members, blocks: int) -> list:
+    """Rows {"f", "h", "cov", "se", "z", "cov_tol", "se_tol"} of the
+    association test, pairs in member order, every sum a math.fsum.
+
+    The sums are the totals of x, y and x*y over the N draws and over each
+    of B = min(blocks, N) row blocks cut at np.linspace edges; the
+    statistics are the library's formulas on them.  cov_tol and se_tol
+    bound |library - reference| whatever order the library sums in.
+
+    The bound.  u = 2^-53, gamma_k = k u / (1 - k u), m is the largest
+    block, r = N - m the smallest delete-block count, A = sum |x_i y_i|,
+    X = sum |x_i|, Y = sum |y_i|.  A dot product of p terms, in any order
+    and with or without FMA, errs by at most gamma_p times the sum of the
+    absolute products (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1); a later sum, product, division or
+    subtraction adds one rounding, and gamma_a + gamma_b <= gamma_(a+b).
+
+    - cov = Q/N - (T_x/N)(T_y/N).  In the library a block's Gram entry
+      errs by gamma_m A and their total Q over B blocks by
+      gamma_(m+B-1) A, T_x by gamma_(m+B-2) X; the product of the two
+      means doubles that, so cov errs by gamma_(2(m+B)) C with
+      C = A/N + X Y / N^2.  The reference rounds each product x_i y_i and
+      each fsum once: gamma_8 C.  So cov_tol = gamma_(2(m+B)+8) C.
+    - Block b's delete-block covariance uses the rest sums Q - P_b and
+      T - S_b and divides by r_b >= r.  It errs by gamma_(4m+2B+2) L with
+      L = A/r + X Y / r^2, which bounds every delete-block value, and by
+      gamma_16 L in the reference.  The mean over B blocks adds gamma_B L
+      and the deviation d_b one rounding of a value below 2 L, so d_b errs
+      by gamma_(8m+5B+7) L, and gamma_37 L in the reference.
+    - se = sqrt((B-1)/B sum d_b^2) moves by at most sqrt(B) max|error of
+      d_b| when d moves, and the squares, their sum, the factor and the
+      root add a relative gamma_(B+5) in the library, gamma_6 in the
+      reference.  With E = sqrt(B) gamma_(8m+5B+44) L, both sides are
+      below 3 (se + E), so se_tol = E + 3 gamma_(B+6) (se + E).  Dividing
+      the deviations by a power of two is exact but for underflow, which
+      moves se by less than 2^-1000 L.
+    """
     values = [(name, np.asarray(f(draws), dtype=float)) for name, f in members]
+    n = len(draws)
+    blocks = min(blocks, n)
+    edges = np.linspace(0, n, blocks + 1).astype(int)
+    spans = list(zip(edges[:-1], edges[1:]))
+    m = int(np.diff(edges).max())
+    r = n - m
+    cov_gamma, dev_gamma = _gamma(2 * (m + blocks) + 8), _gamma(8 * m + 5 * blocks + 44)
+
+    def sums(v):
+        """Total, block totals and absolute total of v, each correctly rounded."""
+        v = v.tolist()
+        return (math.fsum(v), [math.fsum(v[lo:hi]) for lo, hi in spans],
+                math.fsum(map(abs, v)))
+
+    member_sums = [sums(v) for _, v in values]
     rows = []
     for a in range(len(values)):
         for b in range(a + 1, len(values)):
-            (fn, fx), (hn, hy) = values[a], values[b]
-            cov, se = naive_jackknife_cov(fx, hy, blocks)
-            z = cov / se if se > 0 else 0.0
-            rows.append({"f": fn, "h": hn, "cov": cov, "se": se, "z": z})
+            (fn, x), (hn, y) = values[a], values[b]
+            (tx, sx, ax), (ty, sy, ay) = member_sums[a], member_sums[b]
+            txy, sxy, axy = sums(x * y)
+            cov = txy / n - (tx / n) * (ty / n)
+            loo = []
+            for (lo, hi), bx, by, bxy in zip(spans, sx, sy, sxy):
+                rest = n - (hi - lo)
+                loo.append((txy - bxy) / rest - ((tx - bx) / rest) * ((ty - by) / rest))
+            mean = math.fsum(loo) / blocks
+            se = math.sqrt((blocks - 1) / blocks * math.fsum((v - mean) ** 2 for v in loo))
+            dev_part = math.sqrt(blocks) * dev_gamma * (axy / r + ax * ay / r ** 2)
+            rows.append({"f": fn, "h": hn, "cov": cov, "se": se,
+                         "z": cov / se if se > 0 else 0.0,
+                         "cov_tol": cov_gamma * (axy / n + ax * ay / n ** 2),
+                         "se_tol": dev_part + 3 * _gamma(blocks + 6) * (se + dev_part)})
     return rows
-
-
-def naive_association_report(draws, members, blocks: int, z_threshold: float,
-                             seed: int) -> dict:
-    """The association report as a dict: naive_association_rows, then
-    `fails` with the first pair at or below z_threshold, else `holds`
-    naming the first pair of lowest z."""
-    rows = naive_association_rows(draws, members, blocks)
-    bad = [r for r in rows if r["z"] <= z_threshold]
-    if bad:
-        verdict = {"status": "fails",
-                   "witness": {"pair": [bad[0]["f"], bad[0]["h"]], "z": bad[0]["z"],
-                               "cov": bad[0]["cov"], "se": bad[0]["se"]},
-                   "detail": f"{len(bad)} pair(s) below the z threshold {z_threshold}"}
-    else:
-        worst = min(rows, key=lambda r: r["z"])
-        verdict = {"status": "holds",
-                   "detail": "no covariance below the z threshold; worst pair "
-                             f"({worst['f']},{worst['h']}) at z = {worst['z']:.2f}"}
-    return {"verdict": verdict, "pairs": rows, "n_draws": len(draws), "seed": seed}
 
 
 def loop_random_scalings(n: int, count: int, seed: int) -> list:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import permacheck
 from permacheck import (
     TransientChain,
     green_from_chain,
@@ -500,8 +501,10 @@ class TestContract:
         (["sample", "--kernel", "{m}", "--n", "10", "--out", "{dir}/x.bin"],
          1e308 * np.eye(2)),
         (["check-assoc", "--kernel", "{m}", "--n", "100"], 1e308 * np.eye(2)),
+        (["check-assoc", "--kernel", "{m}", "--n", "20000", "--seed", "1"],
+         1e160 * np.array([[1.0, 0.5], [0.5, 1.0]])),
     ], ids=["perm-big-beta", "perm-huge", "power", "psd-1e110", "psd-1e160",
-            "nonsym-1e160", "scan-huge", "sample-1e308", "assoc-1e308"])
+            "nonsym-1e160", "scan-huge", "sample-1e308", "assoc-1e308", "assoc-1e160"])
     def test_value_that_is_not_finite_is_three(self, argv, entries, tmp_path, capsys):
         # each once exited 0 with inf or NaN, or 2 or 3 with the wrong error
         # and an overflow warning on stderr
@@ -734,6 +737,43 @@ class TestSample:
         assert files[0] == files[1]
 
 
+_COMMANDS_PROBE = """
+import json
+import sys
+from permacheck.cli import parse_and_dispatch
+for argv in json.loads(sys.argv[1]):
+    assert parse_and_dispatch(argv) == 0, argv
+"""
+
+
+class TestThreadCount:
+    def test_reports_do_not_depend_on_blas_threads(self, matrices, tmp_path):
+        # a BLAS dot over all N draws splits its sum across threads, so
+        # covariances once moved in the last bits with OPENBLAS_NUM_THREADS
+        g4 = tmp_path / "g4.csv"
+        save_matrix(kernel(np.linalg.inv(2.3 * np.eye(4) - 0.3)), g4)
+        # the probe runs in each output directory, so it needs an absolute path
+        package_root = str(Path(permacheck.__file__).parents[1])
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            # relative output paths, since reports echo them
+            argvs = [["check-assoc", "--kernel", str(g), "--k", "1", "--n", "2e4",
+                      "--seed", "7", "--report", f"assoc{n}.json"]
+                     for n, g in ((2, matrices["g2"]), (4, g4))]
+            argvs.append(["sample", "--kernel", str(g4), "--k", "2", "--n", "2e4",
+                          "--seed", "7", "--out", "s.bin", "--report", "sample.json"])
+            proc = subprocess.run([sys.executable, "-c", _COMMANDS_PROBE, json.dumps(argvs)],
+                                  capture_output=True, text=True, cwd=out,
+                                  env=dict(os.environ, PYTHONPATH=package_root,
+                                           OPENBLAS_NUM_THREADS=str(threads)))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1]
+
+
 class TestChecks:
     def test_assoc_small_run(self, matrices, capsys):
         code, out, _ = run_cli(["check-assoc", "--kernel", matrices["g2"],
@@ -743,6 +783,21 @@ class TestChecks:
         rep = json.loads(out)
         assert rep["result"]["seed"] == 6
         assert rep["result"]["n_draws"] == 20000
+
+    def test_assoc_jackknife_is_finite_at_large_scale(self, tmp_path, capsys):
+        # the squared deviations of the delete-block covariances once
+        # overflowed at 1e150 and left se = inf, z = 0 and a RuntimeWarning
+        worst = []
+        for c in (1.0, 1e150):
+            path = tmp_path / "g.csv"
+            save_matrix(kernel(c * np.array([[1.0, 0.5], [0.5, 1.0]])), path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(["check-assoc", "--kernel", path,
+                                          "--n", "20000", "--seed", "1"], capsys)
+            assert (code, err) == (0, "")
+            worst.append(min(row["z"] for row in json.loads(out)["result"]["pairs"]))
+        assert worst[1] == pytest.approx(worst[0], rel=1e-14)
 
     def test_scan_monotone(self, matrices, capsys):
         code, out, _ = run_cli(["scan-monotone", "--kernel", matrices["g2"],
