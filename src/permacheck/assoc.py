@@ -97,9 +97,16 @@ def _column_quantiles(x: np.ndarray, levels) -> np.ndarray:
     return np.array([np.quantile(c, levels) for c in x.T]).T
 
 
-def default_family(reference_draws) -> IncreasingFunctionFamily:
+def default_family(reference_draws, variance: float = 1.0) -> IncreasingFunctionFamily:
     """Orthant indicators at marginal quantiles, projections, max, min,
-    and one soft orthant; thresholds come from the reference draws."""
+    and one soft orthant; thresholds come from the reference draws.
+
+    variance is the kernel's largest variance.  The soft orthant's slope
+    is SOFT_INDICATOR_SLOPE / 4^j, with j = frexp(variance)[1] // 2 as in
+    _pair_lattice, so at 4^k x under 4^k G it takes the value it takes
+    at x under G.  The slope is SOFT_INDICATOR_SLOPE itself when the
+    largest variance lies in [0.5, 2).
+    """
     x = np.asarray(reference_draws, dtype=float)
     if x.ndim != 2 or x.shape[0] < 10:
         raise InputFormatError("need an N x n draw matrix with N >= 10")
@@ -114,8 +121,8 @@ def default_family(reference_draws) -> IncreasingFunctionFamily:
     # is slow, and these operations are exact, so the values match axis=1
     members.append(("max", lambda v: reduce(np.maximum, v.T)))
     members.append(("min", lambda v: reduce(np.minimum, v.T)))
-    members.append(
-        ("soft_orthant", _soft_orthant(median, defaults.SOFT_INDICATOR_SLOPE)))
+    slope = math.ldexp(defaults.SOFT_INDICATOR_SLOPE, -2 * (math.frexp(variance)[1] // 2))
+    members.append(("soft_orthant", _soft_orthant(median, slope)))
     return IncreasingFunctionFamily(tuple(members))
 
 
@@ -153,7 +160,7 @@ def association_mc_test(spec: PermanentalSpec, family=None,
     seed = defaults.DEFAULT_SEED if seed is None else int(seed)
     batch = sample_permanental(spec, n_draws, seed)
     if family is None:
-        family = default_family(batch.draws)
+        family = default_family(batch.draws, float(np.max(np.diagonal(spec.kernel.entries))))
     n = batch.n_draws
     if n < 2:
         raise InputFormatError("the jackknife needs at least two draws")

@@ -379,6 +379,37 @@ def naive_default_family(x, quantiles, slope: float) -> list:
     return members
 
 
+def mp_squared_shift_quantile(variance: float, r: float, p: float, guess: float):
+    """The p-quantile of (eta + r)^2, eta ~ N(0, variance), to 50 digits.
+
+    variance, r and p are taken as exact binary values.  With mu =
+    |r| / sqrt(variance), the quantile is variance * t^2 where
+    P(|Z + mu| <= t) = p; Newton's method on the erfc form (the tail
+    1 - p for p >= 0.5) runs from the float answer guess.
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        v, p = mpmath.mpf(variance), mpmath.mpf(p)
+        mu = abs(mpmath.mpf(r)) / mpmath.sqrt(v)
+        root2 = mpmath.sqrt(2)
+        if p >= 0.5:
+            def f(t):
+                return (mpmath.erfc((t - mu) / root2) + mpmath.erfc((t + mu) / root2)) / 2 - (1 - p)
+            sign = -1
+        else:
+            def f(t):
+                return (mpmath.erfc((mu - t) / root2) - mpmath.erfc((mu + t) / root2)) / 2 - p
+            sign = 1
+        t = mpmath.sqrt(mpmath.mpf(guess) / v)
+        for _ in range(30):
+            step = f(t) / (sign * (mpmath.npdf(t - mu) + mpmath.npdf(t + mu)))
+            t -= step
+            if abs(step) <= t * mpmath.mpf(10) ** -55:
+                return v * t * t
+    raise RuntimeError(f"Newton did not converge for {(variance, r, p)}")
+
+
 def _gamma(k: int) -> float:
     """Higham's gamma_k = k u / (1 - k u) with u = 2^-53."""
     u = 2.0 ** -53

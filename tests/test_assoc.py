@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,20 @@ class TestFamily:
             tracemalloc.stop()
         assert peak < 3 * x.shape[0] * x.itemsize
 
+    def test_soft_orthant_follows_the_kernel_scale(self):
+        x = np.random.default_rng(53).exponential(size=(200, 3))
+
+        def soft(draws, variance=1.0):
+            return dict(default_family(draws, variance).members)["soft_orthant"](draws)
+
+        for k in (-300, -1, 1, 300):
+            assert np.array_equal(soft(np.ldexp(x, 2 * k), math.ldexp(1.5, 2 * k)),
+                                  soft(x, 1.5)), k
+        # a largest variance in [0.5, 2) keeps SOFT_INDICATOR_SLOPE itself
+        assert np.array_equal(soft(x, 0.5), soft(x))
+        assert np.array_equal(soft(x, 1.99), soft(x))
+        assert not np.array_equal(soft(x, 2.0), soft(x))
+
     def test_thresholds_allocate_under_two_columns(self):
         # one np.quantile call over all columns would copy the whole matrix
         rng = np.random.default_rng(9)
@@ -144,12 +159,16 @@ class TestAssociationOracle:
         rng = np.random.default_rng(100 * n + k)
         spec = PermanentalSpec(kernel(random_green(rng, n, symmetric=True)), 2.0 / k)
         statuses, zero_se = set(), 0
+        # the soft orthant's slope follows the kernel's scale, as in _pair_lattice
+        variance = float(np.max(np.diagonal(spec.kernel.entries)))
+        slope = math.ldexp(SOFT_INDICATOR_SLOPE, -2 * (math.frexp(variance)[1] // 2))
         # 10 and 150 draws make blocks of one; 200 divides neither 12_345 nor 150
         for n_draws in (10, 150, 12_345, 10 ** 5):
             seed = int(rng.integers(1 << 32))
             draws = sample_permanental(spec, n_draws, seed).draws
-            naive = naive_default_family(draws, ORTHANT_QUANTILES, SOFT_INDICATOR_SLOPE)
-            for (name, f), (naive_name, g) in zip(default_family(draws).members, naive):
+            naive = naive_default_family(draws, ORTHANT_QUANTILES, slope)
+            for (name, f), (naive_name, g) in zip(default_family(draws, variance).members,
+                                                  naive):
                 assert name == naive_name
                 assert np.array_equal(f(draws), g(draws)), name
             for family, members in ((None, naive),
@@ -223,9 +242,9 @@ class TestFkgLattice:
         assert witness["lhs"] > witness["rhs"]
 
     def test_bad_grid_rejected(self):
-        # quantiles that are not finite leave no grid to test on
+        # past |r| / sqrt(variance) = 2^33 float64 cannot place the grid
         with pytest.raises(NonFiniteError):
-            fkg_lattice_test(kernel([[1.0, -0.5], [-0.5, 1.0]]), 1e6)
+            fkg_lattice_test(kernel([[1.0, -0.5], [-0.5, 1.0]]), 1e10)
 
 
 class TestCrossLatticeOracle:

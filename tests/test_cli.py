@@ -206,22 +206,23 @@ class TestBadInputs:
         assert _one_json_error(err)["message"] == message
 
     @pytest.mark.parametrize("argv", [
-        ["check-fkg", "--kernel", "{neg2}", "--shift", "1e6"],
-        ["shifted-order", "--kernel", "{neg2}", "--r-pairs", "1e6,0"],
+        ["check-fkg", "--kernel", "{neg2}", "--shift", "1e10"],
+        ["shifted-order", "--kernel", "{neg2}", "--r-pairs", "1e10,0"],
     ])
     def test_nan_lattice_grid_is_three(self, argv, matrices, capsys):
-        # the noncentral chi-square quantiles are NaN at noncentrality 1e12;
-        # a lattice of NaN points has no violation, so this once said holds
+        # past |r| / sqrt(variance) = 2^33 float64 cannot place the grid's
+        # points; a lattice of NaN points once said holds here
         code, out, err = run_cli([a.format(**matrices) for a in argv], capsys)
         assert (code, out) == (3, "")
         assert _one_json_error(err)["error"] == "NonFiniteError"
 
     @pytest.mark.parametrize("argv", [
-        ["check-fkg", "--kernel", "{g2}", "--shift", "1e9"],
-        ["shifted-order", "--kernel", "{g2}", "--r-pairs", "1e9,0"],
+        ["check-fkg", "--kernel", "{g2}", "--shift", "1e14"],
+        ["shifted-order", "--kernel", "{g2}", "--r-pairs", "1e14,0"],
     ])
     def test_huge_shift_is_three_at_once(self, argv, matrices, capsys):
-        # chndtrix took about a minute at noncentrality 1e18 to return NaN
+        # chndtrix took about a minute at noncentrality 1e18 to return NaN,
+        # and a grid at 1e14 made this positive pair fail
         start = time.monotonic()
         code, out, err = run_cli([a.format(**matrices) for a in argv], capsys)
         assert time.monotonic() - start < 1.0
@@ -537,6 +538,13 @@ code = parse_and_dispatch(sys.argv[1:])
 print(code, "scipy.stats" in sys.modules, "scipy.special" in sys.modules)
 """
 
+_NO_SCIPY_PROBE = """
+import sys
+sys.modules["scipy"] = None  # any scipy import raises ImportError
+from permacheck.cli import parse_and_dispatch
+print(parse_and_dispatch(sys.argv[1:]))
+"""
+
 
 class TestStartup:
     def test_import_loads_no_scipy(self):
@@ -547,9 +555,11 @@ class TestStartup:
 
     @pytest.mark.parametrize("argv, special", [
         (["check-id", "--input", "{tri}"], False),
-        (["check-fkg", "--kernel", "{g2}", "--shift", "0.5"], True),
+        (["check-fkg", "--kernel", "{g2}", "--shift", "0.5"], False),
         (["sample", "--kernel", "{g2}", "--n", "100", "--seed", "3",
           "--out", "{dir}/s.bin"], True),
+        (["check-fkg", "--kernel", "{g2}", "--shift", "0"], False),
+        (["shifted-order", "--kernel", "{green2}", "--r-pairs", "1,0.5;2,1"], False),
     ])
     def test_commands_never_load_scipy_stats(self, argv, special, matrices, tmp_path):
         argv = [a.format(**matrices) for a in argv]
@@ -561,6 +571,21 @@ class TestStartup:
         assert code in ("0", "1")
         assert stats == "False"
         assert special_loaded == str(special)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check-fkg", "--kernel", "{g2}", "--shift", "0.5"], 0),
+        (["check-fkg", "--kernel", "{neg2}", "--shift", "0.5"], 1),
+        (["check-fkg", "--kernel", "{g2}", "--shift", "1e10"], 3),
+        (["shifted-order", "--kernel", "{green2}", "--r-pairs", "1,0.5;2,1"], 0),
+        (["shifted-order", "--kernel", "{neg2}", "--r-pairs", "1,0.5"], 1),
+    ])
+    def test_lattice_commands_run_without_scipy(self, argv, code, matrices, tmp_path):
+        argv = [a.format(**matrices) for a in argv]
+        argv += ["--report", str(tmp_path / "r.json")]
+        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE] + argv,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(code)]
 
 
 class TestPerm:
@@ -799,6 +824,27 @@ class TestChecks:
             worst.append(min(row["z"] for row in json.loads(out)["result"]["pairs"]))
         assert worst[1] == pytest.approx(worst[0], rel=1e-14)
 
+    @pytest.mark.parametrize("unit, scaled", [
+        (math.ldexp(1e150, -498), 1e150), (1.0, math.ldexp(1.0, 498))])
+    def test_assoc_soft_orthant_follows_the_kernel_scale(self, unit, scaled, tmp_path,
+                                                         capsys):
+        # the soft orthant's slope is divided by the 4^j of _pair_lattice, so
+        # 4^249 c G, whose largest variance c lies in [0.5, 2), gets c G's z
+        # for every pair.  With the absolute slope the soft orthant pairs'
+        # z moved by up to 46% (1e150 = 4^249 * 1.222) and 54% (4^249).
+        z = []
+        for c in (unit, scaled):
+            path = tmp_path / "g.csv"
+            save_matrix(kernel(c * np.array([[1.0, 0.5], [0.5, 1.0]])), path)
+            code, out, _ = run_cli(["check-assoc", "--kernel", path,
+                                    "--n", "20000", "--seed", "1"], capsys)
+            assert code == 0
+            z.append({(row["f"], row["h"]): row["z"]
+                      for row in json.loads(out)["result"]["pairs"]})
+        assert len(z[0]) == 28 and z[0].keys() == z[1].keys()
+        for pair, value in z[0].items():
+            assert z[1][pair] == pytest.approx(value, rel=1e-12), pair
+
     def test_scan_monotone(self, matrices, capsys):
         code, out, _ = run_cli(["scan-monotone", "--kernel", matrices["g2"],
                                 "--alphas", "0:2:0.5"], capsys)
@@ -881,6 +927,17 @@ class TestChecks:
                 if "r" in expected:
                     expected.update(r=math.ldexp(1.0, j), r_prime=math.ldexp(0.5, j))
                 assert scaled["witness"] == expected
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_large_shifts_follow_the_sign_rule_or_exit_three(self, k, matrices, capsys):
+        # for a large shift (eta + r)^2 is an increasing transform of eta,
+        # so the lattice holds for c > 0 and fails for c < 0 (Pitt); past
+        # the grid's range, |r| / sqrt(variance) = 2^33, the answer is 3.
+        # Uncapped, shift 1e14 once made [[1,.5],[.5,1]] fail.
+        for name, sign_rule in (("g2", 0), ("neg2", 1)):
+            code, _, err = run_cli(["check-fkg", "--kernel", matrices[name],
+                                    "--shift", f"1e{k}"], capsys)
+            assert code == (sign_rule if 10 ** k <= 2 ** 33 else 3), (name, err)
 
     def test_check_shifted_pair(self, capsys):
         code, _, _ = run_cli(["check-shifted-pair", "--vx", "1", "--c", "0",

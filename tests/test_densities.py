@@ -14,7 +14,8 @@ from permacheck import (
     marginal_quantile_grid,
     squared_pair_density,
 )
-from oracles import gaussian_pairs, mc_mean_se
+from permacheck.defaults import QUANTILE_HI, QUANTILE_LO
+from oracles import gaussian_pairs, mc_mean_se, mp_squared_shift_quantile
 
 C = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -124,45 +125,72 @@ class TestSquaredPairDensity:
             h(1.0, -0.5)
 
 
-def _scipy_stats_grid(variance, r):
-    # the grid as built from scipy.stats, the reference for bit equality
-    if r == 0.0:
-        qlo, qhi = chi2.ppf(0.01, df=1), chi2.ppf(0.99, df=1)
-    else:
-        nc = r * r / variance
-        qlo, qhi = ncx2.ppf(0.01, df=1, nc=nc), ncx2.ppf(0.99, df=1, nc=nc)
-    return np.geomspace(variance * qlo, variance * qhi, 40)
+def _ulps(q: float, exact) -> float:
+    return float(abs(q - exact) / np.spacing(float(exact)))
+
+
+def _endpoint_ulps(variance, r):
+    g = marginal_quantile_grid(variance, r)
+    return [_ulps(q, mp_squared_shift_quantile(variance, r, p, q))
+            for q, p in ((g[0], QUANTILE_LO), (g[-1], QUANTILE_HI))]
+
+
+# marginal_quantile_grid's docstring bound
+ENDPOINT_ULPS = 16
 
 
 class TestQuantileGrids:
     def test_central_endpoints(self):
         g = marginal_quantile_grid(2.0)
-        assert np.array_equal(g, _scipy_stats_grid(2.0, 0.0))
-        assert g[0] == 2.0 * chi2.ppf(0.01, df=1)
-        assert g[-1] == 2.0 * chi2.ppf(0.99, df=1)
-        assert np.all(np.diff(g) > 0)
+        assert len(g) == 40 and np.all(np.diff(g) > 0)
+        assert max(_endpoint_ulps(2.0, 0.0)) <= ENDPOINT_ULPS
+        # P(chi2_1 <= q) = erf(sqrt(q/2)) at the endpoints of variance 1
+        lo, hi = marginal_quantile_grid(1.0)[[0, -1]]
+        assert math.erf(math.sqrt(lo / 2)) == pytest.approx(0.01, rel=1e-14)
+        assert math.erfc(math.sqrt(hi / 2)) == pytest.approx(0.01, rel=1e-13)
 
     def test_shifted_endpoints(self):
-        v, r = 1.5, 0.8
-        g = marginal_quantile_grid(v, r)
-        assert np.array_equal(g, _scipy_stats_grid(v, r))
-        assert g[0] == v * ncx2.ppf(0.01, df=1, nc=r * r / v)
+        assert max(_endpoint_ulps(1.5, 0.8)) <= ENDPOINT_ULPS
 
     @pytest.mark.parametrize("r", [1e-200, -1e-180, 1e-170])
     def test_underflowing_noncentrality_takes_the_central_branch(self, r):
-        # r*r/variance underflows to 0, where ncx2.ppf falls back to chi2
+        # r*r/variance underflows to 0: the grid is the central one
         assert r * r / 1.0 == 0.0
         g = marginal_quantile_grid(1.0, r)
-        assert np.array_equal(g, _scipy_stats_grid(1.0, r))
         assert np.array_equal(g, marginal_quantile_grid(1.0, 0.0))
 
-    def test_seeded_pairs_bit_identical_to_scipy_stats(self):
+    def test_seeded_pairs_within_bound_of_mpmath(self):
+        # 50-digit quantiles on 420 seeded (variance, r) pairs, from r = 0
+        # and |r| = 1e-200 up to the range's end mu = 2^33, with a band at
+        # mu in [0.5, 5], where the lower quantile is most sensitive; scipy's
+        # chi2/ncx2 quantiles, where they answer, err by more
         rng = np.random.default_rng(44)
-        for _ in range(300):
+        ours, theirs = [], []
+        for i in range(420):
             v = float(np.exp(rng.uniform(-7.0, 7.0)))
-            r = float(rng.choice([0.0, 1e-200, rng.normal(scale=3.0)]))
+            sd = math.sqrt(v)
+            r = [0.0, 1e-200, float(np.exp(rng.uniform(-7.0, 3.0))) * sd,
+                 float(rng.uniform(0.5, 5.0)) * sd,
+                 float(np.exp(rng.uniform(0.0, 33 * math.log(2.0)))) * sd,
+                 math.ldexp(sd, 33)][i % 6] * (-1.0) ** (i // 6)
             g = marginal_quantile_grid(v, r)
-            assert np.array_equal(g, _scipy_stats_grid(v, r)), (v, r)
+            nc = r * r / v
+            for q, p in ((g[0], QUANTILE_LO), (g[-1], QUANTILE_HI)):
+                exact = mp_squared_shift_quantile(v, r, p, q)
+                ours.append(_ulps(q, exact))
+                if nc < 1e10:  # chndtrix has no answer past about 10^10.65
+                    ref = v * (chi2.ppf(p, df=1) if nc == 0.0 else ncx2.ppf(p, df=1, nc=nc))
+                    theirs.append(_ulps(float(ref), exact))
+        assert max(ours) <= ENDPOINT_ULPS
+        assert max(ours) <= max(theirs)
+
+    @pytest.mark.parametrize("v, r", [(1.0, 0.0), (0.7, 1e-200), (1.5, 0.8),
+                                      (0.3, -2.5), (1.9, 3e4), (1.0, 2.0 ** 33)])
+    def test_endpoints_scale_exactly(self, v, r):
+        base = marginal_quantile_grid(v, r)[[0, -1]]
+        for k in range(-200, 201):
+            g = marginal_quantile_grid(math.ldexp(v, 2 * k), math.ldexp(r, k))
+            assert np.array_equal(g[[0, -1]], np.ldexp(base, 2 * k)), k
 
     def test_quantiles_cover_mass(self):
         # empirical fraction below/above the endpoints matches lo/hi
@@ -179,15 +207,24 @@ class TestQuantileGrids:
         v = fkg_lattice_test(kernel([[1.5, -0.6], [-0.6, 0.5]]), 0.5)
         assert v.fails
         for point in (v.witness["x"], v.witness["y"]):
-            assert point[0] in _scipy_stats_grid(1.5, 0.5)
-            assert point[1] in _scipy_stats_grid(0.5, 0.5)
+            assert point[0] in marginal_quantile_grid(1.5, 0.5)
+            assert point[1] in marginal_quantile_grid(0.5, 0.5)
 
     @pytest.mark.parametrize("r", [3e5, 1e6, 1e10])
     def test_nan_quantiles_raise(self, r):
-        # chndtrix gives NaN once the noncentrality r^2/v reaches about
-        # 10^10.65 (r = 3e5 gives 9e10); from 1e11 on it is not called
+        # |r| / sqrt(variance) = 1e6 r, past 2^33, where float64 cannot
+        # place the lattice (it once made a positive pair fail at 1e14)
         with pytest.raises(NonFiniteError):
-            marginal_quantile_grid(1.0, r)
+            marginal_quantile_grid(1e-12, r)
+
+    def test_range_ends_at_two_to_the_33(self):
+        g = marginal_quantile_grid(1.0, 2.0 ** 33)
+        assert np.all(np.diff(g) > 0)
+        for r in (math.nextafter(2.0 ** 33, math.inf), -1e200, math.inf, math.nan):
+            with pytest.raises(NonFiniteError):
+                marginal_quantile_grid(1.0, r)
+        with pytest.raises(NonFiniteError):  # variance * t^2 overflows
+            marginal_quantile_grid(1e308, 0.0)
 
     def test_large_finite_noncentrality_keeps_its_grid(self):
         g = marginal_quantile_grid(1.0, 1e5)
