@@ -499,10 +499,13 @@ def loop_random_scalings(n: int, count: int, seed: int) -> list:
 
 
 def oneshot_uniforms(seed: int, shape) -> np.ndarray:
-    """Open-interval (0,1) uniforms from a Philox counter stream, all at once."""
+    """Open-interval (0,1) uniforms from a Philox counter stream, all at once.
+
+    The top word 2**53 - 1 would round to 1.0, so it maps to 1 - 2**-53.
+    """
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     raw = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64)
-    return (raw.astype(float) + 0.5) * 2.0 ** -53
+    return np.minimum((raw.astype(float) + 0.5) * 2.0 ** -53, 1.0 - 2.0 ** -53)
 
 
 def oneshot_normals(seed: int, shape) -> np.ndarray:

@@ -546,6 +546,15 @@ print(parse_and_dispatch(sys.argv[1:]))
 """
 
 
+_SCIPY_ROUTE_PROBE = """
+import sys
+import permacheck.sampler
+permacheck.sampler._CEPHES_MAX_NORMALS = 0  # every batch calls scipy.special.ndtri
+from permacheck.cli import parse_and_dispatch
+print(parse_and_dispatch(sys.argv[1:]), "scipy.special" in sys.modules)
+"""
+
+
 class TestStartup:
     def test_import_loads_no_scipy(self):
         proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
@@ -557,9 +566,12 @@ class TestStartup:
         (["check-id", "--input", "{tri}"], False),
         (["check-fkg", "--kernel", "{g2}", "--shift", "0.5"], False),
         (["sample", "--kernel", "{g2}", "--n", "100", "--seed", "3",
-          "--out", "{dir}/s.bin"], True),
+          "--out", "{dir}/s.bin"], False),
         (["check-fkg", "--kernel", "{g2}", "--shift", "0"], False),
         (["shifted-order", "--kernel", "{green2}", "--r-pairs", "1,0.5;2,1"], False),
+        # 2 * 6e5 normals, past the 2**20 that the sampler's ndtri port takes
+        (["sample", "--kernel", "{g2}", "--n", "6e5", "--seed", "3",
+          "--out", "{dir}/s.bin"], True),
     ])
     def test_commands_never_load_scipy_stats(self, argv, special, matrices, tmp_path):
         argv = [a.format(**matrices) for a in argv]
@@ -586,6 +598,19 @@ class TestStartup:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [str(code)]
+
+    def test_sample_without_scipy_writes_the_scipy_route_bytes(self, matrices, tmp_path):
+        argv = ["sample", "--kernel", matrices["g2"], "--n", "1e4", "--seed", "5",
+                "--out", str(tmp_path / "s.bin"), "--report", str(tmp_path / "r.json")]
+        runs = []
+        for probe, printed in ((_NO_SCIPY_PROBE, ["0"]), (_SCIPY_ROUTE_PROBE, ["0", "True"])):
+            proc = subprocess.run([sys.executable, "-c", probe] + argv,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == printed
+            runs.append((proc.stderr, (tmp_path / "s.bin").read_bytes(),
+                         (tmp_path / "r.json").read_bytes()))
+        assert runs[0] == runs[1]
 
 
 class TestPerm:

@@ -25,7 +25,16 @@ from permacheck import (
     save_batch,
     tilt_resolvent,
 )
-from permacheck.sampler import _BLOCK_ROWS, _row_blocks, _sqrt_factor
+import permacheck.sampler as sampler
+from permacheck.sampler import (
+    _BLOCK_ROWS,
+    _CEPHES_MAX_NORMALS,
+    _ndtri_cephes,
+    _open_uniforms,
+    _philox,
+    _row_blocks,
+    _sqrt_factor,
+)
 from oracles import (
     mc_abs_product_moment,
     mc_mean_se,
@@ -111,6 +120,81 @@ class TestRowBlocks:
             tracemalloc.stop()
         # the (k, N, n) normal stack alone would be 1.7 times psi and weights
         assert peak < 1.5 * (batch.draws.nbytes + batch.weights.nbytes)
+
+
+class TestUniforms:
+    def test_edge_words_map_inside_the_open_interval(self):
+        raw = np.array([0, 1, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1], dtype=np.uint64)
+        u = np.empty(raw.shape)
+        _open_uniforms(raw, u)
+        # 2**52 + 0.5 and 2**53 - 1.5 are ties that round to even; the top
+        # word's 2**53 - 0.5 would round to 2**53, that is to 1.0
+        want = [2.0 ** -54, 1.5 * 2.0 ** -53, 0.5 - 2.0 ** -54, 0.5,
+                1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53]
+        assert u.tolist() == want
+        assert np.all((u > 0) & (u < 1))
+
+
+def _scipy_ndtri(u):
+    from scipy.special import ndtri
+
+    return ndtri(u)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestNdtriPort:
+    """_ndtri_cephes reproduces scipy.special.ndtri bit for bit."""
+
+    def test_matches_scipy_on_ten_million_stream_uniforms(self):
+        gen, chunk, wrong = _philox(19), 1 << 20, 0
+        u, got = np.empty(chunk), np.empty(chunk)
+        for _ in range(10):  # 10 * 2**20 > 10**7 uniforms, one chunk in memory
+            _open_uniforms(gen.integers(0, 1 << 53, size=chunk, dtype=np.uint64), u)
+            _ndtri_cephes(u, got)
+            wrong += int(np.count_nonzero(_bits(got) != _bits(_scipy_ndtri(u))))
+        assert wrong == 0
+
+    @pytest.mark.parametrize("point", [
+        math.exp(-2.0),  # the central branch's edges
+        1.0 - math.exp(-2.0),
+        math.exp(-32.0),  # x = sqrt(-2 log y) = 8, where P1/Q1 gives way to P2/Q2
+        2.0 ** -54,  # the stream's smallest and largest uniforms
+        1.0 - 2.0 ** -53,
+    ])
+    def test_matches_scipy_around_each_branch_point(self, point):
+        near = [point]
+        for toward in (0.0, 1.0):  # and up to 64 ulp on each side, inside (0, 1)
+            v = point
+            for _ in range(64):
+                v = float(np.nextafter(v, toward))
+                if 0.0 < v < 1.0:
+                    near.append(v)
+        u = np.array(near)
+        got = np.empty_like(u)
+        _ndtri_cephes(u, got)
+        assert np.array_equal(_bits(got), _bits(_scipy_ndtri(u)))
+
+    @pytest.mark.parametrize("k, n", [(1, 4), (2, 3)])
+    def test_batches_either_side_of_the_threshold_match_across_routes(
+            self, k, n, monkeypatch):
+        ported = []
+        monkeypatch.setattr(sampler, "_ndtri_cephes",
+                            lambda u, out: ported.append(u.size) or _ndtri_cephes(u, out))
+        spec = PermanentalSpec(_kernels(n)[0], 2.0 / k)
+        at = _CEPHES_MAX_NORMALS // (k * n)  # the most draws that take the port
+        for n_draws, default_ports in ((at, True), (at + 1, False)):
+            batches, counts = [], []
+            for limit in (_CEPHES_MAX_NORMALS, 0, 1 << 62):  # default, scipy, port
+                monkeypatch.setattr(sampler, "_CEPHES_MAX_NORMALS", limit)
+                ported.clear()
+                batches.append(sample_permanental(spec, n_draws, seed=n_draws).draws.tobytes())
+                counts.append(sum(ported))
+            assert batches[0] == batches[1] == batches[2], n_draws
+            normals = k * n * n_draws
+            assert counts == [normals if default_ports else 0, 0, normals]
 
 
 class TestDrawCount:
