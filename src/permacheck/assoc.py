@@ -158,6 +158,10 @@ def association_mc_test(spec: PermanentalSpec, family=None,
     finite raises NonFiniteError.
     """
     seed = defaults.DEFAULT_SEED if seed is None else int(seed)
+    if family is None:
+        # the default family's soft orthant needs scipy.special for expit;
+        # loading it first makes the sampler take scipy's faster ndtri
+        import scipy.special
     batch = sample_permanental(spec, n_draws, seed)
     if family is None:
         family = default_family(batch.draws, float(np.max(np.diagonal(spec.kernel.entries))))

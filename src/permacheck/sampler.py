@@ -7,10 +7,13 @@ exp(-(alpha/2) sum_i psi_i), which move the kernel to its
 alpha-resolvent without resampling.  All draws are pure functions of
 (seed, index) through a counter-based Philox stream, so batches are
 reproducible bit for bit.  A normal is ndtri of one Philox uniform.  A
-batch of at most 2**20 normals takes ndtri from _ndtri_cephes, a numpy
-port of the Cephes routine, so it loads no scipy; a larger one calls
-scipy.special.ndtri, which is faster per normal once imported.  The
-two give the same bits, so the route never shows in a batch.
+batch of at most 2**20 normals, in a process that has not imported
+scipy.special, takes ndtri from _ndtri_cephes, a numpy port of the
+Cephes routine, so it loads no scipy; any other batch calls
+scipy.special.ndtri, which is faster per normal once imported.  The two
+give the same bits wherever TestNdtriPort passes (checked on x86-64
+glibc with numpy 2.4 and scipy 1.17), so there the route never shows in
+a batch.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,12 +138,13 @@ class SampleBatch:
 # working set beside the output is three arrays of this many rows
 _BLOCK_ROWS = 8192
 
-# Batches of at most this many normals go through _ndtri_cephes, larger
-# ones through scipy.special.ndtri; both give the same bits.  On a 2-vCPU
-# Xeon, importing scipy.special takes 0.33 s and the port 0.18 us per
-# normal more than scipy (two math.log calls per tail value), so they
-# break even near 1.8e6 normals, and 2**20 normals cost the port about
-# 0.2 s.  It changes no result, so it is not in the defaults table.
+# Batches of at most this many normals go through _ndtri_cephes unless
+# scipy.special is loaded already, larger ones through scipy.special.ndtri;
+# both give the same bits.  On a 2-vCPU Xeon, importing scipy.special
+# takes 0.33 s and the port 0.18 us per normal more than scipy (two
+# math.log calls per tail value), so they break even near 1.8e6 normals,
+# and 2**20 normals cost the port about 0.2 s.  It changes no result, so
+# it is not in the defaults table.
 _CEPHES_MAX_NORMALS = 1 << 20
 
 # Cephes ndtri (Moshier) as scipy.special.ndtri evaluates it: its
@@ -196,8 +201,9 @@ def _ndtri_cephes(u: np.ndarray, out: np.ndarray) -> None:
 
     Bit for bit the Cephes ndtri that scipy.special.ndtri runs: the same
     tables, Horner order and branches (e^-2, 1 - e^-2, x = 8), numpy's
-    unfused IEEE arithmetic and the C library's log.  out must be
-    C-contiguous; u and out may be the same array.
+    unfused IEEE arithmetic and the C library's log, as TestNdtriPort
+    checks against the installed scipy.  out must be C-contiguous; u and
+    out may be the same array.
     """
     y = u.reshape(-1)
     upper = y > 1.0 - _EXP_M2  # Cephes takes 1 - y there and keeps the sign
@@ -279,16 +285,24 @@ def _draw_count(n_draws) -> int:
     return count
 
 
+def _ndtri_route(n_normals: int):
+    """The ndtri for a batch of n_normals normals: the port when the batch
+    is small and scipy.special is not loaded, so that the port saves its
+    import; scipy's, faster per normal, once the import is paid or worth it."""
+    if n_normals <= _CEPHES_MAX_NORMALS and "scipy.special" not in sys.modules:
+        return _ndtri_cephes
+    from scipy.special import ndtri  # imported only here, for this route
+
+    return ndtri
+
+
 def _gaussian_blocks(A: np.ndarray, n_draws: int, k: int, seed: int):
     """Yields (rows, eta): row block `rows` of each of k Gaussian draw
     matrices z @ A.T, vector-major, so the blocks take the Philox words in
-    the order one (k, n_draws, n) normal array would.  The ndtri route is
-    chosen once, from the batch's k * n_draws * n normals."""
+    the order one (k, n_draws, n) normal array would.  _ndtri_route picks
+    the ndtri once, from the batch's k * n_draws * n normals."""
     gen, blocks = _philox(seed), _row_blocks(n_draws)
-    if k * n_draws * A.shape[0] <= _CEPHES_MAX_NORMALS:
-        ndtri = _ndtri_cephes
-    else:  # imported only here, so that small batches load no scipy
-        from scipy.special import ndtri
+    ndtri = _ndtri_route(k * n_draws * A.shape[0])
     for _ in range(k):
         for rows in blocks:
             z = np.empty((rows.stop - rows.start, A.shape[0]))

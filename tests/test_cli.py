@@ -555,6 +555,16 @@ print(parse_and_dispatch(sys.argv[1:]), "scipy.special" in sys.modules)
 """
 
 
+_PORT_PROBE = """
+import sys
+import permacheck.sampler as sampler
+port, ported = sampler._ndtri_cephes, []
+sampler._ndtri_cephes = lambda u, out: ported.append(u.size) or port(u, out)
+from permacheck.cli import parse_and_dispatch
+print(parse_and_dispatch(sys.argv[1:]), "scipy.special" in sys.modules, sum(ported))
+"""
+
+
 class TestStartup:
     def test_import_loads_no_scipy(self):
         proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
@@ -598,6 +608,25 @@ class TestStartup:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [str(code)]
+
+    @pytest.mark.parametrize("command, special, ported", [
+        ("sample", False, 2 * 10 ** 4),
+        # check-assoc loads scipy.special for expit before it samples, so
+        # its draws take scipy's ndtri and it never pays for the port
+        ("check-assoc", True, 0),
+    ])
+    def test_only_sample_takes_the_ndtri_port(self, command, special, ported,
+                                              matrices, tmp_path):
+        argv = [command, "--kernel", matrices["g2"], "--n", "1e4", "--seed", "5",
+                "--report", str(tmp_path / "r.json")]
+        if command == "sample":
+            argv += ["--out", str(tmp_path / "s.bin")]
+        proc = subprocess.run([sys.executable, "-c", _PORT_PROBE] + argv,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, special_loaded, normals = proc.stdout.split()
+        assert code in ("0", "1")
+        assert (special_loaded, int(normals)) == (str(special), ported)
 
     def test_sample_without_scipy_writes_the_scipy_route_bytes(self, matrices, tmp_path):
         argv = ["sample", "--kernel", matrices["g2"], "--n", "1e4", "--seed", "5",

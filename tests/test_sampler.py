@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from permacheck.sampler import (
     _BLOCK_ROWS,
     _CEPHES_MAX_NORMALS,
     _ndtri_cephes,
+    _ndtri_route,
     _open_uniforms,
     _philox,
     _row_blocks,
@@ -78,6 +80,16 @@ class TestReproducibility:
         assert np.array_equal(a.draws, b.draws)
 
 
+def _each_route(monkeypatch):
+    """Forces each ndtri route in turn, the port and then scipy's, so a
+    test runs both whichever modules earlier tests have loaded."""
+    from scipy.special import ndtri
+
+    for route in (_ndtri_cephes, ndtri):
+        monkeypatch.setattr(sampler, "_ndtri_route", lambda n_normals, r=route: r)
+        yield route
+
+
 class TestRowBlocks:
     """The row-block sampler draws the bits of the one-shot sampler."""
 
@@ -93,21 +105,23 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_permanental_bits_match_one_shot_sampler(self, n, k):
+    def test_permanental_bits_match_one_shot_sampler(self, n, k, monkeypatch):
         for G in _kernels(n):
             spec = PermanentalSpec(G, 2.0 / k)
             for n_draws in BLOCK_COUNTS:
-                got = sample_permanental(spec, n_draws, seed=n_draws + k).draws
                 want = oneshot_permanental_draws(_sqrt_factor(G), k, n_draws, n_draws + k)
-                assert got.tobytes() == want.tobytes(), (G.entries.tolist(), n_draws)
+                for route in _each_route(monkeypatch):
+                    got = sample_permanental(spec, n_draws, seed=n_draws + k).draws
+                    assert got.tobytes() == want.tobytes(), (G.entries.tolist(), n_draws, route)
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_gaussian_bits_match_one_shot_sampler(self, n):
+    def test_gaussian_bits_match_one_shot_sampler(self, n, monkeypatch):
         for G in _kernels(n):
             for n_draws in BLOCK_COUNTS:
-                got = sample_gaussian(G, n_draws, seed=n_draws).draws
                 want = oneshot_gaussian_draws(_sqrt_factor(G), n_draws, n_draws)
-                assert got.tobytes() == want.tobytes(), (G.entries.tolist(), n_draws)
+                for route in _each_route(monkeypatch):
+                    got = sample_gaussian(G, n_draws, seed=n_draws).draws
+                    assert got.tobytes() == want.tobytes(), (G.entries.tolist(), n_draws, route)
 
     def test_permanental_memory_is_output_plus_one_block(self):
         spec = PermanentalSpec(_kernels(6)[0], 1.0)
@@ -180,21 +194,24 @@ class TestNdtriPort:
     @pytest.mark.parametrize("k, n", [(1, 4), (2, 3)])
     def test_batches_either_side_of_the_threshold_match_across_routes(
             self, k, n, monkeypatch):
-        ported = []
-        monkeypatch.setattr(sampler, "_ndtri_cephes",
-                            lambda u, out: ported.append(u.size) or _ndtri_cephes(u, out))
         spec = PermanentalSpec(_kernels(n)[0], 2.0 / k)
-        at = _CEPHES_MAX_NORMALS // (k * n)  # the most draws that take the port
-        for n_draws, default_ports in ((at, True), (at + 1, False)):
-            batches, counts = [], []
-            for limit in (_CEPHES_MAX_NORMALS, 0, 1 << 62):  # default, scipy, port
-                monkeypatch.setattr(sampler, "_CEPHES_MAX_NORMALS", limit)
-                ported.clear()
-                batches.append(sample_permanental(spec, n_draws, seed=n_draws).draws.tobytes())
-                counts.append(sum(ported))
-            assert batches[0] == batches[1] == batches[2], n_draws
-            normals = k * n * n_draws
-            assert counts == [normals if default_ports else 0, 0, normals]
+        at = _CEPHES_MAX_NORMALS // (k * n)  # the most draws that can take the port
+        for n_draws in (at, at + 1):
+            batches = [sample_permanental(spec, n_draws, seed=n_draws).draws.tobytes()
+                       for _ in _each_route(monkeypatch)]
+            assert batches[0] == batches[1], n_draws
+
+    def test_port_only_for_small_batches_in_a_process_without_scipy(self, monkeypatch):
+        from scipy.special import ndtri
+
+        # scipy.special is loaded here, so every batch takes scipy's ndtri
+        assert _ndtri_route(1) is ndtri
+        assert _ndtri_route(_CEPHES_MAX_NORMALS + 1) is ndtri
+        # without it, a batch up to the threshold takes the port and imports nothing
+        monkeypatch.delitem(sys.modules, "scipy.special")
+        assert _ndtri_route(1) is _ndtri_cephes
+        assert _ndtri_route(_CEPHES_MAX_NORMALS) is _ndtri_cephes
+        assert "scipy.special" not in sys.modules
 
 
 class TestDrawCount:
