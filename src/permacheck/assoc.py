@@ -21,7 +21,7 @@ from .densities import _pd_pair, marginal_quantile_grid, squared_pair_density
 from .errors import InputFormatError, NonFiniteError
 from .green import is_green
 from .matcore import KernelMatrix, _resolvents, psd_eigh
-from .sampler import PermanentalSpec, abs_product_moment, sample_permanental
+from .sampler import PermanentalSpec, _in_pool, abs_product_moment, sample_permanental
 from .verdict import Verdict
 
 __all__ = [
@@ -43,8 +43,9 @@ class IncreasingFunctionFamily:
 
     members: tuple of at least two (name, callable); each callable maps
     an N x n draw matrix to N per-draw values, each depending only on its
-    draw (the association test calls members on row blocks of the draws),
-    and is nondecreasing in every coordinate.
+    draw, and is nondecreasing in every coordinate.  The association test
+    calls members on row blocks of the draws, concurrently on disjoint
+    blocks, so a member must be safe to call from several threads at once.
     """
 
     members: tuple
@@ -92,9 +93,9 @@ def _projection(i):
 
 
 def _column_quantiles(x: np.ndarray, levels) -> np.ndarray:
-    """np.quantile(x, levels, axis=0), bit for bit, one column at a time:
-    it copies a column, where the one call copies all of x."""
-    return np.array([np.quantile(c, levels) for c in x.T]).T
+    """np.quantile(x, levels, axis=0), bit for bit, one column per pool
+    task: each copies its column, where the one call copies all of x."""
+    return np.array(_in_pool(lambda c: np.quantile(c, levels), x.T)).T
 
 
 def default_family(reference_draws, variance: float = 1.0) -> IncreasingFunctionFamily:
@@ -124,6 +125,12 @@ def default_family(reference_draws, variance: float = 1.0) -> IncreasingFunction
     slope = math.ldexp(defaults.SOFT_INDICATOR_SLOPE, -2 * (math.frexp(variance)[1] // 2))
     members.append(("soft_orthant", _soft_orthant(median, slope)))
     return IncreasingFunctionFamily(tuple(members))
+
+
+# jackknife blocks per pool task in association_mc_test: the statistics
+# of one block are small operations that hold the GIL, and a task per
+# block ran slower on two threads than on one
+_BLOCKS_PER_TASK = 4
 
 
 @dataclass(frozen=True)
@@ -174,18 +181,32 @@ def association_mc_test(spec: PermanentalSpec, family=None,
     sums = np.empty((blocks, len(names)))
     grams = np.empty((blocks, len(names), len(names)))
     rest = n - np.diff(edges)
+
+    def run(first):
+        """Members on jackknife blocks first .. first + _BLOCKS_PER_TASK - 1
+        at once, then each block's column sums and Gram matrix from its
+        rows.  A value that is not finite, or not one per draw, raises for
+        the first such block, then member, as a block-by-block pass would."""
+        group = range(first, min(first + _BLOCKS_PER_TASK, blocks))
+        lo, hi = edges[first], edges[group[-1] + 1]
+        v = np.empty((hi - lo, len(names)))
+        for j, (_, f) in enumerate(family.members):
+            values = np.asarray(f(batch.draws[lo:hi]), dtype=float)
+            v[:, j] = values if values.shape == (hi - lo,) else np.nan
+        if not np.isfinite(v).all():  # one pass over all of v; the search only on error
+            for b in group:
+                finite = np.isfinite(v[edges[b] - lo:edges[b + 1] - lo]).all(axis=0)
+                if not finite.all():
+                    raise InputFormatError(f"family member {names[np.argmin(finite)]!r} "
+                                           "must give one finite value per draw")
+        for b in group:
+            s = v[edges[b] - lo:edges[b + 1] - lo]
+            sums[b] = s.sum(axis=0)
+            grams[b] = s.T @ s
+
     # overflow leaves inf or NaN, which the check below turns into an error
     with np.errstate(over="ignore", invalid="ignore"):
-        for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-            v = np.empty((hi - lo, len(names)))
-            for j, (name, f) in enumerate(family.members):
-                values = np.asarray(f(batch.draws[lo:hi]), dtype=float)
-                if values.shape != (hi - lo,) or not np.all(np.isfinite(values)):
-                    raise InputFormatError(
-                        f"family member {name!r} must give one finite value per draw")
-                v[:, j] = values
-            sums[b] = v.sum(axis=0)
-            grams[b] = v.T @ v
+        _in_pool(run, range(0, blocks, _BLOCKS_PER_TASK))
         total, gram = sums.sum(axis=0), grams.sum(axis=0)
         cov = gram / n - np.multiply.outer(total / n, total / n)
         loo_mean = (total - sums) / rest[:, None]

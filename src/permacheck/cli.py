@@ -210,7 +210,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Infinite-divisibility and positive-correlation checks "
                     "for squared Gaussian and permanental vectors.")
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored: every command runs on one thread")
+                   help="accepted and ignored: sample and check-assoc use every "
+                        "CPU the process may run on, the other commands one "
+                        "thread, and no output depends on how many")
     sub = p.add_subparsers(dest="command", required=True)
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--report", help="write the JSON report here, not to stdout")

@@ -6,14 +6,18 @@ alphas are reached by self-normalized importance weights
 exp(-(alpha/2) sum_i psi_i), which move the kernel to its
 alpha-resolvent without resampling.  All draws are pure functions of
 (seed, index) through a counter-based Philox stream, so batches are
-reproducible bit for bit.  A normal is ndtri of one Philox uniform.  A
-batch of at most 2**20 normals, in a process that has not imported
-scipy.special, takes ndtri from _ndtri_cephes, a numpy port of the
-Cephes routine, so it loads no scipy; any other batch calls
-scipy.special.ndtri, which is faster per normal once imported.  The two
-give the same bits wherever TestNdtriPort passes (checked on x86-64
-glibc with numpy 2.4 and scipy 1.17), so there the route never shows in
-a batch.
+reproducible bit for bit.  A normal is ndtri of one Philox uniform, and
+each block of rows reads its own place in the stream, so blocks can be
+drawn in any order.  A batch of at most 2**20 normals, in a process
+that has not imported scipy.special, takes ndtri from _ndtri_cephes, a
+numpy port of the Cephes routine, so it loads no scipy; any other batch
+calls scipy.special.ndtri, which is faster per normal once imported,
+and draws its row blocks on a pool of one thread per CPU the process
+may run on.  The port's blocks run one after the other: its math.log
+calls hold the GIL.  The two routes give the same bits wherever
+TestNdtriPort passes (checked on x86-64 glibc with numpy 2.4 and scipy
+1.17), so there neither the route nor the thread count shows in a
+batch.
 """
 
 from __future__ import annotations
@@ -135,16 +139,24 @@ class SampleBatch:
 
 
 # rows per block of the Gaussian stream both samplers draw from; the
-# working set beside the output is three arrays of this many rows
+# working set beside the output is three arrays of this many rows per worker
 _BLOCK_ROWS = 8192
+
+# threads for the sampler's row blocks and the association statistics:
+# the CPUs this process may run on.  No output depends on it.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 # Batches of at most this many normals go through _ndtri_cephes unless
 # scipy.special is loaded already, larger ones through scipy.special.ndtri;
 # both give the same bits.  On a 2-vCPU Xeon, importing scipy.special
-# takes 0.33 s and the port 0.18 us per normal more than scipy (two
-# math.log calls per tail value), so they break even near 1.8e6 normals,
-# and 2**20 normals cost the port about 0.2 s.  It changes no result, so
-# it is not in the defaults table.
+# takes about 0.31 s.  A whole permanental batch (n = 6, k = 2) costs
+# about 225 ns per normal on the port, which stays on one thread (two
+# math.log calls per tail value, under the GIL), and 50 ns on scipy's
+# route with one worker or 30-35 ns with two.  So the port breaks even
+# near 1.7e6 normals against one worker and 1.6e6 against two, and
+# 2**20 normals cost it about 0.24 s.  It changes no result, so it is
+# not in the defaults table.
 _CEPHES_MAX_NORMALS = 1 << 20
 
 # Cephes ndtri (Moshier) as scipy.special.ndtri evaluates it: its
@@ -227,8 +239,17 @@ def _ndtri_cephes(u: np.ndarray, out: np.ndarray) -> None:
     flat[tail] = x
 
 
-def _philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+def _stream_at(seed: int, word: int) -> np.random.Generator:
+    """The Philox stream of seed from its 64-bit word `word` on.
+
+    Philox is counter-based: one counter step makes four words, so this
+    advances word // 4 steps and discards word % 4 words, and any block
+    of the stream can be drawn on its own, in any order.
+    """
+    bits = np.random.Philox(key=np.uint64(seed))
+    bits.advance(word // 4)
+    bits.random_raw(word % 4)
+    return np.random.Generator(bits)
 
 
 def _open_uniforms(raw: np.ndarray, out: np.ndarray) -> None:
@@ -296,26 +317,63 @@ def _ndtri_route(n_normals: int):
     return ndtri
 
 
-def _gaussian_blocks(A: np.ndarray, n_draws: int, k: int, seed: int):
-    """Yields (rows, eta): row block `rows` of each of k Gaussian draw
-    matrices z @ A.T, vector-major, so the blocks take the Philox words in
-    the order one (k, n_draws, n) normal array would.  _ndtri_route picks
-    the ndtri once, from the batch's k * n_draws * n normals."""
-    gen, blocks = _philox(seed), _row_blocks(n_draws)
-    ndtri = _ndtri_route(k * n_draws * A.shape[0])
-    for _ in range(k):
-        for rows in blocks:
-            z = np.empty((rows.stop - rows.start, A.shape[0]))
-            _fill_normals(gen, z, ndtri)
-            yield rows, z @ A.T
+def _in_pool(fn, items, pooled: bool = True) -> list:
+    """[fn(x) for x in items], each call under the caller's np.errstate.
+
+    When pooled and there are at least two items, the calls run on
+    _WORKERS threads, so fn must be safe to call concurrently; results
+    and the first exception still come in item order.  numpy's error
+    state is a context variable that a pool thread does not inherit,
+    hence the wrap.
+    """
+    items = list(items)
+    if not pooled or _WORKERS < 2 or len(items) < 2:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # about 10 ms, paid only here
+
+    err = np.geterr()
+
+    def call(x):
+        with np.errstate(**err):
+            return fn(x)
+
+    with ThreadPoolExecutor(min(_WORKERS, len(items))) as pool:
+        return list(pool.map(call, items))
+
+
+def _gaussian_rows(A: np.ndarray, n_draws: int, k: int, seed: int, into) -> None:
+    """Calls into(rows, eta) for row block `rows` of each of k Gaussian
+    draw matrices z @ A.T.
+
+    A block's normals are the Philox words that one (k, n_draws, n)
+    normal array would give it: vector v's rows start at word
+    (v * n_draws + rows.start) * n.  Each block runs its k vectors in
+    order, so into may add them up; blocks run on the pool when scipy's
+    ndtri is the route (the port's math.log calls hold the GIL), and
+    into must then be safe on disjoint blocks.  _ndtri_route picks the
+    ndtri once, from the batch's k * n_draws * n normals.
+    """
+    n = A.shape[0]
+    ndtri = _ndtri_route(k * n_draws * n)
+
+    def block(rows):
+        for v in range(k):
+            z = np.empty((rows.stop - rows.start, n))
+            _fill_normals(_stream_at(seed, (v * n_draws + rows.start) * n), z, ndtri)
+            into(rows, z @ A.T)
+
+    _in_pool(block, _row_blocks(n_draws), pooled=ndtri is not _ndtri_cephes)
 
 
 def sample_gaussian(G: KernelMatrix, n_draws: int, seed: int) -> SampleBatch:
     """N centered Gaussian draws with covariance G."""
     n_draws = _draw_count(n_draws)
     draws = np.empty((n_draws, G.dim))
-    for rows, eta in _gaussian_blocks(_sqrt_factor(G), n_draws, 1, seed):
+
+    def put(rows, eta):
         draws[rows] = eta
+
+    _gaussian_rows(_sqrt_factor(G), n_draws, 1, seed, put)
     return SampleBatch(draws, np.ones(n_draws), int(seed),
                        PermanentalSpec(G, 2.0), kind="gaussian")
 
@@ -330,10 +388,13 @@ def sample_permanental(spec: PermanentalSpec, n_draws: int, seed: int) -> Sample
     n_draws = _draw_count(n_draws)
     k = spec.k
     psi = np.zeros((n_draws, spec.kernel.dim))  # +0.0 + eta is eta, bit for bit
+
+    def add_square(rows, eta):
+        eta *= eta
+        psi[rows] += eta
+
     with np.errstate(over="ignore"):  # SampleBatch rejects draws that overflow
-        for rows, eta in _gaussian_blocks(_sqrt_factor(spec.kernel), n_draws, k, seed):
-            eta *= eta
-            psi[rows] += eta
+        _gaussian_rows(_sqrt_factor(spec.kernel), n_draws, k, seed, add_square)
     return SampleBatch(psi, np.ones(n_draws), int(seed), spec, kind="permanental")
 
 

@@ -35,6 +35,7 @@ from oracles import (
     naive_monotonicity_scan,
     random_green,
 )
+import permacheck.sampler as sampler
 from permacheck.assoc import _column_quantiles, _cross_lattice_check
 from permacheck.defaults import (
     JACKKNIFE_BLOCKS,
@@ -92,19 +93,22 @@ class TestFamily:
         assert np.array_equal(soft(x, 1.99), soft(x))
         assert not np.array_equal(soft(x, 2.0), soft(x))
 
-    def test_thresholds_allocate_under_two_columns(self):
-        # one np.quantile call over all columns would copy the whole matrix
+    def test_thresholds_allocate_under_two_columns(self, monkeypatch):
+        # one np.quantile call over all columns would copy the whole matrix;
+        # column by column, each worker copies one column at a time
         rng = np.random.default_rng(9)
         spec = PermanentalSpec(kernel(random_green(rng, 4, symmetric=True)), 2.0)
         x = sample_permanental(spec, 100_000, seed=9).draws
         default_family(x[:10])
-        tracemalloc.start()
-        try:
-            default_family(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * x.shape[0] * x.itemsize
+        for workers in (1, 2):
+            monkeypatch.setattr(sampler, "_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                default_family(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < (workers + 1) * x.shape[0] * x.itemsize, workers
 
     def test_tiny_reference_rejected(self):
         with pytest.raises(InputFormatError):
@@ -204,6 +208,34 @@ class TestAssociationOracle:
             x = sample_permanental(spec, n_draws, int(rng.integers(1 << 32))).draws
             want = np.quantile(x, levels, axis=0)
             assert _column_quantiles(x, levels).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_reports_do_not_depend_on_the_worker_count(self, n, monkeypatch):
+        rng = np.random.default_rng(400 + n)
+        spec = PermanentalSpec(kernel(random_green(rng, n, symmetric=True)), 1.0)
+        # one to four tasks of jackknife blocks, one with a short last task,
+        # and blocks of one draw
+        for n_draws in (10, 150, 12_345, 10 ** 5):
+            for family in (None, IncreasingFunctionFamily(CUSTOM_MEMBERS)):
+                reports = []
+                for workers in (1, 2):
+                    monkeypatch.setattr(sampler, "_WORKERS", workers)
+                    reports.append(repr(association_mc_test(spec, family, n_draws, 61)))
+                assert reports[0] == reports[1], (n_draws, family)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_bad_block_then_member_is_named(self, workers, monkeypatch):
+        # a task evaluates four blocks at once; the error still names the
+        # member that a block-by-block pass meets first: "late" is infinite
+        # on block 0's draws, "early" is NaN on the draws from block 2 on
+        monkeypatch.setattr(sampler, "_WORKERS", workers)
+        spec, n_draws = PermanentalSpec(G2, 2.0), 10 * JACKKNIFE_BLOCKS
+        x0 = sample_permanental(spec, n_draws, 57).draws[:, 0]
+        members = (PROJ_0,
+                   ("early", lambda x: np.where(np.isin(x[:, 0], x0[20:]), np.nan, x[:, 0])),
+                   ("late", lambda x: np.where(np.isin(x[:, 0], x0[:10]), np.inf, x[:, 0])))
+        with pytest.raises(InputFormatError, match="'late'"):
+            association_mc_test(spec, IncreasingFunctionFamily(members), n_draws, 57)
 
     @pytest.mark.parametrize("members, n_draws", [
         ((PROJ_0, ("nan", lambda x: np.full(len(x), np.nan))), 1000),

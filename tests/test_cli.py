@@ -504,11 +504,24 @@ class TestContract:
         (["check-assoc", "--kernel", "{m}", "--n", "100"], 1e308 * np.eye(2)),
         (["check-assoc", "--kernel", "{m}", "--n", "20000", "--seed", "1"],
          1e160 * np.array([[1.0, 0.5], [0.5, 1.0]])),
+        # three row blocks, which run on the worker pool
+        (["sample", "--kernel", "{m}", "--n", "20000", "--out", "{dir}/x.bin"],
+         1e308 * np.eye(2)),
+        (["check-assoc", "--kernel", "{m}", "--n", "20000"], 1e308 * np.eye(2)),
     ], ids=["perm-big-beta", "perm-huge", "power", "psd-1e110", "psd-1e160",
-            "nonsym-1e160", "scan-huge", "sample-1e308", "assoc-1e308", "assoc-1e160"])
-    def test_value_that_is_not_finite_is_three(self, argv, entries, tmp_path, capsys):
+            "nonsym-1e160", "scan-huge", "sample-1e308", "assoc-1e308", "assoc-1e160",
+            "sample-1e308-blocks", "assoc-1e308-blocks"])
+    def test_value_that_is_not_finite_is_three(self, argv, entries, tmp_path, capsys,
+                                               monkeypatch):
         # each once exited 0 with inf or NaN, or 2 or 3 with the wrong error
-        # and an overflow warning on stderr
+        # and an overflow warning on stderr; with scipy.special loaded the
+        # sampler takes scipy's ndtri and draws its row blocks on the pool,
+        # on two workers whatever the host's CPU count
+        import scipy.special  # noqa: F401
+
+        import permacheck.sampler
+
+        monkeypatch.setattr(permacheck.sampler, "_WORKERS", 2)
         code, error = _contract_exit_code(tmp_path, capsys, argv,
                                           _json_text(np.array(entries, dtype=float)))
         assert (code, error["error"]) == (3, "NonFiniteError")
@@ -818,24 +831,32 @@ class TestSample:
 
 _COMMANDS_PROBE = """
 import json
+import os
 import sys
+if len(sys.argv) > 2:  # pinned to this one CPU before permacheck counts its workers
+    os.sched_setaffinity(0, {int(sys.argv[2])})
+import permacheck.sampler
 from permacheck.cli import parse_and_dispatch
 for argv in json.loads(sys.argv[1]):
     assert parse_and_dispatch(argv) == 0, argv
+print(permacheck.sampler._WORKERS)
 """
 
 
 class TestThreadCount:
     def test_reports_do_not_depend_on_blas_threads(self, matrices, tmp_path):
         # a BLAS dot over all N draws splits its sum across threads, so
-        # covariances once moved in the last bits with OPENBLAS_NUM_THREADS
+        # covariances once moved in the last bits with OPENBLAS_NUM_THREADS;
+        # a child pinned to one CPU runs the sampler and the association
+        # statistics on one worker, the others on one per CPU they may use
         g4 = tmp_path / "g4.csv"
         save_matrix(kernel(np.linalg.inv(2.3 * np.eye(4) - 0.3)), g4)
         # the probe runs in each output directory, so it needs an absolute path
         package_root = str(Path(permacheck.__file__).parents[1])
+        cpu = min(os.sched_getaffinity(0))
         outputs = []
-        for threads in (1, 2):
-            out = tmp_path / f"threads{threads}"
+        for threads, pin in ((1, []), (2, []), (2, [str(cpu)])):
+            out = tmp_path / f"threads{threads}{'-pinned' if pin else ''}"
             out.mkdir()
             # relative output paths, since reports echo them
             argvs = [["check-assoc", "--kernel", str(g), "--k", "1", "--n", "2e4",
@@ -843,14 +864,20 @@ class TestThreadCount:
                      for n, g in ((2, matrices["g2"]), (4, g4))]
             argvs.append(["sample", "--kernel", str(g4), "--k", "2", "--n", "2e4",
                           "--seed", "7", "--out", "s.bin", "--report", "sample.json"])
-            proc = subprocess.run([sys.executable, "-c", _COMMANDS_PROBE, json.dumps(argvs)],
+            # 1.6e6 normals take scipy's ndtri, and the pool
+            argvs.append(["sample", "--kernel", str(g4), "--k", "2", "--n", "2e5",
+                          "--seed", "7", "--out", "big.bin", "--report", "big.json"])
+            proc = subprocess.run([sys.executable, "-c", _COMMANDS_PROBE, json.dumps(argvs),
+                                   *pin],
                                   capture_output=True, text=True, cwd=out,
                                   env=dict(os.environ, PYTHONPATH=package_root,
                                            OPENBLAS_NUM_THREADS=str(threads)))
             assert proc.returncode == 0, proc.stderr
+            if pin:
+                assert proc.stdout.split() == ["1"]
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert len(outputs[0]) == 4
-        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 6
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestChecks:

@@ -33,9 +33,9 @@ from permacheck.sampler import (
     _ndtri_cephes,
     _ndtri_route,
     _open_uniforms,
-    _philox,
     _row_blocks,
     _sqrt_factor,
+    _stream_at,
 )
 from oracles import (
     mc_abs_product_moment,
@@ -90,6 +90,17 @@ def _each_route(monkeypatch):
         yield route
 
 
+class TestStreamAt:
+    def test_matches_one_long_stream_at_any_word(self):
+        m = 100_003  # counter steps of four words; m is not a power of two
+        seed = 23
+        words = np.random.Generator(np.random.Philox(key=np.uint64(seed))).integers(
+            0, 1 << 53, size=4 * m + 16, dtype=np.uint64)
+        for word in (*range(10), 4 * m - 1, 4 * m, 4 * m + 1):
+            got = _stream_at(seed, word).integers(0, 1 << 53, size=9, dtype=np.uint64)
+            assert np.array_equal(got, words[word:word + 9]), word
+
+
 class TestRowBlocks:
     """The row-block sampler draws the bits of the one-shot sampler."""
 
@@ -123,7 +134,28 @@ class TestRowBlocks:
                     got = sample_gaussian(G, n_draws, seed=n_draws).draws
                     assert got.tobytes() == want.tobytes(), (G.entries.tolist(), n_draws, route)
 
-    def test_permanental_memory_is_output_plus_one_block(self):
+    # n = 3, 5 and 7 put most blocks of k = 3 vectors at word offsets that
+    # are not multiples of a counter step's four words
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_bits_match_one_shot_sampler_at_any_worker_count(self, n, workers, monkeypatch):
+        monkeypatch.setattr(sampler, "_WORKERS", workers)
+        for G in _kernels(n):
+            spec = PermanentalSpec(G, 2.0 / 3)
+            for n_draws in BLOCK_COUNTS:
+                want = oneshot_permanental_draws(_sqrt_factor(G), 3, n_draws, n_draws)
+                want_eta = oneshot_gaussian_draws(_sqrt_factor(G), n_draws, n_draws)
+                for route in _each_route(monkeypatch):
+                    got = sample_permanental(spec, n_draws, seed=n_draws).draws
+                    assert got.tobytes() == want.tobytes(), (G.entries.tolist(), n_draws, route)
+                    got = sample_gaussian(G, n_draws, seed=n_draws).draws
+                    assert got.tobytes() == want_eta.tobytes(), (G.entries.tolist(), n_draws, route)
+
+    def test_permanental_memory_is_output_plus_one_block(self, monkeypatch):
+        # plus one block per worker: 2.4e6 normals take scipy's ndtri and the pool
+        from scipy.special import ndtri  # noqa: F401  (imported outside the trace)
+
+        monkeypatch.setattr(sampler, "_WORKERS", 2)
         spec = PermanentalSpec(_kernels(6)[0], 1.0)
         sample_permanental(spec, 10, seed=1)  # imports outside the trace
         tracemalloc.start()
@@ -134,6 +166,32 @@ class TestRowBlocks:
             tracemalloc.stop()
         # the (k, N, n) normal stack alone would be 1.7 times psi and weights
         assert peak < 1.5 * (batch.draws.nbytes + batch.weights.nbytes)
+
+
+class TestWorkerPool:
+    def test_bits_hold_with_more_workers_than_cpus(self, monkeypatch):
+        # eight workers switching every microsecond: a block written to
+        # another block's rows, or a lost update, would change the bits
+        from scipy.special import ndtri
+
+        monkeypatch.setattr(sampler, "_ndtri_route", lambda n_normals: ndtri)
+        spec = PermanentalSpec(_kernels(5)[0], 2.0 / 3)
+
+        def outputs():
+            return (sample_permanental(spec, 100_003, seed=3).draws.tobytes(),
+                    sample_gaussian(spec.kernel, 100_003, seed=3).draws.tobytes(),
+                    repr(association_mc_test(spec, n_draws=100_003, seed=3)))
+
+        monkeypatch.setattr(sampler, "_WORKERS", 1)
+        want = outputs()
+        monkeypatch.setattr(sampler, "_WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = outputs()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
 
 class TestUniforms:
@@ -163,7 +221,7 @@ class TestNdtriPort:
     """_ndtri_cephes reproduces scipy.special.ndtri bit for bit."""
 
     def test_matches_scipy_on_ten_million_stream_uniforms(self):
-        gen, chunk, wrong = _philox(19), 1 << 20, 0
+        gen, chunk, wrong = _stream_at(19, 0), 1 << 20, 0
         u, got = np.empty(chunk), np.empty(chunk)
         for _ in range(10):  # 10 * 2**20 > 10**7 uniforms, one chunk in memory
             _open_uniforms(gen.integers(0, 1 << 53, size=chunk, dtype=np.uint64), u)
