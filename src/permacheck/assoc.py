@@ -65,20 +65,29 @@ def _orthant(thresholds):
 
 
 def _soft_orthant(thresholds, slope):
-    # imported here, not at module scope, so the CLI starts without scipy
-    from scipy.special import expit
+    """prod_i s(slope * (x_i - t_i)) with the increasing sigmoid
+    s(u) = 0.5 / (1 - u) for u < 0 and 1 - 0.5 / (1 + u) otherwise.
 
+    s takes only correctly rounded operations, so its bits depend on
+    neither libm nor numpy's SIMD dispatch.  Column by column in place,
+    in the operation order of the row-axis product: two columns of memory
+    and a bool one, not N x n.
+    """
     t = np.asarray(thresholds, dtype=float)
 
-    # column by column in place, in the operation order of
-    # expit(slope * (x - t)).prod(axis=1): two columns of memory, not N x n
     def f(x):
         acc = np.ones(x.shape[0])  # 1.0 * e == e exactly
         e = np.empty(x.shape[0])
+        upper = np.empty(x.shape[0], dtype=bool)
         for c, ti in zip(x.T, t):
             np.subtract(c, ti, out=e)
             e *= slope
-            expit(e, out=e)
+            np.signbit(e, out=upper)
+            np.logical_not(upper, out=upper)
+            np.abs(e, out=e)  # 1 + |u| is 1 - u, exactly, where u < 0
+            e += 1.0
+            np.divide(0.5, e, out=e)
+            np.subtract(1.0, e, out=e, where=upper)
             acc *= e
         return acc
 
@@ -165,10 +174,6 @@ def association_mc_test(spec: PermanentalSpec, family=None,
     finite raises NonFiniteError.
     """
     seed = defaults.DEFAULT_SEED if seed is None else int(seed)
-    if family is None:
-        # the default family's soft orthant needs scipy.special for expit;
-        # loading it first makes the sampler take scipy's faster ndtri
-        import scipy.special
     batch = sample_permanental(spec, n_draws, seed)
     if family is None:
         family = default_family(batch.draws, float(np.max(np.diagonal(spec.kernel.entries))))

@@ -154,7 +154,7 @@ def marginal_quantile_grid(variance: float, r: float = 0.0) -> np.ndarray:
     With eta = sigma Z, sigma^2 = variance, and mu = |r| / sigma, the
     p-quantile is variance * t^2, where t solves P(|Z + mu| <= t) = p.
     t comes from _abs_shifted_quantile with math.erf/erfc only, so no
-    scipy module is loaded.  The solve runs on variance / 4^j and |r| / 2^j
+    special-function library is loaded.  The solve runs on variance / 4^j and |r| / 2^j
     (j = frexp(variance)[1] // 2), which leaves mu as it is and keeps
     mu^2 = r^2 / variance finite; so 4^k variance with shift 2^k r gives
     exactly 4^k times these quantiles.

@@ -4,20 +4,14 @@ Direct sampling covers index beta = 2/k: a draw is the coordinatewise
 sum of k squared centered Gaussians with the given covariance.  Other
 alphas are reached by self-normalized importance weights
 exp(-(alpha/2) sum_i psi_i), which move the kernel to its
-alpha-resolvent without resampling.  All draws are pure functions of
-(seed, index) through a counter-based Philox stream, so batches are
-reproducible bit for bit.  A normal is ndtri of one Philox uniform, and
-each block of rows reads its own place in the stream, so blocks can be
-drawn in any order.  A batch of at most 2**20 normals, in a process
-that has not imported scipy.special, takes ndtri from _ndtri_cephes, a
-numpy port of the Cephes routine, so it loads no scipy; any other batch
-calls scipy.special.ndtri, which is faster per normal once imported,
-and draws its row blocks on a pool of one thread per CPU the process
-may run on.  The port's blocks run one after the other: its math.log
-calls hold the GIL.  The two routes give the same bits wherever
-TestNdtriPort passes (checked on x86-64 glibc with numpy 2.4 and scipy
-1.17), so there neither the route nor the thread count shows in a
-batch.
+alpha-resolvent without resampling.  The rows of a batch are cut into
+blocks of at most _BLOCK_ROWS, and each block draws numpy's ziggurat
+normals from its own counter-based Philox key (seed, first row), so
+blocks can be drawn in any order and run on a pool of one thread per
+CPU the process may run on; neither the order nor the thread count
+shows in a batch.  numpy's Generator may change a distribution's
+algorithm between feature releases (NEP 19), so a batch is reproducible
+bit for bit for a given numpy version.
 """
 
 from __future__ import annotations
@@ -26,7 +20,6 @@ import json
 import math
 import operator
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,142 +131,14 @@ class SampleBatch:
         return float((v * self.weights).sum() / self.weights.sum())
 
 
-# rows per block of the Gaussian stream both samplers draw from; the
-# working set beside the output is three arrays of this many rows per worker
+# rows per block of normals, each block with its own Philox key; the
+# working set beside the output is two arrays of this many rows per worker
 _BLOCK_ROWS = 8192
 
 # threads for the sampler's row blocks and the association statistics:
 # the CPUs this process may run on.  No output depends on it.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-
-# Batches of at most this many normals go through _ndtri_cephes unless
-# scipy.special is loaded already, larger ones through scipy.special.ndtri;
-# both give the same bits.  On a 2-vCPU Xeon, importing scipy.special
-# takes about 0.31 s.  A whole permanental batch (n = 6, k = 2) costs
-# about 225 ns per normal on the port, which stays on one thread (two
-# math.log calls per tail value, under the GIL), and 50 ns on scipy's
-# route with one worker or 30-35 ns with two.  So the port breaks even
-# near 1.7e6 normals against one worker and 1.6e6 against two, and
-# 2**20 normals cost it about 0.24 s.  It changes no result, so it is
-# not in the defaults table.
-_CEPHES_MAX_NORMALS = 1 << 20
-
-# Cephes ndtri (Moshier) as scipy.special.ndtri evaluates it: its
-# coefficient tables, polevl/p1evl Horner order and branch points
-_EXP_M2 = 0.13533528323661269189  # e^-2
-_S2PI = 2.50662827463100050242  # sqrt(2 pi)
-# x = y - 0.5 for e^-2 < y < 1 - e^-2: x + x y2 P0(y2)/Q0(y2), y2 = x^2
-_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
-       1.39312609387279679503E1, -1.23916583867381258016E0)
-_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
-       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
-       1.59056225126211695515E1, -1.18331621121330003142E0)
-# tails, in z = 1/x with x = sqrt(-2 log y): P1/Q1 for 2 <= x < 8, P2/Q2 for x >= 8
-_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
-       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
-       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
-_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
-       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
-       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
-       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
-       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
-_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
-       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
-       2.89247864745380683936E-6, 6.79019408009981274425E-9)
-
-
-def _polevl(x: np.ndarray, coef) -> np.ndarray:
-    """coef[0] x^N + ... + coef[N], in Horner order, one rounding per step."""
-    ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans *= x
-        ans += c
-    return ans
-
-
-def _p1evl(x: np.ndarray, coef) -> np.ndarray:
-    """_polevl with a leading coefficient of 1 that is not stored."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans *= x
-        ans += c
-    return ans
-
-
-def _libm_log(x: np.ndarray) -> np.ndarray:
-    """log of a contiguous 1-d array through math.log, the C library's log
-    that scipy calls; np.log's SIMD loops can differ from it in the last bit."""
-    return np.fromiter(map(math.log, memoryview(x)), float, x.size)
-
-
-def _ndtri_cephes(u: np.ndarray, out: np.ndarray) -> None:
-    """Standard normal quantiles of u, strictly inside (0, 1), into out.
-
-    Bit for bit the Cephes ndtri that scipy.special.ndtri runs: the same
-    tables, Horner order and branches (e^-2, 1 - e^-2, x = 8), numpy's
-    unfused IEEE arithmetic and the C library's log, as TestNdtriPort
-    checks against the installed scipy.  out must be C-contiguous; u and
-    out may be the same array.
-    """
-    y = u.reshape(-1)
-    upper = y > 1.0 - _EXP_M2  # Cephes takes 1 - y there and keeps the sign
-    y = np.where(upper, 1.0 - y, y)
-    mid = y > _EXP_M2
-    c = y[mid] - 0.5
-    c2 = c * c
-    central = c + c * (c2 * _polevl(c2, _P0) / _p1evl(c2, _Q0))
-    central *= _S2PI
-    tail = ~mid
-    x = np.sqrt(-2.0 * _libm_log(y[tail]))
-    z = 1.0 / x
-    x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
-    far = x >= 8.0  # y <= e^-32
-    zf = z[far]
-    x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
-    x = x - _libm_log(x) / x - x1
-    np.negative(x, out=x, where=~upper[tail])
-    flat = out.reshape(-1)
-    flat[mid] = central
-    flat[tail] = x
-
-
-def _stream_at(seed: int, word: int) -> np.random.Generator:
-    """The Philox stream of seed from its 64-bit word `word` on.
-
-    Philox is counter-based: one counter step makes four words, so this
-    advances word // 4 steps and discards word % 4 words, and any block
-    of the stream can be drawn on its own, in any order.
-    """
-    bits = np.random.Philox(key=np.uint64(seed))
-    bits.advance(word // 4)
-    bits.random_raw(word % 4)
-    return np.random.Generator(bits)
-
-
-def _open_uniforms(raw: np.ndarray, out: np.ndarray) -> None:
-    """Uniforms (raw + 0.5) * 2**-53 strictly inside (0, 1), into out,
-    from integers raw in [0, 2**53).
-
-    The top word 2**53 - 1 would round to 1.0 (2**53 - 0.5 is a tie, and
-    rounds to the even 2**53), so it maps to 1 - 2**-53 instead; every
-    other word is below that already.
-    """
-    np.add(raw, 0.5, out=out)
-    out *= 2.0 ** -53
-    np.minimum(out, 1.0 - 2.0 ** -53, out=out)
-
-
-def _fill_normals(gen: np.random.Generator, out: np.ndarray, ndtri) -> None:
-    """Standard normals into out, in place, from the next out.size words of gen.
-
-    Each value takes exactly one 64-bit word: for the range 2**53 the
-    bounded draw never rejects, so successive calls continue one stream.
-    ndtri is the batch's route, _ndtri_cephes or scipy's.
-    """
-    _open_uniforms(gen.integers(0, 1 << 53, size=out.shape, dtype=np.uint64), out)
-    ndtri(out, out)
 
 
 def _row_blocks(n_rows: int) -> list:
@@ -306,28 +171,16 @@ def _draw_count(n_draws) -> int:
     return count
 
 
-def _ndtri_route(n_normals: int):
-    """The ndtri for a batch of n_normals normals: the port when the batch
-    is small and scipy.special is not loaded, so that the port saves its
-    import; scipy's, faster per normal, once the import is paid or worth it."""
-    if n_normals <= _CEPHES_MAX_NORMALS and "scipy.special" not in sys.modules:
-        return _ndtri_cephes
-    from scipy.special import ndtri  # imported only here, for this route
-
-    return ndtri
-
-
-def _in_pool(fn, items, pooled: bool = True) -> list:
+def _in_pool(fn, items) -> list:
     """[fn(x) for x in items], each call under the caller's np.errstate.
 
-    When pooled and there are at least two items, the calls run on
-    _WORKERS threads, so fn must be safe to call concurrently; results
-    and the first exception still come in item order.  numpy's error
-    state is a context variable that a pool thread does not inherit,
-    hence the wrap.
+    With at least two items, the calls run on _WORKERS threads, so fn
+    must be safe to call concurrently; results and the first exception
+    still come in item order.  numpy's error state is a context variable
+    that a pool thread does not inherit, hence the wrap.
     """
     items = list(items)
-    if not pooled or _WORKERS < 2 or len(items) < 2:
+    if _WORKERS < 2 or len(items) < 2:
         return [fn(x) for x in items]
     from concurrent.futures import ThreadPoolExecutor  # about 10 ms, paid only here
 
@@ -345,24 +198,21 @@ def _gaussian_rows(A: np.ndarray, n_draws: int, k: int, seed: int, into) -> None
     """Calls into(rows, eta) for row block `rows` of each of k Gaussian
     draw matrices z @ A.T.
 
-    A block's normals are the Philox words that one (k, n_draws, n)
-    normal array would give it: vector v's rows start at word
-    (v * n_draws + rows.start) * n.  Each block runs its k vectors in
-    order, so into may add them up; blocks run on the pool when scipy's
-    ndtri is the route (the port's math.log calls hold the GIL), and
-    into must then be safe on disjoint blocks.  _ndtri_route picks the
-    ndtri once, from the batch's k * n_draws * n normals.
+    A block's normals come from its own Philox key (seed, rows.start):
+    it draws its k vectors' normals one (rows, n) matrix after another,
+    so into may add them up.  The 128-bit key is built as a uint64
+    array, which keeps every seed below 2**64 exact.  Blocks run on the
+    pool, so into must be safe on disjoint blocks.
     """
     n = A.shape[0]
-    ndtri = _ndtri_route(k * n_draws * n)
 
     def block(rows):
-        for v in range(k):
-            z = np.empty((rows.stop - rows.start, n))
-            _fill_normals(_stream_at(seed, (v * n_draws + rows.start) * n), z, ndtri)
-            into(rows, z @ A.T)
+        key = np.array([seed, rows.start], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        for _ in range(k):
+            into(rows, gen.standard_normal((rows.stop - rows.start, n)) @ A.T)
 
-    _in_pool(block, _row_blocks(n_draws), pooled=ndtri is not _ndtri_cephes)
+    _in_pool(block, _row_blocks(n_draws))
 
 
 def sample_gaussian(G: KernelMatrix, n_draws: int, seed: int) -> SampleBatch:

@@ -360,9 +360,8 @@ def naive_cross_lattice(F_hi, F_lo, gx, gy, tol: float):
 def naive_default_family(x, quantiles, slope: float) -> list:
     """(name, function) members of the default increasing family as the
     library first built them: one np.quantile call per level, and every
-    member reduced along the row axis of the draw matrix."""
-    from scipy.special import expit
-
+    member reduced along the row axis of the draw matrix.  The soft
+    orthant is the two-branch sigmoid written out with np.where."""
     x = np.asarray(x, dtype=float)
     members = []
     for q in quantiles:
@@ -374,8 +373,12 @@ def naive_default_family(x, quantiles, slope: float) -> list:
     members.append(("max", lambda v: v.max(axis=1)))
     members.append(("min", lambda v: v.min(axis=1)))
     median = np.quantile(x, 0.5, axis=0)
+
+    def sigmoid(t):
+        return np.where(t < 0, 0.5 / (1 - t), 1 - 0.5 / (1 + t))
+
     members.append(("soft_orthant",
-                    lambda v: expit(slope * (v - median)).prod(axis=1)))
+                    lambda v: sigmoid(slope * (v - median)).prod(axis=1)))
     return members
 
 
@@ -498,32 +501,36 @@ def loop_random_scalings(n: int, count: int, seed: int) -> list:
     return [np.exp(gen.uniform(lo, hi, size=n)) for _ in range(count)]
 
 
-def oneshot_uniforms(seed: int, shape) -> np.ndarray:
-    """Open-interval (0,1) uniforms from a Philox counter stream, all at once.
-
-    The top word 2**53 - 1 would round to 1.0, so it maps to 1 - 2**-53.
-    """
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    raw = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64)
-    return np.minimum((raw.astype(float) + 0.5) * 2.0 ** -53, 1.0 - 2.0 ** -53)
+# rows per block of a batch's layout: each block of at most this many
+# rows draws its normals from its own Philox key (seed, first row)
+BLOCK_ROWS = 8192
 
 
-def oneshot_normals(seed: int, shape) -> np.ndarray:
-    from scipy.special import ndtri
+def oneshot_normals(seed: int, k: int, n_draws: int, n: int) -> np.ndarray:
+    """The (k, n_draws, n) normals of a batch, one block of rows at a time.
 
-    return ndtri(oneshot_uniforms(seed, shape))
+    The blocks are n_draws rows cut near-equally by np.linspace edges into
+    ceil(n_draws / BLOCK_ROWS) pieces; each makes one standard_normal
+    call of shape (k, rows, n) from Philox(key=[seed, first row])."""
+    z = np.empty((k, n_draws, n))
+    edges = np.linspace(0, n_draws, -(-n_draws // BLOCK_ROWS) + 1).astype(int)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        key = np.array([seed, lo], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        z[:, lo:hi] = gen.standard_normal((k, hi - lo, n))
+    return z
 
 
 def oneshot_gaussian_draws(factor, n_draws: int, seed: int) -> np.ndarray:
     """Gaussian draws z @ factor.T, as sample_gaussian makes them."""
-    return oneshot_normals(seed, (n_draws, factor.shape[0])) @ factor.T
+    return oneshot_normals(seed, 1, n_draws, factor.shape[0])[0] @ factor.T
 
 
 def oneshot_permanental_draws(factor, k: int, n_draws: int, seed: int) -> np.ndarray:
     """Permanental draws as the library first made them: the whole
     (k, N, n) normal stack at once, then a sum of k squared Gaussians."""
     n = factor.shape[0]
-    z = oneshot_normals(seed, (k, n_draws, n))
+    z = oneshot_normals(seed, k, n_draws, n)
     psi = np.zeros((n_draws, n))
     for j in range(k):
         eta = z[j] @ factor.T

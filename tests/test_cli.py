@@ -514,11 +514,8 @@ class TestContract:
     def test_value_that_is_not_finite_is_three(self, argv, entries, tmp_path, capsys,
                                                monkeypatch):
         # each once exited 0 with inf or NaN, or 2 or 3 with the wrong error
-        # and an overflow warning on stderr; with scipy.special loaded the
-        # sampler takes scipy's ndtri and draws its row blocks on the pool,
-        # on two workers whatever the host's CPU count
-        import scipy.special  # noqa: F401
-
+        # and an overflow warning on stderr; row blocks run on the pool, on
+        # two workers whatever the host's CPU count
         import permacheck.sampler
 
         monkeypatch.setattr(permacheck.sampler, "_WORKERS", 2)
@@ -544,37 +541,14 @@ import permacheck.cli
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
-_RUN_PROBE = """
+_SCIPY_PROBE = """
 import sys
+if sys.argv.pop(1) == "blocked":
+    sys.modules["scipy"] = None  # any scipy import raises ImportError
 from permacheck.cli import parse_and_dispatch
 code = parse_and_dispatch(sys.argv[1:])
-print(code, "scipy.stats" in sys.modules, "scipy.special" in sys.modules)
-"""
-
-_NO_SCIPY_PROBE = """
-import sys
-sys.modules["scipy"] = None  # any scipy import raises ImportError
-from permacheck.cli import parse_and_dispatch
-print(parse_and_dispatch(sys.argv[1:]))
-"""
-
-
-_SCIPY_ROUTE_PROBE = """
-import sys
-import permacheck.sampler
-permacheck.sampler._CEPHES_MAX_NORMALS = 0  # every batch calls scipy.special.ndtri
-from permacheck.cli import parse_and_dispatch
-print(parse_and_dispatch(sys.argv[1:]), "scipy.special" in sys.modules)
-"""
-
-
-_PORT_PROBE = """
-import sys
-import permacheck.sampler as sampler
-port, ported = sampler._ndtri_cephes, []
-sampler._ndtri_cephes = lambda u, out: ported.append(u.size) or port(u, out)
-from permacheck.cli import parse_and_dispatch
-print(parse_and_dispatch(sys.argv[1:]), "scipy.special" in sys.modules, sum(ported))
+print(sorted(m for m, mod in sys.modules.items()
+             if mod is not None and m.partition(".")[0] == "scipy"), code)
 """
 
 
@@ -585,73 +559,49 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("argv, special", [
-        (["check-id", "--input", "{tri}"], False),
-        (["check-fkg", "--kernel", "{g2}", "--shift", "0.5"], False),
-        (["sample", "--kernel", "{g2}", "--n", "100", "--seed", "3",
-          "--out", "{dir}/s.bin"], False),
-        (["check-fkg", "--kernel", "{g2}", "--shift", "0"], False),
-        (["shifted-order", "--kernel", "{green2}", "--r-pairs", "1,0.5;2,1"], False),
-        # 2 * 6e5 normals, past the 2**20 that the sampler's ndtri port takes
-        (["sample", "--kernel", "{g2}", "--n", "6e5", "--seed", "3",
-          "--out", "{dir}/s.bin"], True),
-    ])
-    def test_commands_never_load_scipy_stats(self, argv, special, matrices, tmp_path):
-        argv = [a.format(**matrices) for a in argv]
-        argv += ["--report", str(tmp_path / "r.json")]
-        proc = subprocess.run([sys.executable, "-c", _RUN_PROBE] + argv,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        code, stats, special_loaded = proc.stdout.split()
-        assert code in ("0", "1")
-        assert stats == "False"
-        assert special_loaded == str(special)
-
     @pytest.mark.parametrize("argv, code", [
+        (["check-id", "--input", "{tri}"], 1),
+        (["perm", "--input", "{perm2}", "--beta", "1"], 0),
+        (["scan", "--input", "{tri}", "--m-max", "4"], 1),
+        (["green", "gen", "--chain", "{chain2}", "--out", "g.csv"], 0),
+        (["green", "power", "--input", "{green2}", "--beta", "2", "--out", "p.csv"], 0),
+        (["green", "plus-c", "--input", "{green2}"], 0),
+        (["green", "restrict", "--input", "{tri}", "--keep", "0,1", "--out", "r.csv"], 0),
+        (["sample", "--kernel", "{g2}", "--n", "1e4", "--seed", "5", "--out", "s.bin"], 0),
+        # 1.2e6 normals in 74 row blocks, on the pool
+        (["sample", "--kernel", "{g2}", "--n", "6e5", "--seed", "3", "--out", "s.bin"], 0),
+        (["check-assoc", "--kernel", "{g2}", "--n", "2e4", "--seed", "5"], 0),
+        (["scan-monotone", "--kernel", "{tri}", "--scalings", "random:5"], 0),
         (["check-fkg", "--kernel", "{g2}", "--shift", "0.5"], 0),
         (["check-fkg", "--kernel", "{neg2}", "--shift", "0.5"], 1),
         (["check-fkg", "--kernel", "{g2}", "--shift", "1e10"], 3),
         (["shifted-order", "--kernel", "{green2}", "--r-pairs", "1,0.5;2,1"], 0),
         (["shifted-order", "--kernel", "{neg2}", "--r-pairs", "1,0.5"], 1),
-    ])
-    def test_lattice_commands_run_without_scipy(self, argv, code, matrices, tmp_path):
+        (["check-shifted-pair", "--vx", "1", "--c", "0.5", "--vy", "1"], 0),
+        (["render", "--input", "{g2}"], 2),
+    ], ids=["check-id", "perm", "scan", "green-gen", "green-power", "green-plus-c",
+            "green-restrict", "sample", "sample-large", "check-assoc", "scan-monotone",
+            "check-fkg", "check-fkg-fails", "check-fkg-range", "shifted-order",
+            "shifted-order-fails", "check-shifted-pair", "render"])
+    def test_commands_write_the_same_bytes_without_scipy(self, argv, code, matrices,
+                                                         tmp_path):
+        # relative output paths, since reports echo them, and a package path
+        # that holds in each run's own directory
         argv = [a.format(**matrices) for a in argv]
-        argv += ["--report", str(tmp_path / "r.json")]
-        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE] + argv,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(code)]
-
-    @pytest.mark.parametrize("command, special, ported", [
-        ("sample", False, 2 * 10 ** 4),
-        # check-assoc loads scipy.special for expit before it samples, so
-        # its draws take scipy's ndtri and it never pays for the port
-        ("check-assoc", True, 0),
-    ])
-    def test_only_sample_takes_the_ndtri_port(self, command, special, ported,
-                                              matrices, tmp_path):
-        argv = [command, "--kernel", matrices["g2"], "--n", "1e4", "--seed", "5",
-                "--report", str(tmp_path / "r.json")]
-        if command == "sample":
-            argv += ["--out", str(tmp_path / "s.bin")]
-        proc = subprocess.run([sys.executable, "-c", _PORT_PROBE] + argv,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        code, special_loaded, normals = proc.stdout.split()
-        assert code in ("0", "1")
-        assert (special_loaded, int(normals)) == (str(special), ported)
-
-    def test_sample_without_scipy_writes_the_scipy_route_bytes(self, matrices, tmp_path):
-        argv = ["sample", "--kernel", matrices["g2"], "--n", "1e4", "--seed", "5",
-                "--out", str(tmp_path / "s.bin"), "--report", str(tmp_path / "r.json")]
+        if argv[0] != "render":
+            argv += ["--report", "report.json"]
+        package_root = str(Path(permacheck.__file__).parents[1])
         runs = []
-        for probe, printed in ((_NO_SCIPY_PROBE, ["0"]), (_SCIPY_ROUTE_PROBE, ["0", "True"])):
-            proc = subprocess.run([sys.executable, "-c", probe] + argv,
-                                  capture_output=True, text=True)
+        for mode in ("normal", "blocked"):
+            out = tmp_path / mode
+            out.mkdir()
+            proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, mode, *argv],
+                                  capture_output=True, text=True, cwd=out,
+                                  env=dict(os.environ, PYTHONPATH=package_root))
             assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.split() == printed
-            runs.append((proc.stderr, (tmp_path / "s.bin").read_bytes(),
-                         (tmp_path / "r.json").read_bytes()))
+            assert proc.stdout.splitlines()[-1] == f"[] {code}", proc.stdout
+            runs.append((proc.stdout, proc.stderr,
+                         {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
         assert runs[0] == runs[1]
 
 
@@ -864,7 +814,7 @@ class TestThreadCount:
                      for n, g in ((2, matrices["g2"]), (4, g4))]
             argvs.append(["sample", "--kernel", str(g4), "--k", "2", "--n", "2e4",
                           "--seed", "7", "--out", "s.bin", "--report", "sample.json"])
-            # 1.6e6 normals take scipy's ndtri, and the pool
+            # 25 row blocks, on the pool
             argvs.append(["sample", "--kernel", str(g4), "--k", "2", "--n", "2e5",
                           "--seed", "7", "--out", "big.bin", "--report", "big.json"])
             proc = subprocess.run([sys.executable, "-c", _COMMANDS_PROBE, json.dumps(argvs),

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,16 +28,7 @@ from permacheck import (
     tilt_resolvent,
 )
 import permacheck.sampler as sampler
-from permacheck.sampler import (
-    _BLOCK_ROWS,
-    _CEPHES_MAX_NORMALS,
-    _ndtri_cephes,
-    _ndtri_route,
-    _open_uniforms,
-    _row_blocks,
-    _sqrt_factor,
-    _stream_at,
-)
+from permacheck.sampler import _BLOCK_ROWS, _row_blocks, _sqrt_factor
 from oracles import (
     mc_abs_product_moment,
     mc_mean_se,
@@ -79,26 +71,15 @@ class TestReproducibility:
         b = sample_permanental(spec, 500, seed=7)
         assert np.array_equal(a.draws, b.draws)
 
-
-def _each_route(monkeypatch):
-    """Forces each ndtri route in turn, the port and then scipy's, so a
-    test runs both whichever modules earlier tests have loaded."""
-    from scipy.special import ndtri
-
-    for route in (_ndtri_cephes, ndtri):
-        monkeypatch.setattr(sampler, "_ndtri_route", lambda n_normals, r=route: r)
-        yield route
-
-
-class TestStreamAt:
-    def test_matches_one_long_stream_at_any_word(self):
-        m = 100_003  # counter steps of four words; m is not a power of two
-        seed = 23
-        words = np.random.Generator(np.random.Philox(key=np.uint64(seed))).integers(
-            0, 1 << 53, size=4 * m + 16, dtype=np.uint64)
-        for word in (*range(10), 4 * m - 1, 4 * m, 4 * m + 1):
-            got = _stream_at(seed, word).integers(0, 1 << 53, size=9, dtype=np.uint64)
-            assert np.array_equal(got, words[word:word + 9]), word
+    def test_seeds_up_to_two_to_the_64_key_philox_exactly(self):
+        # a tuple key once sent 2**63 + 1 to 2**63, and 2**64 - 2 and
+        # 2**64 - 1 to 0 with a RuntimeWarning
+        spec = PermanentalSpec(G2, 1.0)
+        seeds = (0, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 2, 2 ** 64 - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batches = {sample_permanental(spec, 20_000, seed).draws.tobytes() for seed in seeds}
+        assert len(batches) == len(seeds)
 
 
 class TestRowBlocks:
@@ -116,26 +97,22 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_permanental_bits_match_one_shot_sampler(self, n, k, monkeypatch):
+    def test_permanental_bits_match_one_shot_sampler(self, n, k):
         for G in _kernels(n):
             spec = PermanentalSpec(G, 2.0 / k)
             for n_draws in BLOCK_COUNTS:
                 want = oneshot_permanental_draws(_sqrt_factor(G), k, n_draws, n_draws + k)
-                for route in _each_route(monkeypatch):
-                    got = sample_permanental(spec, n_draws, seed=n_draws + k).draws
-                    assert got.tobytes() == want.tobytes(), (G.entries.tolist(), n_draws, route)
+                got = sample_permanental(spec, n_draws, seed=n_draws + k).draws
+                assert got.tobytes() == want.tobytes(), (G.entries.tolist(), n_draws)
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_gaussian_bits_match_one_shot_sampler(self, n, monkeypatch):
+    def test_gaussian_bits_match_one_shot_sampler(self, n):
         for G in _kernels(n):
             for n_draws in BLOCK_COUNTS:
                 want = oneshot_gaussian_draws(_sqrt_factor(G), n_draws, n_draws)
-                for route in _each_route(monkeypatch):
-                    got = sample_gaussian(G, n_draws, seed=n_draws).draws
-                    assert got.tobytes() == want.tobytes(), (G.entries.tolist(), n_draws, route)
+                got = sample_gaussian(G, n_draws, seed=n_draws).draws
+                assert got.tobytes() == want.tobytes(), (G.entries.tolist(), n_draws)
 
-    # n = 3, 5 and 7 put most blocks of k = 3 vectors at word offsets that
-    # are not multiples of a counter step's four words
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_bits_match_one_shot_sampler_at_any_worker_count(self, n, workers, monkeypatch):
@@ -145,16 +122,13 @@ class TestRowBlocks:
             for n_draws in BLOCK_COUNTS:
                 want = oneshot_permanental_draws(_sqrt_factor(G), 3, n_draws, n_draws)
                 want_eta = oneshot_gaussian_draws(_sqrt_factor(G), n_draws, n_draws)
-                for route in _each_route(monkeypatch):
-                    got = sample_permanental(spec, n_draws, seed=n_draws).draws
-                    assert got.tobytes() == want.tobytes(), (G.entries.tolist(), n_draws, route)
-                    got = sample_gaussian(G, n_draws, seed=n_draws).draws
-                    assert got.tobytes() == want_eta.tobytes(), (G.entries.tolist(), n_draws, route)
+                got = sample_permanental(spec, n_draws, seed=n_draws).draws
+                assert got.tobytes() == want.tobytes(), (G.entries.tolist(), n_draws)
+                got = sample_gaussian(G, n_draws, seed=n_draws).draws
+                assert got.tobytes() == want_eta.tobytes(), (G.entries.tolist(), n_draws)
 
     def test_permanental_memory_is_output_plus_one_block(self, monkeypatch):
-        # plus one block per worker: 2.4e6 normals take scipy's ndtri and the pool
-        from scipy.special import ndtri  # noqa: F401  (imported outside the trace)
-
+        # plus one block per worker: the 25 blocks run on the pool
         monkeypatch.setattr(sampler, "_WORKERS", 2)
         spec = PermanentalSpec(_kernels(6)[0], 1.0)
         sample_permanental(spec, 10, seed=1)  # imports outside the trace
@@ -172,9 +146,6 @@ class TestWorkerPool:
     def test_bits_hold_with_more_workers_than_cpus(self, monkeypatch):
         # eight workers switching every microsecond: a block written to
         # another block's rows, or a lost update, would change the bits
-        from scipy.special import ndtri
-
-        monkeypatch.setattr(sampler, "_ndtri_route", lambda n_normals: ndtri)
         spec = PermanentalSpec(_kernels(5)[0], 2.0 / 3)
 
         def outputs():
@@ -192,84 +163,6 @@ class TestWorkerPool:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
-
-
-class TestUniforms:
-    def test_edge_words_map_inside_the_open_interval(self):
-        raw = np.array([0, 1, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1], dtype=np.uint64)
-        u = np.empty(raw.shape)
-        _open_uniforms(raw, u)
-        # 2**52 + 0.5 and 2**53 - 1.5 are ties that round to even; the top
-        # word's 2**53 - 0.5 would round to 2**53, that is to 1.0
-        want = [2.0 ** -54, 1.5 * 2.0 ** -53, 0.5 - 2.0 ** -54, 0.5,
-                1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53]
-        assert u.tolist() == want
-        assert np.all((u > 0) & (u < 1))
-
-
-def _scipy_ndtri(u):
-    from scipy.special import ndtri
-
-    return ndtri(u)
-
-
-def _bits(x):
-    return np.ascontiguousarray(x).view(np.uint64)
-
-
-class TestNdtriPort:
-    """_ndtri_cephes reproduces scipy.special.ndtri bit for bit."""
-
-    def test_matches_scipy_on_ten_million_stream_uniforms(self):
-        gen, chunk, wrong = _stream_at(19, 0), 1 << 20, 0
-        u, got = np.empty(chunk), np.empty(chunk)
-        for _ in range(10):  # 10 * 2**20 > 10**7 uniforms, one chunk in memory
-            _open_uniforms(gen.integers(0, 1 << 53, size=chunk, dtype=np.uint64), u)
-            _ndtri_cephes(u, got)
-            wrong += int(np.count_nonzero(_bits(got) != _bits(_scipy_ndtri(u))))
-        assert wrong == 0
-
-    @pytest.mark.parametrize("point", [
-        math.exp(-2.0),  # the central branch's edges
-        1.0 - math.exp(-2.0),
-        math.exp(-32.0),  # x = sqrt(-2 log y) = 8, where P1/Q1 gives way to P2/Q2
-        2.0 ** -54,  # the stream's smallest and largest uniforms
-        1.0 - 2.0 ** -53,
-    ])
-    def test_matches_scipy_around_each_branch_point(self, point):
-        near = [point]
-        for toward in (0.0, 1.0):  # and up to 64 ulp on each side, inside (0, 1)
-            v = point
-            for _ in range(64):
-                v = float(np.nextafter(v, toward))
-                if 0.0 < v < 1.0:
-                    near.append(v)
-        u = np.array(near)
-        got = np.empty_like(u)
-        _ndtri_cephes(u, got)
-        assert np.array_equal(_bits(got), _bits(_scipy_ndtri(u)))
-
-    @pytest.mark.parametrize("k, n", [(1, 4), (2, 3)])
-    def test_batches_either_side_of_the_threshold_match_across_routes(
-            self, k, n, monkeypatch):
-        spec = PermanentalSpec(_kernels(n)[0], 2.0 / k)
-        at = _CEPHES_MAX_NORMALS // (k * n)  # the most draws that can take the port
-        for n_draws in (at, at + 1):
-            batches = [sample_permanental(spec, n_draws, seed=n_draws).draws.tobytes()
-                       for _ in _each_route(monkeypatch)]
-            assert batches[0] == batches[1], n_draws
-
-    def test_port_only_for_small_batches_in_a_process_without_scipy(self, monkeypatch):
-        from scipy.special import ndtri
-
-        # scipy.special is loaded here, so every batch takes scipy's ndtri
-        assert _ndtri_route(1) is ndtri
-        assert _ndtri_route(_CEPHES_MAX_NORMALS + 1) is ndtri
-        # without it, a batch up to the threshold takes the port and imports nothing
-        monkeypatch.delitem(sys.modules, "scipy.special")
-        assert _ndtri_route(1) is _ndtri_cephes
-        assert _ndtri_route(_CEPHES_MAX_NORMALS) is _ndtri_cephes
-        assert "scipy.special" not in sys.modules
 
 
 class TestDrawCount:
