@@ -551,6 +551,27 @@ print(sorted(m for m, mod in sys.modules.items()
              if mod is not None and m.partition(".")[0] == "scipy"), code)
 """
 
+_RUN_PROBE = """
+import sys
+from permacheck.cli import parse_and_dispatch
+code = parse_and_dispatch(sys.argv[1:])
+print(code, "scipy.stats" in sys.modules, "scipy.special" in sys.modules)
+"""
+
+_NO_SCIPY_PROBE = """
+import sys
+sys.modules["scipy"] = None  # any scipy import raises ImportError
+from permacheck.cli import parse_and_dispatch
+print(parse_and_dispatch(sys.argv[1:]))
+"""
+
+_SCIPY_ROUTE_PROBE = """
+import sys
+import scipy.special  # noqa: F401  (once made the sampler take scipy's ndtri)
+from permacheck.cli import parse_and_dispatch
+print(parse_and_dispatch(sys.argv[1:]), "scipy.special" in sys.modules)
+"""
+
 
 class TestStartup:
     def test_import_loads_no_scipy(self):
@@ -558,6 +579,58 @@ class TestStartup:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv, special", [
+        (["check-id", "--input", "{tri}"], False),
+        (["check-fkg", "--kernel", "{g2}", "--shift", "0.5"], False),
+        (["sample", "--kernel", "{g2}", "--n", "100", "--seed", "3",
+          "--out", "{dir}/s.bin"], False),
+        (["check-fkg", "--kernel", "{g2}", "--shift", "0"], False),
+        (["shifted-order", "--kernel", "{green2}", "--r-pairs", "1,0.5;2,1"], False),
+        # 2 * 6e5 normals, on the pool
+        (["sample", "--kernel", "{g2}", "--n", "6e5", "--seed", "3",
+          "--out", "{dir}/s.bin"], False),
+    ])
+    def test_commands_never_load_scipy_stats(self, argv, special, matrices, tmp_path):
+        argv = [a.format(**matrices) for a in argv]
+        argv += ["--report", str(tmp_path / "r.json")]
+        proc = subprocess.run([sys.executable, "-c", _RUN_PROBE] + argv,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, stats, special_loaded = proc.stdout.split()
+        assert code in ("0", "1")
+        assert stats == "False"
+        assert special_loaded == str(special)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check-fkg", "--kernel", "{g2}", "--shift", "0.5"], 0),
+        (["check-fkg", "--kernel", "{neg2}", "--shift", "0.5"], 1),
+        (["check-fkg", "--kernel", "{g2}", "--shift", "1e10"], 3),
+        (["shifted-order", "--kernel", "{green2}", "--r-pairs", "1,0.5;2,1"], 0),
+        (["shifted-order", "--kernel", "{neg2}", "--r-pairs", "1,0.5"], 1),
+    ])
+    def test_lattice_commands_run_without_scipy(self, argv, code, matrices, tmp_path):
+        argv = [a.format(**matrices) for a in argv]
+        argv += ["--report", str(tmp_path / "r.json")]
+        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE] + argv,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(code)]
+
+    def test_sample_without_scipy_writes_the_scipy_route_bytes(self, matrices, tmp_path):
+        # the sampler once took scipy's ndtri whenever scipy.special was
+        # loaded; a batch must not depend on whether it is
+        argv = ["sample", "--kernel", matrices["g2"], "--n", "1e4", "--seed", "5",
+                "--out", str(tmp_path / "s.bin"), "--report", str(tmp_path / "r.json")]
+        runs = []
+        for probe, printed in ((_NO_SCIPY_PROBE, ["0"]), (_SCIPY_ROUTE_PROBE, ["0", "True"])):
+            proc = subprocess.run([sys.executable, "-c", probe] + argv,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == printed
+            runs.append((proc.stderr, (tmp_path / "s.bin").read_bytes(),
+                         (tmp_path / "r.json").read_bytes()))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("argv, code", [
         (["check-id", "--input", "{tri}"], 1),
