@@ -20,8 +20,9 @@ from . import defaults
 from .densities import _pd_pair, marginal_quantile_grid, squared_pair_density
 from .errors import InputFormatError, NonFiniteError
 from .green import is_green
-from .matcore import KernelMatrix, _resolvents, psd_eigh
-from .sampler import PermanentalSpec, _in_pool, abs_product_moment, sample_permanental
+from .matcore import KernelMatrix, _resolvents, alpha_grid, psd_eigh
+from .sampler import (PermanentalSpec, _in_pool, _read_seed, abs_product_moment,
+                      sample_permanental)
 from .verdict import Verdict
 
 __all__ = [
@@ -115,8 +116,10 @@ def default_family(reference_draws, variance: float = 1.0) -> IncreasingFunction
     is SOFT_INDICATOR_SLOPE / 4^j, with j = frexp(variance)[1] // 2 as in
     _pair_lattice, so at 4^k x under 4^k G it takes the value it takes
     at x under G.  The slope is SOFT_INDICATOR_SLOPE itself when the
-    largest variance lies in [0.5, 2).
+    largest variance lies in [0.5, 2).  It must be positive and finite.
     """
+    if not (math.isfinite(variance) and variance > 0):
+        raise InputFormatError(f"variance must be positive and finite, got {variance}")
     x = np.asarray(reference_draws, dtype=float)
     if x.ndim != 2 or x.shape[0] < 10:
         raise InputFormatError("need an N x n draw matrix with N >= 10")
@@ -173,10 +176,11 @@ def association_mc_test(spec: PermanentalSpec, family=None,
     jackknife block's member values V are kept; a statistic that is not
     finite raises NonFiniteError.
     """
-    seed = defaults.DEFAULT_SEED if seed is None else int(seed)
+    seed = _read_seed(defaults.DEFAULT_SEED if seed is None else seed)
     batch = sample_permanental(spec, n_draws, seed)
     if family is None:
-        family = default_family(batch.draws, float(np.max(np.diagonal(spec.kernel.entries))))
+        # a zero kernel's draws are all 0, where every slope gives the same family
+        family = default_family(batch.draws, np.max(np.diagonal(spec.kernel.entries)) or 1.0)
     n = batch.n_draws
     if n < 2:
         raise InputFormatError("the jackknife needs at least two draws")
@@ -248,7 +252,7 @@ def random_scalings(n: int, count: int, seed: int) -> list:
     """count deterministic positive diagonal scalings, log-uniform on [0.05, 20]."""
     if count < 1 or n < 1:
         raise InputFormatError("need positive count and dimension")
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(_read_seed(seed))))
     return list(np.exp(gen.uniform(np.log(0.05), np.log(20.0), size=(count, n))))
 
 
@@ -280,14 +284,9 @@ def resolvent_monotonicity_scan(G: KernelMatrix, alphas=None,
     """
     if not G.symmetric:
         raise InputFormatError("monotonicity scan needs a symmetric kernel")
-    if alphas is None:
-        alphas = np.linspace(0.0, defaults.MONOTONE_ALPHA_MAX,
-                             defaults.MONOTONE_ALPHA_POINTS)
-    alphas = [float(a) for a in alphas]
-    if not alphas or not np.all(np.isfinite(alphas)):
-        raise InputFormatError("alpha grid must be nonempty and finite")
-    if any(b <= a for a, b in zip(alphas, alphas[1:])) or alphas[0] < 0:
-        raise InputFormatError("alpha grid must be nonnegative and increasing")
+    alphas = alpha_grid(np.linspace(0.0, defaults.MONOTONE_ALPHA_MAX,
+                                    defaults.MONOTONE_ALPHA_POINTS)
+                        if alphas is None else alphas)
     psd_eigh(G)
     if D_set is None:
         D_set = [np.ones(G.dim)]

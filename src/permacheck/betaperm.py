@@ -17,7 +17,7 @@ import numpy as np
 
 from . import defaults
 from .errors import DimensionCapError, InputFormatError, NonFiniteError
-from .matcore import KernelMatrix, _as_square_array, resolvent, sign_product_violation
+from .matcore import KernelMatrix, _as_square_array, alpha_grid, resolvent, sign_product_violation
 from .verdict import Verdict
 
 __all__ = [
@@ -141,18 +141,18 @@ def beta_positivity_scan(G: KernelMatrix, betas=None, alphas=None,
 
     Fails with a witness on the first negative value in the canonical
     order (alpha ascending, then beta, then multisets by size and lex);
-    otherwise holds over the scanned range.
+    otherwise holds over the scanned range.  m_max lies in 1..PERMANENT_CAP.
     """
     betas = list(defaults.BETA_GRID if betas is None else betas)
-    alphas = list(defaults.ALPHA_GRID if alphas is None else alphas)
+    alphas = alpha_grid(defaults.ALPHA_GRID if alphas is None else alphas)
     m_max = defaults.M_MAX if m_max is None else int(m_max)
-    if not (betas and alphas and np.all(np.isfinite(np.array(betas + alphas, dtype=float)))):
-        raise InputFormatError("beta and alpha grids must be nonempty and finite")
-    if any(b <= 0 for b in betas):
-        raise InputFormatError("beta grid must be positive")
-    if m_max < 1 or m_max > defaults.PERMANENT_CAP:
+    if not (betas and np.all(np.isfinite(np.array(betas, dtype=float)))) or min(betas) <= 0:
+        raise InputFormatError("beta grid must be nonempty, finite and positive")
+    if m_max < 1:
+        raise InputFormatError(f"m_max must be at least 1, got {m_max}")
+    if m_max > defaults.PERMANENT_CAP:
         raise DimensionCapError(
-            f"m_max {m_max} outside 1..{defaults.PERMANENT_CAP}")
+            f"m_max {m_max} exceeds the permanent cap {defaults.PERMANENT_CAP}")
     sets = list(multisets(G.dim, m_max))
     # per multiset size m: its rows of sets and its (m, S) index array,
     # in column slices that keep the DP's floats under _DP_FLOATS; the
@@ -171,7 +171,7 @@ def beta_positivity_scan(G: KernelMatrix, betas=None, alphas=None,
     limits = np.empty(len(sets))
     shifts = np.zeros(len(sets), dtype=int)  # values[:, s] * 2**shifts[s] is per_beta
     for a_index, alpha in enumerate(alphas):
-        ga = resolvent(G, float(alpha)).entries
+        ga = resolvent(G, alpha).entries
         for m, rows, idx in blocks:
             sub = ga[idx[:, None, :], idx[None, :, :]]  # (m, m, S_m): one matrix per multiset
             # scale each matrix by 2**-e to max|entry| = mantissa in [0.5, 1):
@@ -187,7 +187,7 @@ def beta_positivity_scan(G: KernelMatrix, betas=None, alphas=None,
         bad = values < limits
         if bad.any():
             b, s = np.unravel_index(np.argmax(bad), bad.shape)
-            witness = {"alpha": float(alpha), "beta": float(betas[b]),
+            witness = {"alpha": alpha, "beta": float(betas[b]),
                        "indices": list(sets[s])}
             try:
                 witness["value"] = math.ldexp(float(values[b, s]), int(shifts[s]))
@@ -210,8 +210,7 @@ def id_necessary_battery(G: KernelMatrix) -> Verdict:
     (a) G(i,j)G(j,i) >= 0 for all i != j;
     (b) G(j,i)G(j,k)G(k,i) >= 0 for all ordered triples of distinct indices.
     """
-    grid = [0.0] + [float(a) for a in defaults.ALPHA_GRID if a != 0.0]
-    for alpha in grid:
+    for alpha in defaults.ALPHA_GRID:
         try:
             found = sign_product_violation(resolvent(G, alpha).entries)
         except OverflowError:

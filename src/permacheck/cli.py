@@ -44,12 +44,10 @@ from .green import (
 )
 from .idcheck import id_verdict, shifted_pair_id_test
 from .matcore import dumps_matrix, load_matrix, save_matrix
-from .sampler import PermanentalSpec, sample_permanental, save_batch
+from .sampler import PermanentalSpec, _read_seed, sample_permanental, save_batch
 from .verdict import Verdict
 
 __all__ = ["main", "parse_and_dispatch", "report_render"]
-
-_USAGE_ERRORS = (InputFormatError, InvalidIndexError, SchemaMismatchError)
 
 
 class UsageError(InputFormatError):
@@ -73,11 +71,8 @@ def finite_float(text: str) -> float:
     return value
 
 
-def uint64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2 ** 64:
-        raise ValueError(text)
-    return value
+def seed(text: str) -> int:
+    return _read_seed(int(text))
 
 
 def _number(token: str, text: str) -> float:
@@ -265,21 +260,21 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kernel", required=True)
     s.add_argument("--k", type=int, default=1, help="index beta = 2/k")
     s.add_argument("--n", type=finite_float, default=1000.0)
-    s.add_argument("--seed", type=uint64, default=defaults.DEFAULT_SEED)
+    s.add_argument("--seed", type=seed, default=defaults.DEFAULT_SEED)
     s.add_argument("--out", required=True, help="binary batch file")
 
     s = reporting(sub, "check-assoc", _cmd_check_assoc, "Monte Carlo association test")
     s.add_argument("--kernel", required=True)
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--n", type=finite_float, default=1e5)
-    s.add_argument("--seed", type=uint64, default=defaults.DEFAULT_SEED)
+    s.add_argument("--seed", type=seed, default=defaults.DEFAULT_SEED)
 
     s = reporting(sub, "scan-monotone", _cmd_scan_monotone, "resolvent monotonicity scan")
     s.add_argument("--kernel", required=True)
     s.add_argument("--alphas")
     s.add_argument("--scalings", default="identity",
                    help='"identity", "random:COUNT", or semicolon-separated vectors')
-    s.add_argument("--seed", type=uint64, default=defaults.DEFAULT_SEED)
+    s.add_argument("--seed", type=seed, default=defaults.DEFAULT_SEED)
 
     s = reporting(sub, "shifted-order", _cmd_shifted_order,
                   "strong stochastic ordering of shifted pairs")
@@ -455,7 +450,7 @@ def parse_and_dispatch(argv) -> int:
         return args.run(args)
     except SystemExit as exc:  # --help; argparse errors raise UsageError
         return exc.code if isinstance(exc.code, int) else 0
-    except _USAGE_ERRORS as exc:
+    except InputFormatError as exc:
         return _fail(_error_object(exc), 2)
     except PermacheckError as exc:
         return _fail(_error_object(exc), 3)

@@ -1,7 +1,7 @@
 """Exception types shared across permacheck modules.
 
-Exit-code mapping (see cli): usage/validation errors -> 2, numeric
-failures (singularity, nonconvergence, spectral radius, a result
+Exit-code mapping (see cli): InputFormatError and its subclasses -> 2,
+numeric failures (singularity, nonconvergence, spectral radius, a result
 that is not finite) -> 3.
 """
 
@@ -50,9 +50,9 @@ class NonFiniteError(PermacheckError):
     """A computed quantity that must be a finite number is not one."""
 
 
-class InvalidIndexError(PermacheckError):
-    """Permanental index beta is not 2/k for an integer k >= 1."""
+class InvalidIndexError(InputFormatError):
+    """An index out of range: beta not 2/k for integer k >= 1, or a bad subset."""
 
 
-class SchemaMismatchError(PermacheckError):
+class SchemaMismatchError(InputFormatError):
     """Report JSON schema version is not supported."""

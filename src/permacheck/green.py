@@ -23,7 +23,7 @@ from .errors import (
     SpectralRadiusError,
 )
 from .idcheck import id_verdict
-from .matcore import KernelMatrix, invert, kernel
+from .matcore import KernelMatrix, _as_square_array, invert
 from .verdict import Verdict
 
 __all__ = [
@@ -44,11 +44,7 @@ class TransientChain:
     Q: np.ndarray
 
     def __post_init__(self):
-        q = np.array(self.Q, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] == 0:
-            raise InputFormatError(f"chain kernel must be square, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
-            raise InputFormatError("chain kernel entries must be finite")
+        q = _as_square_array(self.Q)
         if np.min(q) < 0:
             raise InputFormatError("chain kernel entries must be nonnegative")
         rho = float(np.max(np.abs(np.linalg.eigvals(q))))
@@ -74,7 +70,7 @@ def green_from_chain(chain: TransientChain) -> KernelMatrix:
     if resid > 1e-9 * max(1.0, float(np.max(np.abs(g)))):
         raise SingularMatrixError(
             f"potential equation residual {resid:g} too large")
-    return kernel(np.maximum(g, 0.0))  # exact nonnegativity can lose to roundoff
+    return KernelMatrix(np.maximum(g, 0.0))  # exact nonnegativity can lose to roundoff
 
 
 def is_green(G: KernelMatrix) -> Verdict:

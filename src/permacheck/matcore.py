@@ -24,6 +24,8 @@ __all__ = [
     "KernelMatrix",
     "Signature",
     "kernel",
+    "kernel_from_dict",
+    "alpha_grid",
     "invert",
     "resolvent",
     "psd_eigh",
@@ -40,7 +42,7 @@ def _as_square_array(entries) -> np.ndarray:
     try:
         a = np.array(entries, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"matrix entries must be real numbers: {exc}") from exc
+        raise InputFormatError(f"matrix rows must be real numbers of equal length: {exc}") from exc
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InputFormatError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -52,19 +54,21 @@ def _as_square_array(entries) -> np.ndarray:
 class KernelMatrix:
     """Square real matrix with a symmetry flag.
 
-    Plays the role of a covariance or permanental kernel.  symmetric=None
-    infers the flag: set iff max |G - G^T| <= TOL_ALGEBRAIC * max|G|, the
-    same test a declared flag must pass.  A symmetric kernel is stored as
-    0.5 * G + 0.5 * G^T, which cannot overflow where G + G^T can.  Entries
-    are immutable after construction.
+    Plays the role of a covariance or permanental kernel.  symmetric=None,
+    the default, infers the flag: set iff max |G - G^T| <= TOL_ALGEBRAIC *
+    max|G|, the same test a declared True must pass.  A symmetric kernel is
+    stored as 0.5 * G + 0.5 * G^T, which cannot overflow where G + G^T can.
+    Entries are immutable after construction.
     """
 
     entries: np.ndarray
-    symmetric: bool | None = False
+    symmetric: bool | None = None
 
     def __post_init__(self):
         a = _as_square_array(self.entries)
         symmetric = self.symmetric
+        if not (symmetric is None or isinstance(symmetric, (bool, np.bool_))):
+            raise InputFormatError(f"symmetry flag must be a boolean or null, got {symmetric!r}")
         if symmetric or symmetric is None:
             skew = float(np.max(np.abs(a - a.T)))
             within = skew <= defaults.TOL_ALGEBRAIC * float(np.max(np.abs(a)))
@@ -91,9 +95,30 @@ class KernelMatrix:
         }
 
 
-def kernel(entries, symmetric: bool | None = None) -> KernelMatrix:
-    """Build a KernelMatrix, inferring the symmetry flag when not declared."""
-    return KernelMatrix(entries, symmetric)
+kernel = KernelMatrix
+
+
+def kernel_from_dict(obj) -> KernelMatrix:
+    """Reads the object KernelMatrix.to_dict writes: "entries", and optionally
+    "dim", the integer row count, and "symmetric", a boolean or null (infer)."""
+    if not isinstance(obj, dict) or "entries" not in obj:
+        raise InputFormatError('a kernel object needs an "entries" field')
+    G = KernelMatrix(obj["entries"], obj.get("symmetric"))
+    dim = obj.get("dim", G.dim)
+    if type(dim) is not int or dim != G.dim:  # a bool is not a dim
+        raise InputFormatError(f'"dim" must be the integer {G.dim}, got {dim!r}')
+    return G
+
+
+def alpha_grid(alphas) -> list:
+    """alphas as a list of floats that is nonempty, finite, nonnegative and
+    strictly increasing: the order in which the scans report."""
+    grid = [float(a) for a in alphas]
+    if not (grid and grid[0] >= 0 and all(map(math.isfinite, grid))
+            and all(a < b for a, b in zip(grid, grid[1:]))):
+        raise InputFormatError("an alpha grid must be nonempty, finite, nonnegative "
+                               f"and strictly increasing, got {grid}")
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,27 +278,9 @@ def loads_matrix(text: str) -> KernelMatrix:
         raise InputFormatError("empty matrix input")
     if stripped.startswith("{"):
         try:
-            obj = json.loads(stripped)
+            return kernel_from_dict(json.loads(stripped))
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"bad matrix JSON: {exc}") from exc
-        if "entries" not in obj:
-            raise InputFormatError('matrix JSON requires an "entries" field')
-        rows = obj["entries"]
-        if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-            raise InputFormatError('"entries" must be a list of rows')
-        lengths = {len(r) for r in rows}
-        if len(lengths) != 1:
-            raise InputFormatError("ragged rows in matrix JSON")
-        a = _as_square_array(rows)
-        if "dim" in obj:
-            try:
-                dim = int(obj["dim"])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InputFormatError(f'"dim" must be an integer: {exc}') from exc
-            if dim != a.shape[0]:
-                raise InputFormatError('"dim" does not match the entries')
-        declared = obj.get("symmetric")
-        return kernel(a, symmetric=None if declared is None else bool(declared))
     rows = []
     for rec in csv.reader(io.StringIO(stripped)):
         if not rec or all(not cell.strip() for cell in rec):
@@ -282,12 +289,7 @@ def loads_matrix(text: str) -> KernelMatrix:
             rows.append([float(cell) for cell in rec])
         except ValueError as exc:
             raise InputFormatError(f"bad CSV cell: {exc}") from exc
-    if not rows:
-        raise InputFormatError("no rows in matrix CSV")
-    lengths = {len(r) for r in rows}
-    if len(lengths) != 1:
-        raise InputFormatError("ragged rows in matrix CSV")
-    return kernel(rows)
+    return KernelMatrix(rows)
 
 
 def load_matrix(path) -> KernelMatrix:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import defaults
 from .errors import InputFormatError, InvalidIndexError, NonFiniteError, NotPSDError
-from .matcore import KernelMatrix, psd_eigh
+from .matcore import KernelMatrix, kernel_from_dict, psd_eigh
 
 __all__ = [
     "PermanentalSpec",
@@ -171,6 +171,13 @@ def _draw_count(n_draws) -> int:
     return count
 
 
+def _read_seed(seed) -> int:
+    """seed as an int in [0, 2**64), the range of a Philox key word."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+        raise InputFormatError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
 def _in_pool(fn, items) -> list:
     """[fn(x) for x in items], each call under the caller's np.errstate.
 
@@ -217,14 +224,14 @@ def _gaussian_rows(A: np.ndarray, n_draws: int, k: int, seed: int, into) -> None
 
 def sample_gaussian(G: KernelMatrix, n_draws: int, seed: int) -> SampleBatch:
     """N centered Gaussian draws with covariance G."""
-    n_draws = _draw_count(n_draws)
+    n_draws, seed = _draw_count(n_draws), _read_seed(seed)
     draws = np.empty((n_draws, G.dim))
 
     def put(rows, eta):
         draws[rows] = eta
 
     _gaussian_rows(_sqrt_factor(G), n_draws, 1, seed, put)
-    return SampleBatch(draws, np.ones(n_draws), int(seed),
+    return SampleBatch(draws, np.ones(n_draws), seed,
                        PermanentalSpec(G, 2.0), kind="gaussian")
 
 
@@ -235,7 +242,7 @@ def sample_permanental(spec: PermanentalSpec, n_draws: int, seed: int) -> Sample
     Gaussian vectors with covariance spec.kernel; the Laplace transform
     at any nonnegative diagonal alpha is det(I + alpha G)^(-k/2).
     """
-    n_draws = _draw_count(n_draws)
+    n_draws, seed = _draw_count(n_draws), _read_seed(seed)
     k = spec.k
     psi = np.zeros((n_draws, spec.kernel.dim))  # +0.0 + eta is eta, bit for bit
 
@@ -245,7 +252,7 @@ def sample_permanental(spec: PermanentalSpec, n_draws: int, seed: int) -> Sample
 
     with np.errstate(over="ignore"):  # SampleBatch rejects draws that overflow
         _gaussian_rows(_sqrt_factor(spec.kernel), n_draws, k, seed, add_square)
-    return SampleBatch(psi, np.ones(n_draws), int(seed), spec, kind="permanental")
+    return SampleBatch(psi, np.ones(n_draws), seed, spec, kind="permanental")
 
 
 def _psi_values(batch: SampleBatch) -> np.ndarray:
@@ -273,13 +280,19 @@ def tilt_resolvent(batch: SampleBatch, alpha: float) -> SampleBatch:
                        kind=batch.kind, alpha=float(alpha))
 
 
+def _alpha_diagonal(alpha_diag, n: int) -> np.ndarray:
+    """alpha_diag as n finite nonnegative reals; a scalar is repeated n times."""
+    a = np.asarray(alpha_diag, dtype=float)
+    a = np.full(n, a) if a.ndim == 0 else a
+    if a.shape != (n,) or not np.all(np.isfinite(a) & (a >= 0)):
+        raise InputFormatError(f"alpha must be a finite nonnegative diagonal of length {n}")
+    return a
+
+
 def laplace_transform(G: KernelMatrix, beta: float, alpha_diag) -> float:
     """Exact det(I + diag(alpha) G)^(-1/beta) for nonnegative diagonal alpha."""
-    a = np.asarray(alpha_diag, dtype=float)
-    if a.ndim == 0:
-        a = np.full(G.dim, float(a))
-    if a.shape != (G.dim,) or np.min(a) < 0:
-        raise InputFormatError("alpha must be a nonnegative diagonal (vector)")
+    a = _alpha_diagonal(alpha_diag, G.dim)
+    beta = PermanentalSpec(G, beta).index_beta
     det = float(np.linalg.det(np.eye(G.dim) + np.diag(a) @ G.entries))
     if det <= 0:
         raise NotPSDError(f"det(I + alpha G) = {det:g} is not positive", det)
@@ -288,11 +301,8 @@ def laplace_transform(G: KernelMatrix, beta: float, alpha_diag) -> float:
 
 def empirical_laplace(batch: SampleBatch, alpha_diag) -> float:
     """Weighted MC estimate of E[exp(-(1/2) sum_i alpha_i psi_i)]."""
-    a = np.asarray(alpha_diag, dtype=float)
-    if a.ndim == 0:
-        a = np.full(batch.dim, float(a))
-    psi = _psi_values(batch)
-    return batch.mean(np.exp(-0.5 * (psi @ a)))
+    a = _alpha_diagonal(alpha_diag, batch.dim)
+    return batch.mean(np.exp(-0.5 * (_psi_values(batch) @ a)))
 
 
 def abs_product_moment(sigma_i, sigma_j, rho):
@@ -351,10 +361,9 @@ def load_batch(path) -> SampleBatch:
                 f"batch schema {header.get('schema')} != {defaults.SCHEMA_VERSION}")
         try:
             n, d = int(header["n_draws"]), int(header["dim"])
-            kern = header["spec"]["kernel"]
-            spec = PermanentalSpec(KernelMatrix(np.array(kern["entries"]), kern["symmetric"]),
+            spec = PermanentalSpec(kernel_from_dict(header["spec"]["kernel"]),
                                    header["spec"]["index_beta"])
-            seed, kind, alpha = int(header["seed"]), header["kind"], float(header["alpha"])
+            seed, kind, alpha = _read_seed(header["seed"]), header["kind"], float(header["alpha"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputFormatError(f"batch header lacks or garbles a field: {exc!r}") from exc
         if n < 1 or d < 1:

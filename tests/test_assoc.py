@@ -110,6 +110,17 @@ class TestFamily:
                 tracemalloc.stop()
             assert peak < (workers + 1) * x.shape[0] * x.itemsize, workers
 
+    @pytest.mark.parametrize("variance", [math.nan, 0.0, -4.0, math.inf])
+    def test_variance_not_positive_and_finite_rejected(self, variance):
+        # NaN and 0 gave the slope SOFT_INDICATOR_SLOPE, and -4 that of 4
+        x = np.abs(np.random.default_rng(52).normal(size=(100, 2)))
+        with pytest.raises(InputFormatError):
+            default_family(x, variance)
+
+    def test_zero_kernel_holds(self):
+        spec = PermanentalSpec(kernel(np.zeros((2, 2))), 2.0)
+        assert association_mc_test(spec, n_draws=200, seed=1).verdict.holds
+
     def test_tiny_reference_rejected(self):
         with pytest.raises(InputFormatError):
             default_family(np.ones((5, 2)))
@@ -508,6 +519,10 @@ class TestRandomScalings:
             random_scalings(0, 1, seed=1)
         with pytest.raises(InputFormatError):
             random_scalings(2, 0, seed=1)
+        # -1 and 2**64 raised a bare OverflowError, and 1.5 was truncated to 1
+        for seed in (-1, 2 ** 64, 1.5):
+            with pytest.raises(InputFormatError):
+                random_scalings(2, 3, seed=seed)
 
 
 class TestStrongOrder:

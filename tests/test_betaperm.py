@@ -154,7 +154,10 @@ class TestPositivityScan:
         # TRI3 is not ID: a NaN beta let through would make the scan report holds
         nan, inf = float("nan"), float("inf")
         for grids in ({"betas": []}, {"betas": [-1.0]}, {"betas": [nan]},
-                      {"betas": [inf]}, {"alphas": [0.0, nan]}, {"alphas": [inf]}):
+                      {"betas": [inf]}, {"alphas": [0.0, nan]}, {"alphas": [inf]},
+                      # the scan reports alphas in ascending order; m_max 0 is no cap
+                      {"alphas": [0.0, -1.0]}, {"alphas": [1.0, 0.0]}, {"alphas": [0.5, 0.5]},
+                      {"m_max": 0}):
             with pytest.raises(InputFormatError):
                 beta_positivity_scan(kernel(TRI3), **grids)
         with pytest.raises(DimensionCapError):

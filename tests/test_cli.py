@@ -153,6 +153,17 @@ BAD_INPUTS = {
     "render JSON list": (["render", "--input", "{list_report}"], 2),
     "matrix entry a": (["check-id", "--input", "{text_entry}"], 2),
     "matrix dim x": (["check-id", "--input", "{text_dim}"], 2),
+    # "dim" and "symmetric" were read with int() and bool(), so "false"
+    # declared a symmetric kernel and 2.5 passed as 2
+    "matrix dim 2.5": (["check-id", "--input", "{dim_float}"], 2),
+    "matrix dim text 2": (["check-id", "--input", "{dim_text}"], 2),
+    "matrix symmetric text false": (["check-id", "--input", "{sym_text}"], 2),
+    "matrix nonsymmetric, symmetric text false": (["check-id", "--input", "{nonsym_text}"], 2),
+    # the witness at alpha 0 once exited 1 before the bad alpha was reached
+    "scan alphas 0,-1": (["scan", "--input", "{mix3}", "--alphas", "0,-1"], 2),
+    "scan alphas 1,0": (["scan", "--input", "{mix3}", "--alphas", "1,0"], 2),
+    "scan m-max 0": (["scan", "--input", "{g2}", "--m-max", "0"], 2),
+    "scan m-max 9": (["scan", "--input", "{g2}", "--m-max", "9"], 3),
     "matrix not UTF-8": (["check-id", "--input", "{not_utf8}"], 2),
     "report not UTF-8": (["render", "--input", "{not_utf8}"], 2),
     "missing option": (["check-id"], 2),
@@ -172,6 +183,10 @@ class TestBadInputs:
             "list_report": "[1, 2]",
             "text_entry": '{"entries": [["a"]]}',
             "text_dim": '{"dim": "x", "entries": [[1.0]]}',
+            "dim_float": '{"dim": 2.5, "entries": [[1, 0.5], [0.5, 1]]}',
+            "dim_text": '{"dim": "2", "entries": [[1, 0.5], [0.5, 1]]}',
+            "sym_text": '{"symmetric": "false", "entries": [[1, 0.5], [0.5, 1]]}',
+            "nonsym_text": '{"symmetric": "false", "entries": [[1, 0.9], [-0.5, 1]]}',
             "bad_rows": '{"schema": 1, "command": "x", "result": {"pairs": [{}]}}',
         }
         paths = dict(matrices)

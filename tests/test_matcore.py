@@ -39,6 +39,15 @@ class TestKernelMatrix:
         with pytest.raises(InputFormatError):
             KernelMatrix(np.array([[1.0, 2.0], [0.5, 1.0]]), symmetric=True)
 
+    def test_flag_defaults_to_inferred(self):
+        assert KernelMatrix([[1, 0.5], [0.5, 1]]).symmetric is True
+        assert KernelMatrix([[1, 2], [0.5, 1]]).symmetric is False
+
+    @pytest.mark.parametrize("flag", ["false", "no", 1, 0.0])
+    def test_flag_that_is_not_a_boolean_rejected(self, flag):
+        with pytest.raises(InputFormatError):
+            KernelMatrix([[1, 0.5], [0.5, 1]], symmetric=flag)
+
     def test_symmetry_inference(self):
         assert kernel([[1, 0.5], [0.5, 1]]).symmetric
         assert not kernel([[1, 2], [0.5, 1]]).symmetric
@@ -302,6 +311,13 @@ class TestMatrixIO:
     def test_json_dim_mismatch(self):
         with pytest.raises(InputFormatError):
             loads_matrix('{"dim": 3, "entries": [[1, 0], [0, 1]]}')
+
+    @pytest.mark.parametrize("fields", [
+        '"dim": 2.5', '"dim": "2"', '"dim": true', '"dim": 1',
+        '"symmetric": "false"', '"symmetric": 0'])
+    def test_json_field_of_the_wrong_type_rejected(self, fields):
+        with pytest.raises(InputFormatError):
+            loads_matrix('{%s, "entries": [[1, 0.5], [0.5, 1]]}' % fields)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(InputFormatError):

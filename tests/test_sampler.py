@@ -82,6 +82,17 @@ class TestReproducibility:
         assert len(batches) == len(seeds)
 
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "7"])
+    def test_seed_outside_uint64_rejected(self, seed):
+        # -1 raised a bare OverflowError, and 1.5 was truncated to 1
+        spec = PermanentalSpec(G2, 2.0)
+        for call in (lambda: sample_permanental(spec, 10, seed),
+                     lambda: sample_gaussian(G2, 10, seed),
+                     lambda: association_mc_test(spec, n_draws=100, seed=seed)):
+            with pytest.raises(InputFormatError):
+                call()
+
+
 class TestRowBlocks:
     """The row-block sampler draws the bits of the one-shot sampler."""
 
@@ -257,6 +268,21 @@ class TestLaplace:
                 mean, se = mc_mean_se(vals)
                 assert abs(exact - mean) <= 3 * se
                 assert empirical_laplace(batch, a) == pytest.approx(mean)
+
+    @pytest.mark.parametrize("beta, alpha", [
+        (2.0, [math.nan, 0.5]), (2.0, [-1.0, 0.5]), (2.0, [0.5, 0.5, 0.5]),
+        (0.0, [0.5, 0.5]), (-1.0, [0.5, 0.5]), (math.nan, [0.5, 0.5])])
+    def test_bad_alpha_or_beta_rejected(self, beta, alpha):
+        # a NaN alpha gave NaN, beta 0 a ZeroDivisionError, beta -1 a value
+        with pytest.raises(InputFormatError):
+            laplace_transform(G2, beta, alpha)
+
+    @pytest.mark.parametrize("alpha", [[math.nan, 0.5], [-1.0, 0.5], [0.5, 0.5, 0.5],
+                                       math.nan])
+    def test_empirical_bad_alpha_rejected(self, alpha):
+        batch = sample_permanental(PermanentalSpec(G2, 2.0), 100, seed=3)
+        with pytest.raises(InputFormatError):
+            empirical_laplace(batch, alpha)
 
     def test_scalar_alpha_broadcasts(self):
         assert laplace_transform(G2, 2.0, 0.7) == \
@@ -434,7 +460,7 @@ class TestBatchIO:
         "header not JSON", "header not UTF-8", "header a list",
         "no n_draws", "no spec", "no kernel entries", "dim a string",
         "negative n_draws", "alpha NaN", "alpha negative", "NaN weights",
-        "inf weight", "inf draw"])
+        "inf weight", "inf draw", "symmetric a string", "seed 1.5", "seed negative"])
     def test_malformed_file_raises_input_format_error(self, case, tmp_path):
         path = tmp_path / "batch.bin"
         save_batch(sample_gaussian(G2, 50, seed=19), path)
@@ -466,6 +492,10 @@ class TestBatchIO:
             header["alpha"] = math.nan
         elif case == "alpha negative":
             header["alpha"] = -1.0
+        elif case == "symmetric a string":
+            header["spec"]["kernel"]["symmetric"] = "no"
+        elif case.startswith("seed "):
+            header["seed"] = 1.5 if case == "seed 1.5" else -1
         elif case in ("NaN weights", "inf weight", "inf draw"):
             values = np.frombuffer(body, dtype="<f8").copy()
             n_values = header["n_draws"] * header["dim"]
@@ -474,7 +504,7 @@ class TestBatchIO:
             else:
                 values[n_values if case == "inf weight" else 3] = np.inf
             body = values.tobytes()
-        if case.startswith(("no ", "dim ", "negative ", "alpha ")):
+        if case.startswith(("no ", "dim ", "negative ", "alpha ", "symmetric ", "seed ")):
             line = json.dumps(header).encode("utf-8")
         path.write_bytes(line + b"\n" + body)
         with pytest.raises(InputFormatError):
