@@ -11,6 +11,7 @@ the closed form E|eta_alpha(i) eta_alpha(j)| along resolvent grids.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -21,8 +22,8 @@ from .densities import _pd_pair, marginal_quantile_grid, squared_pair_density
 from .errors import InputFormatError, NonFiniteError
 from .green import is_green
 from .matcore import KernelMatrix, _resolvents, alpha_grid, psd_eigh
-from .sampler import (PermanentalSpec, _in_pool, _read_seed, abs_product_moment,
-                      sample_permanental)
+from .sampler import (PermanentalSpec, _draw_count, _in_pool, _permanental_draws,
+                      _read_seed, abs_product_moment)
 from .verdict import Verdict
 
 __all__ = [
@@ -45,8 +46,9 @@ class IncreasingFunctionFamily:
     members: tuple of at least two (name, callable); each callable maps
     an N x n draw matrix to N per-draw values, each depending only on its
     draw, and is nondecreasing in every coordinate.  The association test
-    calls members on row blocks of the draws, concurrently on disjoint
-    blocks, so a member must be safe to call from several threads at once.
+    calls members on read-only Fortran-order copies of row blocks of the
+    draws, concurrently on disjoint blocks, so a member must be safe to
+    call from several threads at once.
     """
 
     members: tuple
@@ -60,7 +62,13 @@ def _orthant(thresholds):
     t = np.asarray(thresholds, dtype=float)
 
     def f(x):
-        return reduce(np.logical_and, (c >= ti for c, ti in zip(x.T, t))).astype(float)
+        # column by column into one bool column and a scratch one
+        inside = x[:, 0] >= t[0]
+        hit = np.empty_like(inside)
+        for c, ti in zip(x.T[1:], t[1:]):
+            np.greater_equal(c, ti, out=hit)
+            inside &= hit
+        return inside.astype(float)
 
     return f
 
@@ -70,8 +78,11 @@ def _soft_orthant(thresholds, slope):
     s(u) = 0.5 / (1 - u) for u < 0 and 1 - 0.5 / (1 + u) otherwise.
 
     s takes only correctly rounded operations, so its bits depend on
-    neither libm nor numpy's SIMD dispatch.  Column by column in place,
-    in the operation order of the row-axis product: two columns of memory
+    neither libm nor numpy's SIMD dispatch.  It is computed as
+    |[u >= 0] - 0.5 / (1 + |u|)|: 0 - d is -d and 1 - d > 0, exactly,
+    and u >= 0 exactly where x_i >= t_i (slope > 0, x_i - t_i is 0 only
+    where x_i == t_i, and s(-0) = s(0)).  Column by column in place, in
+    the operation order of the row-axis product: two columns of memory
     and a bool one, not N x n.
     """
     t = np.asarray(thresholds, dtype=float)
@@ -81,14 +92,14 @@ def _soft_orthant(thresholds, slope):
         e = np.empty(x.shape[0])
         upper = np.empty(x.shape[0], dtype=bool)
         for c, ti in zip(x.T, t):
+            np.greater_equal(c, ti, out=upper)
             np.subtract(c, ti, out=e)
             e *= slope
-            np.signbit(e, out=upper)
-            np.logical_not(upper, out=upper)
-            np.abs(e, out=e)  # 1 + |u| is 1 - u, exactly, where u < 0
+            np.abs(e, out=e)
             e += 1.0
             np.divide(0.5, e, out=e)
-            np.subtract(1.0, e, out=e, where=upper)
+            np.subtract(upper, e, out=e)
+            np.abs(e, out=e)
             acc *= e
         return acc
 
@@ -103,9 +114,51 @@ def _projection(i):
 
 
 def _column_quantiles(x: np.ndarray, levels) -> np.ndarray:
-    """np.quantile(x, levels, axis=0), bit for bit, one column per pool
-    task: each copies its column, where the one call copies all of x."""
-    return np.array(_in_pool(lambda c: np.quantile(c, levels), x.T)).T
+    """np.quantile(x, levels, axis=0), bit for bit, one column per pool task.
+
+    Each task copies its column into its worker's scratch column and
+    finds the order statistics that numpy's linear method interpolates
+    by single-kth partitions of a shrinking prefix, highest rank first:
+    after a partition at r, the first r entries are the r smallest, and
+    the largest of them is rank r - 1.  The interpolation is numpy's
+    _lerp on numpy's virtual index and weight.  A column with a NaN takes
+    np.quantile itself, whose answer is NaN.  Where -0.0 and 0.0 tie,
+    either partition may leave either zero at a rank, so the sign of a
+    zero quantile may differ; squared draws hold no -0.0.
+    """
+    q = np.asarray(levels, dtype=float)
+    n = x.shape[0]
+    virtual = (n - 1) * q  # numpy's virtual index for the linear method
+    below = np.floor(virtual)
+    # numpy's weight: an index past the last entry counts from -1
+    gamma = virtual - np.where(virtual >= n - 1, -1.0, below)
+    lo = np.minimum(below, n - 1).astype(int).tolist()
+    hi = np.minimum(np.add(lo, 1), n - 1).tolist()
+    ranks = sorted(set(lo) | set(hi), reverse=True)
+    scratch = threading.local()
+
+    def column(c):
+        if not hasattr(scratch, "column"):
+            scratch.column = np.empty(n)
+        work = scratch.column
+        np.copyto(work, c)
+        if math.isnan(work.max()):
+            return np.quantile(c, levels)
+        order, top = {}, n
+        for r in ranks:
+            if r == top - 1:
+                order[r] = work[:top].max()
+            else:
+                work[:top].partition(r)
+                order[r], top = work[r], r
+        a = np.array([order[r] for r in lo])
+        b = np.array([order[r] for r in hi])
+        diff = b - a
+        out = a + diff * gamma
+        np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+        return out
+
+    return np.array(_in_pool(column, x.T)).T
 
 
 def default_family(reference_draws, variance: float = 1.0) -> IncreasingFunctionFamily:
@@ -177,11 +230,11 @@ def association_mc_test(spec: PermanentalSpec, family=None,
     finite raises NonFiniteError.
     """
     seed = _read_seed(defaults.DEFAULT_SEED if seed is None else seed)
-    batch = sample_permanental(spec, n_draws, seed)
+    n = _draw_count(n_draws)
+    draws = _permanental_draws(spec, n, seed)
     if family is None:
         # a zero kernel's draws are all 0, where every slope gives the same family
-        family = default_family(batch.draws, np.max(np.diagonal(spec.kernel.entries)) or 1.0)
-    n = batch.n_draws
+        family = default_family(draws, np.max(np.diagonal(spec.kernel.entries)) or 1.0)
     if n < 2:
         raise InputFormatError("the jackknife needs at least two draws")
     blocks = min(defaults.JACKKNIFE_BLOCKS, n)
@@ -190,19 +243,37 @@ def association_mc_test(spec: PermanentalSpec, family=None,
     sums = np.empty((blocks, len(names)))
     grams = np.empty((blocks, len(names), len(names)))
     rest = n - np.diff(edges)
+    firsts = range(0, blocks, _BLOCKS_PER_TASK)
+    width = max(edges[min(b + _BLOCKS_PER_TASK, blocks)] - edges[b] for b in firsts)
+    scratch = threading.local()
 
     def run(first):
         """Members on jackknife blocks first .. first + _BLOCKS_PER_TASK - 1
         at once, then each block's column sums and Gram matrix from its
         rows.  A value that is not finite, or not one per draw, raises for
-        the first such block, then member, as a block-by-block pass would."""
+        the first such block, then member, as a block-by-block pass would.
+
+        The members see a read-only copy of the task's draws whose columns
+        are contiguous, in the worker's scratch, and fill its C-order
+        value rows there, so the sums and products are those of a fresh
+        C-order array."""
         group = range(first, min(first + _BLOCKS_PER_TASK, blocks))
         lo, hi = edges[first], edges[group[-1] + 1]
-        v = np.empty((hi - lo, len(names)))
+        if not hasattr(scratch, "x"):
+            scratch.x = np.empty((width, draws.shape[1]), order="F")
+            scratch.v = np.empty((width, len(names)))
+        x, v = scratch.x[:hi - lo], scratch.v[:hi - lo]
+        x[...] = draws[lo:hi]
+        x = x.view()
+        x.flags.writeable = False
         for j, (_, f) in enumerate(family.members):
-            values = np.asarray(f(batch.draws[lo:hi]), dtype=float)
+            values = np.asarray(f(x), dtype=float)
             v[:, j] = values if values.shape == (hi - lo,) else np.nan
-        if not np.isfinite(v).all():  # one pass over all of v; the search only on error
+        for b in group:
+            s = v[edges[b] - lo:edges[b + 1] - lo]
+            sums[b] = s.sum(axis=0)
+        # a sum is finite only if every value is; the search only on error
+        if not np.isfinite(sums[group.start:group.stop]).all():
             for b in group:
                 finite = np.isfinite(v[edges[b] - lo:edges[b + 1] - lo]).all(axis=0)
                 if not finite.all():
@@ -210,12 +281,11 @@ def association_mc_test(spec: PermanentalSpec, family=None,
                                            "must give one finite value per draw")
         for b in group:
             s = v[edges[b] - lo:edges[b + 1] - lo]
-            sums[b] = s.sum(axis=0)
             grams[b] = s.T @ s
 
     # overflow leaves inf or NaN, which the check below turns into an error
     with np.errstate(over="ignore", invalid="ignore"):
-        _in_pool(run, range(0, blocks, _BLOCKS_PER_TASK))
+        _in_pool(run, firsts)
         total, gram = sums.sum(axis=0), grams.sum(axis=0)
         cov = gram / n - np.multiply.outer(total / n, total / n)
         loo_mean = (total - sums) / rest[:, None]

@@ -44,7 +44,7 @@ from .green import (
 )
 from .idcheck import id_verdict, shifted_pair_id_test
 from .matcore import dumps_matrix, load_matrix, save_matrix
-from .sampler import PermanentalSpec, _read_seed, sample_permanental, save_batch
+from .sampler import PermanentalSpec, _read_seed, _stream_permanental
 from .verdict import Verdict
 
 __all__ = ["main", "parse_and_dispatch", "report_render"]
@@ -369,14 +369,14 @@ def _permanental_spec(G, k: int) -> PermanentalSpec:
     return PermanentalSpec(G, 2.0 / k)
 
 
-# sample_permanental checks the draw count; inputs echo the count it used
+# _stream_permanental checks the draw count; inputs echo the count it used
 def _cmd_sample(args):
     G = load_matrix(args.kernel)
-    batch = sample_permanental(_permanental_spec(G, args.k), args.n, args.seed)
-    save_batch(batch, args.out)
-    result = {"n_draws": batch.n_draws, "dim": batch.dim, "seed": args.seed,
-              "out": args.out, "ess": batch.ess}
-    inputs = {"kernel": args.kernel, "k": args.k, "n": batch.n_draws, "seed": args.seed}
+    n = _stream_permanental(_permanental_spec(G, args.k), args.n, args.seed, args.out)
+    # (sum w)^2 / sum w^2 of n unit weights, rounded as SampleBatch.ess rounds it
+    result = {"n_draws": n, "dim": G.dim, "seed": args.seed, "out": args.out,
+              "ess": float(n) ** 2 / float(n)}
+    inputs = {"kernel": args.kernel, "k": args.k, "n": n, "seed": args.seed}
     return inputs, result, 0, None
 
 

@@ -110,9 +110,9 @@ def is_green(G: KernelMatrix) -> Verdict:
 
 def hadamard_power(G: KernelMatrix, beta: float) -> KernelMatrix:
     """Entrywise power G(i,j)^beta for beta >= 1; overflow raises NonFiniteError."""
-    if beta < 1.0:
+    if not beta >= 1.0:  # NaN too
         raise InputFormatError(
-            "entrywise powers below 1 are rejected: stability is only "
+            f"entrywise power {beta} is rejected: stability is only "
             "asserted for exponents >= 1")
     a = G.entries
     tol = defaults.TOL_ALGEBRAIC * float(np.max(np.abs(a)))

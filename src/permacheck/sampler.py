@@ -9,17 +9,21 @@ blocks of at most _BLOCK_ROWS, and each block draws numpy's ziggurat
 normals from its own counter-based Philox key (seed, first row), so
 blocks can be drawn in any order and run on a pool of one thread per
 CPU the process may run on; neither the order nor the thread count
-shows in a batch.  numpy's Generator may change a distribution's
-algorithm between feature releases (NEP 19), so a batch is reproducible
-bit for bit for a given numpy version.
+shows in a batch.  _stream_permanental writes each block straight to
+its place in a batch file, so a batch on disk is never held in memory.
+numpy's Generator may change a distribution's algorithm between feature
+releases (NEP 19), so a batch is reproducible bit for bit for a given
+numpy version.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +95,9 @@ class SampleBatch:
         w = np.asarray(self.weights, dtype=float)
         if d.ndim != 2 or d.shape[0] < 1:
             raise InputFormatError("draws must be a nonempty N x n matrix")
+        if d.shape[1] != self.spec.kernel.dim:
+            raise InputFormatError(f"draws of dimension {d.shape[1]} do not fit a kernel "
+                                   f"of dimension {self.spec.kernel.dim}")
         # min and max propagate NaN, so this checks every draw without a copy
         if not (np.isfinite(np.min(d)) and np.isfinite(np.max(d))):
             raise NonFiniteError("draws must be finite")
@@ -132,7 +139,8 @@ class SampleBatch:
 
 
 # rows per block of normals, each block with its own Philox key; the
-# working set beside the output is two arrays of this many rows per worker
+# working set beside the output is three arrays of this many rows per
+# worker, reused from block to block
 _BLOCK_ROWS = 8192
 
 # threads for the sampler's row blocks and the association statistics:
@@ -181,45 +189,104 @@ def _read_seed(seed) -> int:
 def _in_pool(fn, items) -> list:
     """[fn(x) for x in items], each call under the caller's np.errstate.
 
-    With at least two items, the calls run on _WORKERS threads, so fn
-    must be safe to call concurrently; results and the first exception
-    still come in item order.  numpy's error state is a context variable
-    that a pool thread does not inherit, hence the wrap.
+    With at least two items, the calls run on min(_WORKERS, len(items))
+    threads, the caller's among them, each taking the next item in turn,
+    so fn must be safe to call concurrently.  Results come in item order,
+    and the exception raised is that of the lowest-index item that
+    raised, as in the serial loop; once an item has raised, no thread
+    starts another.  numpy's error state is a context variable that a new
+    thread does not inherit, hence the hand-over.
     """
     items = list(items)
     if _WORKERS < 2 or len(items) < 2:
         return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor  # about 10 ms, paid only here
-
     err = np.geterr()
+    results, raised = [None] * len(items), {}
+    todo = collections.deque(range(len(items)))  # popleft is atomic
 
-    def call(x):
+    def work():
         with np.errstate(**err):
-            return fn(x)
+            while not raised:
+                try:
+                    i = todo.popleft()
+                except IndexError:
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:  # noqa: B036  (re-raised below)
+                    raised[i] = exc
 
-    with ThreadPoolExecutor(min(_WORKERS, len(items))) as pool:
-        return list(pool.map(call, items))
+    threads = [threading.Thread(target=work)
+               for _ in range(min(_WORKERS, len(items)) - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if raised:
+        raise raised[min(raised)]
+    return results
 
 
 def _gaussian_rows(A: np.ndarray, n_draws: int, k: int, seed: int, into) -> None:
-    """Calls into(rows, eta) for row block `rows` of each of k Gaussian
-    draw matrices z @ A.T.
+    """Calls into(rows, etas) for each row block `rows`, where etas
+    yields the block's rows of k Gaussian draw matrices z @ A.T in turn.
 
     A block's normals come from its own Philox key (seed, rows.start):
     it draws its k vectors' normals one (rows, n) matrix after another,
-    so into may add them up.  The 128-bit key is built as a uint64
-    array, which keeps every seed below 2**64 exact.  Blocks run on the
-    pool, so into must be safe on disjoint blocks.
+    as into takes them from etas.  Each yielded matrix lives in its
+    worker's scratch, which the next one overwrites, and into may
+    overwrite it too.  The 128-bit key is built as a uint64 array, which
+    keeps every seed below 2**64 exact.  Blocks run on the pool, so into
+    must be safe on disjoint blocks.
     """
-    n = A.shape[0]
+    shape = (min(_BLOCK_ROWS, n_draws), A.shape[0])  # no block has more rows
+    scratch = threading.local()
 
     def block(rows):
+        if not hasattr(scratch, "z"):
+            scratch.z, scratch.eta = np.empty(shape), np.empty(shape)
+        z, eta = scratch.z[:rows.stop - rows.start], scratch.eta[:rows.stop - rows.start]
         key = np.array([seed, rows.start], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
-        for _ in range(k):
-            into(rows, gen.standard_normal((rows.stop - rows.start, n)) @ A.T)
+
+        def etas():
+            for _ in range(k):
+                gen.standard_normal(out=z)
+                yield np.matmul(z, A.T, out=eta)
+
+        into(rows, etas())
 
     _in_pool(block, _row_blocks(n_draws))
+
+
+def _square_sums(A: np.ndarray, n_draws: int, k: int, seed: int, into) -> None:
+    """Calls into(rows, psi) for each row block of n_draws permanental
+    draws, psi being the sum of the block's k squared Gaussian rows in
+    its worker's scratch, which the worker's next block overwrites.
+
+    The squares are added in vector order, so psi matches an all-zero
+    array to which each square is added in turn (+0.0 + x is x, bit for
+    bit).  A block that is not finite, as from overflow, raises
+    NonFiniteError before into sees it.
+    """
+    scratch = threading.local()
+
+    def squares(rows, etas):
+        if not hasattr(scratch, "psi"):
+            scratch.psi = np.empty((min(_BLOCK_ROWS, n_draws), A.shape[0]))
+        eta = next(etas)
+        psi = np.multiply(eta, eta, out=scratch.psi[:len(eta)])
+        for eta in etas:
+            eta *= eta
+            psi += eta
+        # squares are >= 0 and max propagates NaN, so this checks every draw
+        if not np.isfinite(psi.max()):
+            raise NonFiniteError("draws must be finite")
+        into(rows, psi)
+
+    with np.errstate(over="ignore"):  # overflow leaves inf, which raises above
+        _gaussian_rows(A, n_draws, k, seed, squares)
 
 
 def sample_gaussian(G: KernelMatrix, n_draws: int, seed: int) -> SampleBatch:
@@ -227,12 +294,25 @@ def sample_gaussian(G: KernelMatrix, n_draws: int, seed: int) -> SampleBatch:
     n_draws, seed = _draw_count(n_draws), _read_seed(seed)
     draws = np.empty((n_draws, G.dim))
 
-    def put(rows, eta):
-        draws[rows] = eta
+    def put(rows, etas):
+        draws[rows] = next(etas)
 
     _gaussian_rows(_sqrt_factor(G), n_draws, 1, seed, put)
     return SampleBatch(draws, np.ones(n_draws), seed,
                        PermanentalSpec(G, 2.0), kind="gaussian")
+
+
+def _permanental_draws(spec: PermanentalSpec, n_draws: int, seed: int) -> np.ndarray:
+    """The draws of sample_permanental(spec, n_draws, seed), for a checked
+    count and seed, without the batch and its weights."""
+    k = spec.k
+    psi = np.empty((n_draws, spec.kernel.dim))
+
+    def put(rows, block):
+        psi[rows] = block
+
+    _square_sums(_sqrt_factor(spec.kernel), n_draws, k, seed, put)
+    return psi
 
 
 def sample_permanental(spec: PermanentalSpec, n_draws: int, seed: int) -> SampleBatch:
@@ -241,18 +321,11 @@ def sample_permanental(spec: PermanentalSpec, n_draws: int, seed: int) -> Sample
     Each draw is the coordinatewise sum of k independent squared
     Gaussian vectors with covariance spec.kernel; the Laplace transform
     at any nonnegative diagonal alpha is det(I + alpha G)^(-k/2).
+    Draws that overflow raise NonFiniteError.
     """
     n_draws, seed = _draw_count(n_draws), _read_seed(seed)
-    k = spec.k
-    psi = np.zeros((n_draws, spec.kernel.dim))  # +0.0 + eta is eta, bit for bit
-
-    def add_square(rows, eta):
-        eta *= eta
-        psi[rows] += eta
-
-    with np.errstate(over="ignore"):  # SampleBatch rejects draws that overflow
-        _gaussian_rows(_sqrt_factor(spec.kernel), n_draws, k, seed, add_square)
-    return SampleBatch(psi, np.ones(n_draws), seed, spec, kind="permanental")
+    return SampleBatch(_permanental_draws(spec, n_draws, seed), np.ones(n_draws), seed,
+                       spec, kind="permanental")
 
 
 def _psi_values(batch: SampleBatch) -> np.ndarray:
@@ -324,22 +397,75 @@ def abs_product_moment(sigma_i, sigma_j, rho):
     return float(m) if m.ndim == 0 else m
 
 
-def save_batch(batch: SampleBatch, path) -> None:
-    """Header line of JSON, then draws and weights as little-endian float64."""
+def _batch_header(n_draws: int, dim: int, seed: int, kind: str, alpha: float,
+                  spec: PermanentalSpec) -> bytes:
+    """The JSON header line of a batch file."""
     header = {
         "schema": defaults.SCHEMA_VERSION,
-        "n_draws": batch.n_draws,
-        "dim": batch.dim,
-        "seed": batch.seed,
-        "kind": batch.kind,
-        "alpha": batch.alpha,
-        "spec": batch.spec.to_dict(),
+        "n_draws": n_draws,
+        "dim": dim,
+        "seed": seed,
+        "kind": kind,
+        "alpha": alpha,
+        "spec": spec.to_dict(),
     }
+    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+
+
+def save_batch(batch: SampleBatch, path) -> None:
+    """Header line of JSON, then draws and weights as little-endian float64."""
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(_batch_header(batch.n_draws, batch.dim, batch.seed, batch.kind,
+                               batch.alpha, batch.spec))
         # a view where the array is already little-endian float64, not a copy
         fh.write(np.ascontiguousarray(batch.draws, dtype="<f8").data)
         fh.write(np.ascontiguousarray(batch.weights, dtype="<f8").data)
+
+
+def _write_at(fd: int, data, offset: int) -> None:
+    """Writes the bytes of data at byte offset of file fd."""
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+
+
+def _stream_permanental(spec: PermanentalSpec, n_draws, seed, path) -> int:
+    """Writes save_batch(sample_permanental(spec, n_draws, seed), path)'s
+    bytes and returns the draw count, with no N x n array.
+
+    Each row block's draws and unit weights go straight to their places
+    in the file, from the pool's threads.  The file is written under a
+    temporary name beside path and renamed onto it once every block is
+    written, so an error, such as NonFiniteError for draws that overflow,
+    leaves path as it was and no temporary file behind.
+    """
+    n_draws, seed = _draw_count(n_draws), _read_seed(seed)
+    k, A = spec.k, _sqrt_factor(spec.kernel)
+    n = A.shape[0]
+    header = _batch_header(n_draws, n, seed, "permanental", 0.0, spec)
+    weights_at = len(header) + 8 * n * n_draws
+
+    def put(rows, psi):
+        # views of little-endian float64 bytes, as save_batch writes them
+        _write_at(fd, np.ascontiguousarray(psi, dtype="<f8").view(np.uint8),
+                  len(header) + 8 * n * rows.start)
+        _write_at(fd, np.ones(rows.stop - rows.start, dtype="<f8").view(np.uint8),
+                  weights_at + 8 * rows.start)
+
+    temp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        try:
+            _write_at(fd, header, 0)
+            _square_sums(A, n_draws, k, seed, put)
+        finally:
+            os.close(fd)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+    return n_draws
 
 
 def load_batch(path) -> SampleBatch:

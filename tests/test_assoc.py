@@ -220,6 +220,39 @@ class TestAssociationOracle:
             want = np.quantile(x, levels, axis=0)
             assert _column_quantiles(x, levels).tobytes() == want.tobytes()
 
+    def test_column_quantiles_match_numpy_with_ties(self, monkeypatch):
+        # every count from 10 to 5000, on one and two workers in turn;
+        # columns with many ties, some ties and no ties, and levels at both
+        # ends, where numpy's virtual index reaches the last entry
+        rng = np.random.default_rng(71)
+        levels = (0.0, 0.25, 0.5, 0.75, 0.5, 1.0, 0.1, 0.9)
+        for n_draws in range(10, 5001):
+            monkeypatch.setattr(sampler, "_WORKERS", 1 + n_draws % 2)
+            x = np.empty((n_draws, 3))
+            x[:, 0] = rng.integers(0, 4, n_draws)
+            x[:, 1] = rng.integers(-n_draws // 3, n_draws // 3 + 1, n_draws)
+            x[:, 2] = rng.standard_normal(n_draws)
+            want = np.quantile(x, levels, axis=0)
+            assert _column_quantiles(x, levels).tobytes() == want.tobytes(), n_draws
+
+    def test_column_quantiles_match_numpy_at_a_million(self):
+        rng = np.random.default_rng(72)
+        x = np.empty((10 ** 6, 3))
+        x[:, 0] = rng.integers(0, 1000, 10 ** 6)
+        x[:, 1] = rng.exponential(size=10 ** 6)
+        x[:, 2] = -x[:, 1]
+        levels = ORTHANT_QUANTILES + (0.5,)
+        want = np.quantile(x, levels, axis=0)
+        assert _column_quantiles(x, levels).tobytes() == want.tobytes()
+
+    def test_column_quantiles_of_a_column_with_nan_are_numpys(self):
+        x = np.random.default_rng(73).standard_normal((100, 3))
+        x[5, 1] = np.nan
+        levels = ORTHANT_QUANTILES + (0.5,)
+        want = np.quantile(x, levels, axis=0)
+        assert _column_quantiles(x, levels).tobytes() == want.tobytes()
+        assert np.isnan(want[:, 1]).all()
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_reports_do_not_depend_on_the_worker_count(self, n, monkeypatch):
         rng = np.random.default_rng(400 + n)

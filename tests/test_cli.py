@@ -588,7 +588,30 @@ print(parse_and_dispatch(sys.argv[1:]), "scipy.special" in sys.modules)
 """
 
 
+_POOL_PROBE = """
+import sys
+import permacheck.sampler
+permacheck.sampler._WORKERS = 2  # the pooled path, whatever the host's CPU count
+from permacheck.cli import parse_and_dispatch
+code = parse_and_dispatch(sys.argv[1:])
+print(code, "concurrent.futures" in sys.modules)
+"""
+
+
 class TestStartup:
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--kernel", "{g2}", "--n", "1e5", "--seed", "3", "--out", "{dir}/s.bin"],
+        ["check-assoc", "--kernel", "{g2}", "--n", "2e4", "--seed", "3"],
+    ], ids=["sample", "check-assoc"])
+    def test_pooled_commands_do_not_import_concurrent_futures(self, argv, matrices,
+                                                               tmp_path):
+        argv = [a.format(**matrices) for a in argv]
+        argv += ["--report", str(tmp_path / "r.json")]
+        proc = subprocess.run([sys.executable, "-c", _POOL_PROBE] + argv,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+
     def test_import_loads_no_scipy(self):
         proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
                               capture_output=True, text=True)
@@ -849,6 +872,46 @@ class TestSample:
         batch = load_batch(out)
         assert batch.draws.shape == (250, 2)
         assert batch.kind == "permanental"
+
+    @pytest.mark.parametrize("n", ["10", "20000"], ids=["one-block", "pooled-blocks"])
+    def test_overflow_exits_three_and_leaves_out_alone(self, n, tmp_path, capsys,
+                                                        monkeypatch):
+        # the batch is streamed to a temporary file beside --out, which an
+        # overflowing block removes; --out itself is never opened
+        import permacheck.sampler
+
+        monkeypatch.setattr(permacheck.sampler, "_WORKERS", 2)
+        huge = tmp_path / "huge.csv"
+        save_matrix(kernel(1e308 * np.eye(2)), huge)
+        work = tmp_path / "work"
+        work.mkdir()
+        out = work / "x.bin"
+        for before in (None, b"an earlier batch"):
+            if before is not None:
+                out.write_bytes(before)
+            code, stdout, err = run_cli(["sample", "--kernel", huge, "--n", n,
+                                         "--out", out], capsys)
+            assert (code, stdout) == (3, "")
+            assert json.loads(err)["error"] == "NonFiniteError"
+            assert (out.read_bytes() if out.exists() else None) == before
+            assert [p.name for p in work.iterdir()] == ([] if before is None else ["x.bin"])
+
+    @pytest.mark.parametrize("n", [1, 10, 8193, 94_906_267])
+    def test_ess_is_the_unit_weight_batch_ess(self, n, matrices, tmp_path, capsys):
+        # the report's ess is SampleBatch.ess of n unit weights, bit for bit,
+        # also where n * n is not a float (94_906_267 ** 2 > 2 ** 53)
+        w = np.ones(min(n, 10 ** 4))
+        assert float(np.float64(n) ** 2 / np.float64(n)) == float(n) ** 2 / float(n)
+        if n <= w.size:
+            spec = permacheck.PermanentalSpec(load_matrix(matrices["g2"]), 2.0)
+            batch = permacheck.sample_permanental(spec, n, 1)
+            report = tmp_path / "r.json"
+            code, _, _ = run_cli(["sample", "--kernel", matrices["g2"], "--n", str(n),
+                                  "--seed", "1", "--out", tmp_path / "s.bin",
+                                  "--report", report], capsys)
+            assert code == 0
+            assert json.loads(report.read_text())["result"]["ess"] == batch.ess
+            assert load_batch(tmp_path / "s.bin").ess == batch.ess
 
     def test_seed_comes_only_from_the_option(self, matrices, tmp_path):
         # --seed is the only way in: its default is the defaults table's

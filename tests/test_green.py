@@ -151,6 +151,12 @@ class TestHadamardPower:
         with pytest.raises(InputFormatError):
             hadamard_power(kernel(np.eye(2)), 0.5)
 
+    def test_nan_power_rejected_as_malformed(self):
+        # NaN passed the "beta < 1" check and raised NonFiniteError, a
+        # numeric failure, for a malformed exponent
+        with pytest.raises(InputFormatError, match="entrywise power nan"):
+            hadamard_power(kernel([[2.0, 1.0], [1.0, 2.0]]), math.nan)
+
     def test_negative_entries_rejected(self):
         with pytest.raises(InputFormatError):
             hadamard_power(kernel([[1.0, -0.5], [-0.5, 1.0]]), 2.0)

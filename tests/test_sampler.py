@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 from permacheck import (
     InputFormatError,
     InvalidIndexError,
+    NonFiniteError,
     PermacheckError,
     PermanentalSpec,
     abs_product_moment,
@@ -28,7 +30,8 @@ from permacheck import (
     tilt_resolvent,
 )
 import permacheck.sampler as sampler
-from permacheck.sampler import _BLOCK_ROWS, _row_blocks, _sqrt_factor
+from permacheck.sampler import (_BLOCK_ROWS, _in_pool, _row_blocks, _sqrt_factor,
+                                _stream_permanental)
 from oracles import (
     mc_abs_product_moment,
     mc_mean_se,
@@ -154,15 +157,18 @@ class TestRowBlocks:
 
 
 class TestWorkerPool:
-    def test_bits_hold_with_more_workers_than_cpus(self, monkeypatch):
+    def test_bits_hold_with_more_workers_than_cpus(self, monkeypatch, tmp_path):
         # eight workers switching every microsecond: a block written to
-        # another block's rows, or a lost update, would change the bits
+        # another block's rows or file bytes, or a lost update, would
+        # change the bits
         spec = PermanentalSpec(_kernels(5)[0], 2.0 / 3)
 
         def outputs():
+            _stream_permanental(spec, 100_003, 3, tmp_path / "x.bin")
             return (sample_permanental(spec, 100_003, seed=3).draws.tobytes(),
                     sample_gaussian(spec.kernel, 100_003, seed=3).draws.tobytes(),
-                    repr(association_mc_test(spec, n_draws=100_003, seed=3)))
+                    repr(association_mc_test(spec, n_draws=100_003, seed=3)),
+                    (tmp_path / "x.bin").read_bytes())
 
         monkeypatch.setattr(sampler, "_WORKERS", 1)
         want = outputs()
@@ -174,6 +180,118 @@ class TestWorkerPool:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+
+
+class TestPool:
+    """_in_pool keeps the serial loop's results, exception and error state."""
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_results_keep_item_order(self, workers, monkeypatch):
+        monkeypatch.setattr(sampler, "_WORKERS", workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _in_pool(lambda i: (time.sleep(0.001 * (i % 3)), i * i)[1], range(40))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [i * i for i in range(40)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_lowest_index_exception_is_raised(self, workers, monkeypatch):
+        # item 7 raises first in time; item 3 raises later, and a serial
+        # loop would meet it first
+        monkeypatch.setattr(sampler, "_WORKERS", workers)
+        ran = []
+
+        def fn(i):
+            if i == 3:
+                time.sleep(0.05)
+            ran.append(i)
+            if i in (3, 7):
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError) as info:
+            _in_pool(fn, range(12))
+        assert info.value.args == (3,)
+        # every item before the one that raised ran to its end
+        assert set(range(4)) <= set(ran)
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_calls_run_under_the_callers_errstate(self, workers, monkeypatch):
+        monkeypatch.setattr(sampler, "_WORKERS", workers)
+        with np.errstate(over="raise", invalid="ignore", divide="warn", under="ignore"):
+            want = np.geterr()
+            assert _in_pool(lambda _: np.geterr(), range(6)) == [want] * 6
+            with pytest.raises(FloatingPointError):
+                _in_pool(lambda x: np.float64(1e308) * x, [1.0, 10.0, 1.0])
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(_in_pool(lambda x: np.float64(1e308) * x, [10.0, 10.0])).all()
+
+    def test_empty_and_single_item(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_WORKERS", 2)
+        assert _in_pool(lambda x: x + 1, []) == []
+        assert _in_pool(lambda x: x + 1, [1]) == [2]
+
+
+class TestStreamedBatch:
+    """_stream_permanental writes save_batch(sample_permanental(...))'s bytes."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_file_is_the_saved_batch(self, n, k, tmp_path, monkeypatch):
+        spec = PermanentalSpec(_kernels(n)[0], 2.0 / k)
+        want_path, got_path = tmp_path / "want.bin", tmp_path / "got.bin"
+        for n_draws in (1, 2, 8191, 8193, 12_345, 10 ** 5):
+            for seed in (0, 2 ** 64 - 1):
+                save_batch(sample_permanental(spec, n_draws, seed), want_path)
+                want = want_path.read_bytes()
+                for workers in (1, 2):
+                    monkeypatch.setattr(sampler, "_WORKERS", workers)
+                    assert _stream_permanental(spec, n_draws, seed, got_path) == n_draws
+                    assert got_path.read_bytes() == want, (n_draws, seed, workers)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["got.bin", "want.bin"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflow_leaves_the_path_as_it_was(self, workers, tmp_path, monkeypatch):
+        monkeypatch.setattr(sampler, "_WORKERS", workers)
+        spec = PermanentalSpec(kernel(1e308 * np.eye(2)), 2.0)
+        path = tmp_path / "x.bin"
+        for before in (None, b"an earlier batch"):
+            if before is not None:
+                path.write_bytes(before)
+            # one row block, and three on the pool
+            for n_draws in (10, 20_000):
+                with pytest.raises(NonFiniteError):
+                    _stream_permanental(spec, n_draws, 1, path)
+                assert (path.read_bytes() if path.exists() else None) == before
+                assert [p.name for p in tmp_path.iterdir()] == ([] if before is None
+                                                                 else ["x.bin"])
+
+    def test_bad_arguments_write_nothing(self, tmp_path):
+        path = tmp_path / "x.bin"
+        spec = PermanentalSpec(G2, 2.0)
+        for call in (lambda: _stream_permanental(spec, 0, 1, path),
+                     lambda: _stream_permanental(spec, 10, -1, path),
+                     lambda: _stream_permanental(PermanentalSpec(G2, 0.3), 10, 1, path)):
+            with pytest.raises(InputFormatError):
+                call()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_is_a_few_blocks(self, tmp_path, monkeypatch):
+        # no N x n array and no weights array: 200_000 draws of dimension 6
+        # would be 9.6 MB, and a worker holds three blocks of 384 kB
+        monkeypatch.setattr(sampler, "_WORKERS", 2)
+        spec = PermanentalSpec(_kernels(6)[0], 1.0)
+        _stream_permanental(spec, 10, 1, tmp_path / "x.bin")  # imports outside the trace
+        tracemalloc.start()
+        try:
+            _stream_permanental(spec, 200_000, 1, tmp_path / "x.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _BLOCK_ROWS * 6 * 8
 
 
 class TestDrawCount:
@@ -460,7 +578,8 @@ class TestBatchIO:
         "header not JSON", "header not UTF-8", "header a list",
         "no n_draws", "no spec", "no kernel entries", "dim a string",
         "negative n_draws", "alpha NaN", "alpha negative", "NaN weights",
-        "inf weight", "inf draw", "symmetric a string", "seed 1.5", "seed negative"])
+        "inf weight", "inf draw", "symmetric a string", "seed 1.5", "seed negative",
+        "kernel of another dimension"])
     def test_malformed_file_raises_input_format_error(self, case, tmp_path):
         path = tmp_path / "batch.bin"
         save_batch(sample_gaussian(G2, 50, seed=19), path)
@@ -496,6 +615,9 @@ class TestBatchIO:
             header["spec"]["kernel"]["symmetric"] = "no"
         elif case.startswith("seed "):
             header["seed"] = 1.5 if case == "seed 1.5" else -1
+        elif case == "kernel of another dimension":
+            # loaded with dim 2 and spec.kernel.dim 3
+            header["spec"]["kernel"] = kernel(np.eye(3)).to_dict()
         elif case in ("NaN weights", "inf weight", "inf draw"):
             values = np.frombuffer(body, dtype="<f8").copy()
             n_values = header["n_draws"] * header["dim"]
@@ -504,7 +626,8 @@ class TestBatchIO:
             else:
                 values[n_values if case == "inf weight" else 3] = np.inf
             body = values.tobytes()
-        if case.startswith(("no ", "dim ", "negative ", "alpha ", "symmetric ", "seed ")):
+        if case.startswith(("no ", "dim ", "negative ", "alpha ", "symmetric ", "seed ",
+                            "kernel ")):
             line = json.dumps(header).encode("utf-8")
         path.write_bytes(line + b"\n" + body)
         with pytest.raises(InputFormatError):
