@@ -48,7 +48,9 @@ class IncreasingFunctionFamily:
     draw, and is nondecreasing in every coordinate.  The association test
     calls members on read-only Fortran-order copies of row blocks of the
     draws, concurrently on disjoint blocks, so a member must be safe to
-    call from several threads at once.
+    call from several threads at once; a member that writes to its input
+    raises InputFormatError.  A member's reduction along a row may round
+    differently on this layout than on a C-order array.
     """
 
     members: tuple
@@ -266,8 +268,14 @@ def association_mc_test(spec: PermanentalSpec, family=None,
         x[...] = draws[lo:hi]
         x = x.view()
         x.flags.writeable = False
-        for j, (_, f) in enumerate(family.members):
-            values = np.asarray(f(x), dtype=float)
+        for j, (name, f) in enumerate(family.members):
+            try:
+                values = np.asarray(f(x), dtype=float)
+            except ValueError as exc:
+                if "read-only" not in str(exc):
+                    raise
+                raise InputFormatError(f"family member {name!r} must not write to "
+                                       "the draws it is given") from exc
             v[:, j] = values if values.shape == (hi - lo,) else np.nan
         for b in group:
             s = v[edges[b] - lo:edges[b + 1] - lo]

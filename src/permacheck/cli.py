@@ -372,10 +372,8 @@ def _permanental_spec(G, k: int) -> PermanentalSpec:
 # _stream_permanental checks the draw count; inputs echo the count it used
 def _cmd_sample(args):
     G = load_matrix(args.kernel)
-    n = _stream_permanental(_permanental_spec(G, args.k), args.n, args.seed, args.out)
-    # (sum w)^2 / sum w^2 of n unit weights, rounded as SampleBatch.ess rounds it
-    result = {"n_draws": n, "dim": G.dim, "seed": args.seed, "out": args.out,
-              "ess": float(n) ** 2 / float(n)}
+    n, ess = _stream_permanental(_permanental_spec(G, args.k), args.n, args.seed, args.out)
+    result = {"n_draws": n, "dim": G.dim, "seed": args.seed, "out": args.out, "ess": ess}
     inputs = {"kernel": args.kernel, "k": args.k, "n": n, "seed": args.seed}
     return inputs, result, 0, None
 

@@ -18,11 +18,11 @@ numpy version.
 
 from __future__ import annotations
 
-import collections
 import json
 import math
 import operator
 import os
+import stat
 import threading
 from dataclasses import dataclass
 
@@ -71,6 +71,11 @@ class PermanentalSpec:
 
     def to_dict(self) -> dict:
         return {"kernel": self.kernel.to_dict(), "index_beta": float(self.index_beta)}
+
+
+def _ess(total, square_total) -> float:
+    """Effective sample size (sum w)^2 / sum w^2 from the two sums."""
+    return float(total ** 2 / square_total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +135,7 @@ class SampleBatch:
     def ess(self) -> float:
         """Effective sample size (sum w)^2 / sum w^2 of the weights."""
         w = self.weights
-        return float(w.sum() ** 2 / (w @ w))
+        return _ess(w.sum(), w @ w)
 
     def mean(self, values) -> float:
         """Weighted average of a per-draw statistic."""
@@ -189,43 +194,24 @@ def _read_seed(seed) -> int:
 def _in_pool(fn, items) -> list:
     """[fn(x) for x in items], each call under the caller's np.errstate.
 
-    With at least two items, the calls run on min(_WORKERS, len(items))
-    threads, the caller's among them, each taking the next item in turn,
-    so fn must be safe to call concurrently.  Results come in item order,
-    and the exception raised is that of the lowest-index item that
-    raised, as in the serial loop; once an item has raised, no thread
-    starts another.  numpy's error state is a context variable that a new
-    thread does not inherit, hence the hand-over.
+    With at least two items, the calls run on _WORKERS threads, so fn
+    must be safe to call concurrently; results and the first exception
+    still come in item order.  numpy's error state is a context variable
+    that a pool thread does not inherit, hence the wrap.
     """
     items = list(items)
     if _WORKERS < 2 or len(items) < 2:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # about 10 ms, paid only here
+
     err = np.geterr()
-    results, raised = [None] * len(items), {}
-    todo = collections.deque(range(len(items)))  # popleft is atomic
 
-    def work():
+    def call(x):
         with np.errstate(**err):
-            while not raised:
-                try:
-                    i = todo.popleft()
-                except IndexError:
-                    return
-                try:
-                    results[i] = fn(items[i])
-                except BaseException as exc:  # noqa: B036  (re-raised below)
-                    raised[i] = exc
+            return fn(x)
 
-    threads = [threading.Thread(target=work)
-               for _ in range(min(_WORKERS, len(items)) - 1)]
-    for t in threads:
-        t.start()
-    work()
-    for t in threads:
-        t.join()
-    if raised:
-        raise raised[min(raised)]
-    return results
+    with ThreadPoolExecutor(min(_WORKERS, len(items))) as pool:
+        return list(pool.map(call, items))
 
 
 def _gaussian_rows(A: np.ndarray, n_draws: int, k: int, seed: int, into) -> None:
@@ -430,15 +416,21 @@ def _write_at(fd: int, data, offset: int) -> None:
         view, offset = view[written:], offset + written
 
 
-def _stream_permanental(spec: PermanentalSpec, n_draws, seed, path) -> int:
+def _stream_permanental(spec: PermanentalSpec, n_draws, seed, path) -> tuple[int, float]:
     """Writes save_batch(sample_permanental(spec, n_draws, seed), path)'s
-    bytes and returns the draw count, with no N x n array.
+    bytes and returns the batch's draw count and ess.
 
     Each row block's draws and unit weights go straight to their places
-    in the file, from the pool's threads.  The file is written under a
-    temporary name beside path and renamed onto it once every block is
-    written, so an error, such as NonFiniteError for draws that overflow,
-    leaves path as it was and no temporary file behind.
+    in a new file beside path, from the pool's threads, with no N x n
+    array; once every block is written, the new file takes path's mode
+    and is renamed onto path (through a symlink, onto its target).  An
+    error, such as NonFiniteError for draws that overflow, removes the
+    new file and leaves path as it was.  A new file stands for path only
+    where path is missing or a regular file with one link that this
+    process's user owns, and where its directory takes a new file;
+    elsewhere (a device, a FIFO, a read-only directory) the batch is
+    sampled in memory and save_batch writes it in place.  A process
+    killed while writing leaves its <path>.<hex>.tmp file behind.
     """
     n_draws, seed = _draw_count(n_draws), _read_seed(seed)
     k, A = spec.k, _sqrt_factor(spec.kernel)
@@ -453,19 +445,39 @@ def _stream_permanental(spec: PermanentalSpec, n_draws, seed, path) -> int:
         _write_at(fd, np.ones(rows.stop - rows.start, dtype="<f8").view(np.uint8),
                   weights_at + 8 * rows.start)
 
-    temp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    target, fd = os.path.realpath(path), None
+    try:
+        st = os.stat(target)
+        fresh = (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                 and st.st_uid == os.geteuid())
+    except FileNotFoundError:
+        st, fresh = None, True
+    except OSError:
+        fresh = False
+    if fresh:
+        temp = f"{target}.{os.urandom(6).hex()}.tmp"
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError:
+            pass
+    if fd is None:
+        batch = sample_permanental(spec, n_draws, seed)
+        save_batch(batch, path)
+        return n_draws, batch.ess
     try:
         try:
             _write_at(fd, header, 0)
             _square_sums(A, n_draws, k, seed, put)
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
         finally:
             os.close(fd)
-        os.replace(temp, path)
+        os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
         raise
-    return n_draws
+    # n_draws unit weights sum to n_draws, as do their squares
+    return n_draws, _ess(np.float64(n_draws), np.float64(n_draws))
 
 
 def load_batch(path) -> SampleBatch:

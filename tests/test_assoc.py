@@ -165,6 +165,21 @@ CUSTOM_MEMBERS = (
 )
 
 
+# members that write to the draws they are given, three ways
+def _shift_in_place(x):
+    x -= 1.0
+    return x[:, 0]
+
+
+def _log_in_place(x):
+    return np.log1p(x, out=x)[:, 1]
+
+
+def _set_entry(x):
+    x[0, 0] = 0.0
+    return x[:, 0]
+
+
 class TestAssociationOracle:
     """Reports agree with correctly rounded sums within a derived bound."""
 
@@ -293,6 +308,25 @@ class TestAssociationOracle:
         with pytest.raises(InputFormatError):
             association_mc_test(PermanentalSpec(G2, 2.0),
                                 IncreasingFunctionFamily(members), n_draws, 57)
+
+    @pytest.mark.parametrize("member", [_shift_in_place, _log_in_place, _set_entry])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_member_that_writes_to_its_draws_rejected(self, member, workers, monkeypatch):
+        # members get a read-only copy, so the draws other members see stay
+        # as sampled; a write is named as the member's fault
+        monkeypatch.setattr(sampler, "_WORKERS", workers)
+        members = (PROJ_0, ("writer", member))
+        with pytest.raises(InputFormatError, match="'writer' must not write"):
+            association_mc_test(PermanentalSpec(G2, 2.0),
+                                IncreasingFunctionFamily(members), 20_000, 57)
+
+    def test_member_error_that_is_not_a_write_passes_through(self):
+        def bad(x):
+            raise ValueError("a member's own error")
+
+        with pytest.raises(ValueError, match="own error"):
+            association_mc_test(PermanentalSpec(G2, 2.0),
+                                IncreasingFunctionFamily((PROJ_0, ("bad", bad))), 1000, 57)
 
 
 class TestFkgLattice:

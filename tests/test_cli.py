@@ -3,8 +3,10 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -21,6 +23,7 @@ from permacheck import (
     load_batch,
     load_matrix,
     resolvent_monotonicity_scan,
+    save_batch,
     save_matrix,
     kernel,
 )
@@ -588,30 +591,7 @@ print(parse_and_dispatch(sys.argv[1:]), "scipy.special" in sys.modules)
 """
 
 
-_POOL_PROBE = """
-import sys
-import permacheck.sampler
-permacheck.sampler._WORKERS = 2  # the pooled path, whatever the host's CPU count
-from permacheck.cli import parse_and_dispatch
-code = parse_and_dispatch(sys.argv[1:])
-print(code, "concurrent.futures" in sys.modules)
-"""
-
-
 class TestStartup:
-    @pytest.mark.parametrize("argv", [
-        ["sample", "--kernel", "{g2}", "--n", "1e5", "--seed", "3", "--out", "{dir}/s.bin"],
-        ["check-assoc", "--kernel", "{g2}", "--n", "2e4", "--seed", "3"],
-    ], ids=["sample", "check-assoc"])
-    def test_pooled_commands_do_not_import_concurrent_futures(self, argv, matrices,
-                                                               tmp_path):
-        argv = [a.format(**matrices) for a in argv]
-        argv += ["--report", str(tmp_path / "r.json")]
-        proc = subprocess.run([sys.executable, "-c", _POOL_PROBE] + argv,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False"]
-
     def test_import_loads_no_scipy(self):
         proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
                               capture_output=True, text=True)
@@ -896,22 +876,38 @@ class TestSample:
             assert (out.read_bytes() if out.exists() else None) == before
             assert [p.name for p in work.iterdir()] == ([] if before is None else ["x.bin"])
 
-    @pytest.mark.parametrize("n", [1, 10, 8193, 94_906_267])
-    def test_ess_is_the_unit_weight_batch_ess(self, n, matrices, tmp_path, capsys):
-        # the report's ess is SampleBatch.ess of n unit weights, bit for bit,
-        # also where n * n is not a float (94_906_267 ** 2 > 2 ** 53)
-        w = np.ones(min(n, 10 ** 4))
-        assert float(np.float64(n) ** 2 / np.float64(n)) == float(n) ** 2 / float(n)
-        if n <= w.size:
-            spec = permacheck.PermanentalSpec(load_matrix(matrices["g2"]), 2.0)
-            batch = permacheck.sample_permanental(spec, n, 1)
-            report = tmp_path / "r.json"
-            code, _, _ = run_cli(["sample", "--kernel", matrices["g2"], "--n", str(n),
-                                  "--seed", "1", "--out", tmp_path / "s.bin",
-                                  "--report", report], capsys)
-            assert code == 0
-            assert json.loads(report.read_text())["result"]["ess"] == batch.ess
-            assert load_batch(tmp_path / "s.bin").ess == batch.ess
+    @pytest.mark.parametrize("n", [1, 10, 8193])
+    def test_ess_is_the_batch_ess(self, n, matrices, tmp_path, capsys):
+        spec = permacheck.PermanentalSpec(load_matrix(matrices["g2"]), 2.0)
+        batch = permacheck.sample_permanental(spec, n, 1)
+        report = tmp_path / "r.json"
+        code, _, _ = run_cli(["sample", "--kernel", matrices["g2"], "--n", str(n),
+                              "--seed", "1", "--out", tmp_path / "s.bin",
+                              "--report", report], capsys)
+        assert code == 0
+        assert json.loads(report.read_text())["result"]["ess"] == batch.ess
+        assert load_batch(tmp_path / "s.bin").ess == batch.ess
+
+    def test_fifo_out_is_written_in_place(self, matrices, tmp_path, capsys):
+        # a FIFO, like a device, cannot be replaced by a new file: sample
+        # writes through it, as it writes through a symlink
+        work = tmp_path / "work"
+        work.mkdir()
+        fifo = work / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, _, _ = run_cli(["sample", "--kernel", matrices["g2"], "--n", "20000",
+                              "--seed", "4", "--out", fifo], capsys)
+        reader.join(timeout=60)
+        assert code == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in work.iterdir()] == ["pipe"]
+        want = tmp_path / "want.bin"
+        spec = permacheck.PermanentalSpec(load_matrix(matrices["g2"]), 2.0)
+        save_batch(permacheck.sample_permanental(spec, 20000, 4), want)
+        assert got == [want.read_bytes()]
 
     def test_seed_comes_only_from_the_option(self, matrices, tmp_path):
         # --seed is the only way in: its default is the defaults table's

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import sys
 import time
 import tracemalloc
@@ -245,11 +247,13 @@ class TestStreamedBatch:
         want_path, got_path = tmp_path / "want.bin", tmp_path / "got.bin"
         for n_draws in (1, 2, 8191, 8193, 12_345, 10 ** 5):
             for seed in (0, 2 ** 64 - 1):
-                save_batch(sample_permanental(spec, n_draws, seed), want_path)
+                batch = sample_permanental(spec, n_draws, seed)
+                save_batch(batch, want_path)
                 want = want_path.read_bytes()
                 for workers in (1, 2):
                     monkeypatch.setattr(sampler, "_WORKERS", workers)
-                    assert _stream_permanental(spec, n_draws, seed, got_path) == n_draws
+                    assert (_stream_permanental(spec, n_draws, seed, got_path)
+                            == (n_draws, batch.ess))
                     assert got_path.read_bytes() == want, (n_draws, seed, workers)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["got.bin", "want.bin"]
 
@@ -277,6 +281,44 @@ class TestStreamedBatch:
                      lambda: _stream_permanental(PermanentalSpec(G2, 0.3), 10, 1, path)):
             with pytest.raises(InputFormatError):
                 call()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_keeps_its_mode_and_symlink(self, tmp_path):
+        spec = PermanentalSpec(G2, 1.0)
+        save_batch(sample_permanental(spec, 5000, 2), tmp_path / "want.bin")
+        target, link = tmp_path / "target.bin", tmp_path / "link.bin"
+        target.write_bytes(b"an earlier batch")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        _stream_permanental(spec, 5000, 2, link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == (tmp_path / "want.bin").read_bytes()
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.bin", "target.bin",
+                                                              "want.bin"]
+
+    def test_out_with_another_link_is_written_in_place(self, tmp_path):
+        # a new file renamed onto one name would leave the other name on
+        # the old bytes; save_batch writes the shared inode, as before
+        spec = PermanentalSpec(G2, 1.0)
+        save_batch(sample_permanental(spec, 5000, 2), tmp_path / "want.bin")
+        path, other = tmp_path / "x.bin", tmp_path / "y.bin"
+        path.write_bytes(b"an earlier batch")
+        os.link(path, other)
+        inode = path.stat().st_ino
+        assert _stream_permanental(spec, 5000, 2, path)[0] == 5000
+        assert path.stat().st_ino == inode
+        assert other.read_bytes() == (tmp_path / "want.bin").read_bytes()
+
+    def test_out_in_a_missing_directory_samples_first(self, tmp_path):
+        # the new file cannot be made there, so the batch is sampled in
+        # memory first, as save_batch's route always did: an overflow is
+        # reported before the missing directory
+        path = tmp_path / "missing" / "x.bin"
+        with pytest.raises(NonFiniteError):
+            _stream_permanental(PermanentalSpec(kernel(1e308 * np.eye(2)), 2.0), 10, 1, path)
+        with pytest.raises(FileNotFoundError):
+            _stream_permanental(PermanentalSpec(G2, 2.0), 10, 1, path)
         assert list(tmp_path.iterdir()) == []
 
     def test_memory_is_a_few_blocks(self, tmp_path, monkeypatch):
