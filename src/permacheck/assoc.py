@@ -22,8 +22,8 @@ from .densities import _pd_pair, marginal_quantile_grid, squared_pair_density
 from .errors import InputFormatError, NonFiniteError
 from .green import is_green
 from .matcore import KernelMatrix, _resolvents, alpha_grid, psd_eigh
-from .sampler import (PermanentalSpec, _draw_count, _in_pool, _permanental_draws,
-                      _read_seed, abs_product_moment)
+from .sampler import (PermanentalSpec, _draw_count, _in_pool, _read_seed, _sqrt_factor,
+                      _square_sums, abs_product_moment)
 from .verdict import Verdict
 
 __all__ = [
@@ -46,10 +46,11 @@ class IncreasingFunctionFamily:
     members: tuple of at least two (name, callable); each callable maps
     an N x n draw matrix to N per-draw values, each depending only on its
     draw, and is nondecreasing in every coordinate.  The association test
-    calls members on read-only Fortran-order copies of row blocks of the
-    draws, concurrently on disjoint blocks, so a member must be safe to
-    call from several threads at once; a member that writes to its input
-    raises InputFormatError.  A member's reduction along a row may round
+    calls members on read-only views of row blocks of one Fortran-order
+    draw array, not copies, concurrently on disjoint blocks, so a member
+    must be safe to call from several threads at once; a member that
+    writes to its input, or sets its writeable flag, raises
+    InputFormatError.  A member's reduction along a row may round
     differently on this layout than on a C-order array.
     """
 
@@ -64,13 +65,7 @@ def _orthant(thresholds):
     t = np.asarray(thresholds, dtype=float)
 
     def f(x):
-        # column by column into one bool column and a scratch one
-        inside = x[:, 0] >= t[0]
-        hit = np.empty_like(inside)
-        for c, ti in zip(x.T[1:], t[1:]):
-            np.greater_equal(c, ti, out=hit)
-            inside &= hit
-        return inside.astype(float)
+        return reduce(np.logical_and, (c >= ti for c, ti in zip(x.T, t))).astype(float)
 
     return f
 
@@ -232,8 +227,15 @@ def association_mc_test(spec: PermanentalSpec, family=None,
     finite raises NonFiniteError.
     """
     seed = _read_seed(defaults.DEFAULT_SEED if seed is None else seed)
-    n = _draw_count(n_draws)
-    draws = _permanental_draws(spec, n, seed)
+    n, k = _draw_count(n_draws), spec.k
+    # sample_permanental's draws, column-major for the members' column passes
+    draws = np.empty((n, spec.kernel.dim), order="F")
+
+    def put(rows, psi):
+        draws[rows] = psi
+
+    _square_sums(_sqrt_factor(spec.kernel), n, k, seed, put)
+    draws.flags.writeable = False
     if family is None:
         # a zero kernel's draws are all 0, where every slope gives the same family
         family = default_family(draws, np.max(np.diagonal(spec.kernel.entries)) or 1.0)
@@ -255,24 +257,22 @@ def association_mc_test(spec: PermanentalSpec, family=None,
         rows.  A value that is not finite, or not one per draw, raises for
         the first such block, then member, as a block-by-block pass would.
 
-        The members see a read-only copy of the task's draws whose columns
-        are contiguous, in the worker's scratch, and fill its C-order
-        value rows there, so the sums and products are those of a fresh
-        C-order array."""
+        The members see draws[lo:hi], a view of the one column-major draw
+        array, not a copy: its columns are contiguous runs, and numpy
+        refuses to make it writable, since draws is read-only.  The values
+        fill the C-order rows of the worker's scratch, so the sums and
+        products are those of a fresh C-order array."""
         group = range(first, min(first + _BLOCKS_PER_TASK, blocks))
         lo, hi = edges[first], edges[group[-1] + 1]
-        if not hasattr(scratch, "x"):
-            scratch.x = np.empty((width, draws.shape[1]), order="F")
+        if not hasattr(scratch, "v"):
             scratch.v = np.empty((width, len(names)))
-        x, v = scratch.x[:hi - lo], scratch.v[:hi - lo]
-        x[...] = draws[lo:hi]
-        x = x.view()
-        x.flags.writeable = False
+        x, v = draws[lo:hi], scratch.v[:hi - lo]
         for j, (name, f) in enumerate(family.members):
             try:
                 values = np.asarray(f(x), dtype=float)
             except ValueError as exc:
-                if "read-only" not in str(exc):
+                # numpy's words for a write to, or a WRITEABLE flag set on, a read-only view
+                if "read-only" not in str(exc) and "WRITEABLE" not in str(exc):
                     raise
                 raise InputFormatError(f"family member {name!r} must not write to "
                                        "the draws it is given") from exc

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import stat
 import threading
@@ -171,22 +170,20 @@ def _sqrt_factor(G: KernelMatrix) -> np.ndarray:
 
 
 def _draw_count(n_draws) -> int:
-    """n_draws as an int >= 1; a float must be a whole number, as 1e6 is."""
-    try:
-        count = operator.index(n_draws)
-    except TypeError:
-        if not (isinstance(n_draws, (float, np.floating)) and float(n_draws).is_integer()):
-            raise InputFormatError(
-                f"draw count must be an integer, got {n_draws!r}") from None
-        count = int(n_draws)
-    if count < 1:
+    """n_draws as an int >= 1; a float must be a whole number, as 1e6 is,
+    and a bool is not a count."""
+    whole = isinstance(n_draws, (float, np.floating)) and float(n_draws).is_integer()
+    if isinstance(n_draws, bool) or not (whole or isinstance(n_draws, (int, np.integer))):
+        raise InputFormatError(f"draw count must be an integer, got {n_draws!r}")
+    if n_draws < 1:
         raise InputFormatError("need at least one draw")
-    return count
+    return int(n_draws)
 
 
 def _read_seed(seed) -> int:
-    """seed as an int in [0, 2**64), the range of a Philox key word."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+    """seed as an int in [0, 2**64), the range of a Philox key word; a
+    bool is not a seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
         raise InputFormatError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return int(seed)
 
@@ -288,19 +285,6 @@ def sample_gaussian(G: KernelMatrix, n_draws: int, seed: int) -> SampleBatch:
                        PermanentalSpec(G, 2.0), kind="gaussian")
 
 
-def _permanental_draws(spec: PermanentalSpec, n_draws: int, seed: int) -> np.ndarray:
-    """The draws of sample_permanental(spec, n_draws, seed), for a checked
-    count and seed, without the batch and its weights."""
-    k = spec.k
-    psi = np.empty((n_draws, spec.kernel.dim))
-
-    def put(rows, block):
-        psi[rows] = block
-
-    _square_sums(_sqrt_factor(spec.kernel), n_draws, k, seed, put)
-    return psi
-
-
 def sample_permanental(spec: PermanentalSpec, n_draws: int, seed: int) -> SampleBatch:
     """N draws of the permanental vector with index beta = 2/k.
 
@@ -309,9 +293,14 @@ def sample_permanental(spec: PermanentalSpec, n_draws: int, seed: int) -> Sample
     at any nonnegative diagonal alpha is det(I + alpha G)^(-k/2).
     Draws that overflow raise NonFiniteError.
     """
-    n_draws, seed = _draw_count(n_draws), _read_seed(seed)
-    return SampleBatch(_permanental_draws(spec, n_draws, seed), np.ones(n_draws), seed,
-                       spec, kind="permanental")
+    n_draws, seed, k = _draw_count(n_draws), _read_seed(seed), spec.k
+    psi = np.empty((n_draws, spec.kernel.dim))
+
+    def put(rows, block):
+        psi[rows] = block
+
+    _square_sums(_sqrt_factor(spec.kernel), n_draws, k, seed, put)
+    return SampleBatch(psi, np.ones(n_draws), seed, spec, kind="permanental")
 
 
 def _psi_values(batch: SampleBatch) -> np.ndarray:
@@ -498,10 +487,14 @@ def load_batch(path) -> SampleBatch:
             raise InputFormatError(
                 f"batch schema {header.get('schema')} != {defaults.SCHEMA_VERSION}")
         try:
-            n, d = int(header["n_draws"]), int(header["dim"])
+            n, d, seed, kind, alpha = (header[key] for key in
+                                       ("n_draws", "dim", "seed", "kind", "alpha"))
             spec = PermanentalSpec(kernel_from_dict(header["spec"]["kernel"]),
                                    header["spec"]["index_beta"])
-            seed, kind, alpha = _read_seed(header["seed"]), header["kind"], float(header["alpha"])
+            # JSON integers and numbers, as kernel_from_dict reads "dim": a bool is neither
+            if type(n) is not int or type(d) is not int or type(alpha) not in (int, float):
+                raise TypeError("n_draws and dim must be integers and alpha a number")
+            seed, alpha = _read_seed(seed), float(alpha)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputFormatError(f"batch header lacks or garbles a field: {exc!r}") from exc
         if n < 1 or d < 1:

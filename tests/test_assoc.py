@@ -180,6 +180,12 @@ def _set_entry(x):
     return x[:, 0]
 
 
+def _enable_writes(x):
+    x.flags.writeable = True
+    x[:, 0] = 0.0
+    return x[:, 1]
+
+
 class TestAssociationOracle:
     """Reports agree with correctly rounded sums within a derived bound."""
 
@@ -309,11 +315,12 @@ class TestAssociationOracle:
             association_mc_test(PermanentalSpec(G2, 2.0),
                                 IncreasingFunctionFamily(members), n_draws, 57)
 
-    @pytest.mark.parametrize("member", [_shift_in_place, _log_in_place, _set_entry])
+    @pytest.mark.parametrize("member", [_shift_in_place, _log_in_place, _set_entry,
+                                        _enable_writes])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_member_that_writes_to_its_draws_rejected(self, member, workers, monkeypatch):
-        # members get a read-only copy, so the draws other members see stay
-        # as sampled; a write is named as the member's fault
+        # members get read-only views of the draws, so the draws other members
+        # see stay as sampled; a write is named as the member's fault
         monkeypatch.setattr(sampler, "_WORKERS", workers)
         members = (PROJ_0, ("writer", member))
         with pytest.raises(InputFormatError, match="'writer' must not write"):

@@ -909,6 +909,21 @@ class TestSample:
         save_batch(permacheck.sample_permanental(spec, 20000, 4), want)
         assert got == [want.read_bytes()]
 
+    def test_device_out_is_written_in_place(self, matrices, tmp_path, capsys, monkeypatch):
+        # /dev/null cannot be replaced by a new file: the batch is sampled in
+        # memory and written through the device, and no file is left anywhere
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        before = set(os.listdir("/dev"))
+        code, _, _ = run_cli(["sample", "--kernel", matrices["g2"], "--n", "20000",
+                              "--seed", "4", "--out", "/dev/null", "--report", "r.json"],
+                             capsys)
+        assert code == 0
+        assert json.loads((work / "r.json").read_text())["result"]["n_draws"] == 20000
+        assert set(os.listdir("/dev")) - before == set()
+        assert [p.name for p in work.iterdir()] == ["r.json"]
+
     def test_seed_comes_only_from_the_option(self, matrices, tmp_path):
         # --seed is the only way in: its default is the defaults table's
         # seed, and an environment variable that once took its place is ignored

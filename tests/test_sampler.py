@@ -87,9 +87,9 @@ class TestReproducibility:
         assert len(batches) == len(seeds)
 
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "7"])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "7", True])
     def test_seed_outside_uint64_rejected(self, seed):
-        # -1 raised a bare OverflowError, and 1.5 was truncated to 1
+        # -1 raised a bare OverflowError, 1.5 was truncated to 1 and True read as 1
         spec = PermanentalSpec(G2, 2.0)
         for call in (lambda: sample_permanental(spec, 10, seed),
                      lambda: sample_gaussian(G2, 10, seed),
@@ -338,8 +338,9 @@ class TestStreamedBatch:
 
 class TestDrawCount:
     @pytest.mark.parametrize("count", [2.5, 1e3 + 0.5, float("nan"), float("inf"),
-                                       "10", None, 0, -3, 0.0])
+                                       "10", None, 0, -3, 0.0, True])
     def test_count_not_a_positive_integer_rejected(self, count):
+        # True read as 1
         spec = PermanentalSpec(G2, 2.0)
         for call in (lambda: sample_permanental(spec, count, 1),
                      lambda: sample_gaussian(G2, count, 1),
@@ -621,7 +622,10 @@ class TestBatchIO:
         "no n_draws", "no spec", "no kernel entries", "dim a string",
         "negative n_draws", "alpha NaN", "alpha negative", "NaN weights",
         "inf weight", "inf draw", "symmetric a string", "seed 1.5", "seed negative",
-        "kernel of another dimension"])
+        "kernel of another dimension",
+        # each of these once loaded: int() and float() read them as numbers
+        "n_draws 50.7", "n_draws a digit string", "dim 2.5", "dim a digit string",
+        "alpha a digit string", "alpha true", "seed true"])
     def test_malformed_file_raises_input_format_error(self, case, tmp_path):
         path = tmp_path / "batch.bin"
         save_batch(sample_gaussian(G2, 50, seed=19), path)
@@ -655,8 +659,15 @@ class TestBatchIO:
             header["alpha"] = -1.0
         elif case == "symmetric a string":
             header["spec"]["kernel"]["symmetric"] = "no"
+        elif case == "seed true":
+            header["seed"] = True
         elif case.startswith("seed "):
             header["seed"] = 1.5 if case == "seed 1.5" else -1
+        elif case.startswith(("n_draws ", "dim ", "alpha ")):
+            field = case.split()[0]
+            header[field] = {"n_draws 50.7": 50.7, "n_draws a digit string": "50",
+                             "dim 2.5": 2.5, "dim a digit string": "2",
+                             "alpha a digit string": "0", "alpha true": True}[case]
         elif case == "kernel of another dimension":
             # loaded with dim 2 and spec.kernel.dim 3
             header["spec"]["kernel"] = kernel(np.eye(3)).to_dict()
@@ -668,8 +679,8 @@ class TestBatchIO:
             else:
                 values[n_values if case == "inf weight" else 3] = np.inf
             body = values.tobytes()
-        if case.startswith(("no ", "dim ", "negative ", "alpha ", "symmetric ", "seed ",
-                            "kernel ")):
+        if case.startswith(("no ", "n_draws ", "dim ", "negative ", "alpha ", "symmetric ",
+                            "seed ", "kernel ")):
             line = json.dumps(header).encode("utf-8")
         path.write_bytes(line + b"\n" + body)
         with pytest.raises(InputFormatError):
