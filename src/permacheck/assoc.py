@@ -48,10 +48,11 @@ class IncreasingFunctionFamily:
     draw, and is nondecreasing in every coordinate.  The association test
     calls members on read-only views of row blocks of one Fortran-order
     draw array, not copies, concurrently on disjoint blocks, so a member
-    must be safe to call from several threads at once; a member that
-    writes to its input, or sets its writeable flag, raises
-    InputFormatError.  A member's reduction along a row may round
-    differently on this layout than on a C-order array.
+    must be safe to call from several threads at once.  The read-only
+    flag catches mistakes only: writing to its input, or setting its
+    writeable flag, raises InputFormatError, but a member can still write
+    the draws after x.base.flags.writeable = True.  A member's reduction
+    along a row may round differently on this layout than on a C-order array.
     """
 
     members: tuple

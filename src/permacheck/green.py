@@ -3,9 +3,9 @@
 A Green matrix here is the potential (I - Q)^(-1) of a sub-Markov
 one-step kernel Q, up to a positive scalar.  The recognizer works from
 the inverse: nonnegative entries, nonpositive inverse off-diagonals,
-nonnegative inverse row sums.  Entrywise powers (exponent >= 1),
-principal submatrices and all-ones shifts preserve the class; the
-shift check doubles as a falsifier for non-Green kernels.
+nonnegative inverse row sums.  Entrywise powers (exponent >= 1) and
+principal submatrices preserve the class, as do all-ones shifts when
+the inverse's column sums are nonnegative too (plus_constant_check).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .errors import (
     SingularMatrixError,
     SpectralRadiusError,
 )
-from .idcheck import id_verdict
-from .matcore import KernelMatrix, _as_square_array, invert
+from .idcheck import _inverse_signs, id_verdict
+from .matcore import KernelMatrix, _as_square_array
 from .verdict import Verdict
 
 __all__ = [
@@ -80,8 +80,9 @@ def is_green(G: KernelMatrix) -> Verdict:
     off-diagonals and nonnegative row sums.  When everything but the
     row-sum condition passes, the verdict is holds-up-to-density-factor:
     some positive diagonal D makes G = D g D with g a proper potential,
-    but G itself is not one.  Every tolerance is relative, with no
-    absolute floor, so the verdict on c*G (c > 0) is the verdict on G.
+    but G itself is not one.  The inverse's signs and row-sum band are
+    check-id's, from _inverse_signs, and no tolerance has an absolute
+    floor, so the verdict on c*G (c > 0) is the verdict on G.
     """
     a = G.entries
     tol = defaults.TOL_ALGEBRAIC * float(np.max(np.abs(a)))
@@ -91,17 +92,16 @@ def is_green(G: KernelMatrix) -> Verdict:
             {"entry": [int(i), int(j)], "value": float(a[i, j])},
             "negative entry")
     try:
-        h = invert(G).entries
+        h, s, band = _inverse_signs(G)
     except SingularMatrixError as exc:
         return Verdict.fail(
             {"cond_estimate": exc.cond_estimate}, "kernel is numerically singular")
-    tol = defaults.TOL_ALGEBRAIC * float(np.max(np.abs(h)))
-    bad = (h > tol) & ~np.eye(G.dim, dtype=bool)
+    bad = (s > 0) & ~np.eye(G.dim, dtype=bool)
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         return Verdict.fail({"entry": [int(i), int(j)], "value": float(h[i, j])},
                             "inverse has a positive off-diagonal entry")
-    if np.any(h.sum(axis=1) < -tol):
+    if np.any(h.sum(axis=1) < -band):
         return Verdict(Verdict.HOLDS_UP_TO_DENSITY,
                        detail="inverse is an M-matrix but a row sum is negative: "
                               "Green only up to a positive density factor")
@@ -145,10 +145,12 @@ class PlusConstantReport:
 def plus_constant_check(G: KernelMatrix, c_grid=None) -> PlusConstantReport:
     """Run id_verdict on G + c*ones for each c in the grid.
 
-    A Green kernel shifted by any positive constant stays infinitely
-    divisible, so any per-c fails verdict falsifies Greenness; the
-    aggregate is fails on the first failing c, holds when every c
-    holds, inconclusive otherwise.
+    With h = G^(-1) and its row and column sums r and s, Sherman-Morrison
+    gives (G + c*ones)^(-1) = h - c r s^T / (1 + c 1^T r): a Green kernel
+    with s >= 0, as every symmetric one is, stays Green, so ID, for every
+    c > 0, and a per-c fails falsifies its Greenness; a nonsymmetric one
+    can lose it.  The aggregate is fails on the first failing c, holds
+    when every c holds, inconclusive otherwise.
     """
     c_grid = tuple(defaults.C_GRID if c_grid is None else c_grid)
     if not c_grid or any(c <= 0 for c in c_grid):

@@ -64,20 +64,14 @@ class IdVerdict:
         }
 
 
-def _edge_signs(a: np.ndarray) -> np.ndarray:
-    """Edge signs of a's off-diagonal pattern for _two_color.
-
-    Entries at most ZERO_REL * max|a| in size count as zeros; the
-    tolerance has no absolute floor, so the pattern of c*a is a's.
-    Edge (i,j) takes the sign of a(i,j), or of a(j,i) where a(i,j) is
-    zero, so the matrix is symmetric unless a(i,j) and a(j,i) have
-    opposite signs, which _two_color reports as a conflict.
-    """
-    s = np.sign(a)
-    s[np.abs(a) <= defaults.ZERO_REL * float(np.max(np.abs(a)))] = 0.0
-    edges = np.where(s != 0, s, s.T)
-    np.fill_diagonal(edges, 0.0)
-    return edges
+def _inverse_signs(G: KernelMatrix) -> tuple:
+    """(h, s, band): G^(-1), its signs and its zero band, the one reader of
+    an inverse's signs for the ID and the Green verdicts.  Entries at most
+    band = ZERO_REL * max|h| in size are zeros in s; with no absolute
+    floor, c*G has G's pattern.  Raises SingularMatrixError from invert."""
+    h = invert(G).entries
+    band = defaults.ZERO_REL * float(np.max(np.abs(h)))
+    return h, np.where(np.abs(h) <= band, 0.0, np.sign(h)), band
 
 
 def _two_color(edges: np.ndarray) -> tuple:
@@ -110,15 +104,18 @@ def _two_color(edges: np.ndarray) -> tuple:
 def _inverse_certificate(G: KernelMatrix, method: str) -> IdVerdict:
     """Searches for sigma making sigma*G^(-1)*sigma off-diagonally nonpositive.
 
-    The sign constraints form a 2-coloring problem on the nonzero
-    off-diagonal graph of G^(-1); the coloring is forced up to
-    per-component flips, so a conflict is a proof of nonexistence.  A
-    coloring that succeeds makes every off-diagonal entry above the zero
-    tolerance negative, and the rest lie inside the TOL_ALGEBRAIC of an
-    M-matrix sign test, so it needs none.  Raises SingularMatrixError from invert.
+    The sign constraints form a 2-coloring problem on the off-diagonal
+    graph of _inverse_signs' pattern: edge (i,j) takes h(i,j)'s sign, or
+    h(j,i)'s where h(i,j) is zero, so opposite signs there conflict.  The
+    coloring is forced up to per-component flips, so a conflict proves
+    nonexistence, and a coloring that succeeds makes every off-diagonal
+    entry of sigma*h*sigma outside the zero band negative, with no
+    M-matrix sign test needed.  Raises SingularMatrixError from invert.
     """
-    h = invert(G).entries
-    sigma, conflict = _two_color(-_edge_signs(h))
+    h, s, _ = _inverse_signs(G)
+    edges = np.where(s != 0, s, s.T)
+    np.fill_diagonal(edges, 0.0)
+    sigma, conflict = _two_color(-edges)
     if sigma is None:
         i, j = conflict
         return IdVerdict(

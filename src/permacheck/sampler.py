@@ -483,17 +483,17 @@ def load_batch(path) -> SampleBatch:
             raise InputFormatError(f"batch header is not UTF-8 JSON: {exc}") from exc
         if not isinstance(header, dict):
             raise InputFormatError("batch header must be a JSON object")
-        if header.get("schema") != defaults.SCHEMA_VERSION:
-            raise InputFormatError(
-                f"batch schema {header.get('schema')} != {defaults.SCHEMA_VERSION}")
+        schema = header.get("schema")
+        if type(schema) is not int or schema != defaults.SCHEMA_VERSION:
+            raise InputFormatError(f"batch schema {schema} != {defaults.SCHEMA_VERSION}")
         try:
             n, d, seed, kind, alpha = (header[key] for key in
                                        ("n_draws", "dim", "seed", "kind", "alpha"))
-            spec = PermanentalSpec(kernel_from_dict(header["spec"]["kernel"]),
-                                   header["spec"]["index_beta"])
+            beta = header["spec"]["index_beta"]
             # JSON integers and numbers, as kernel_from_dict reads "dim": a bool is neither
-            if type(n) is not int or type(d) is not int or type(alpha) not in (int, float):
-                raise TypeError("n_draws and dim must be integers and alpha a number")
+            if {type(n), type(d)} != {int} or not {type(alpha), type(beta)} <= {int, float}:
+                raise TypeError("n_draws and dim must be integers, alpha and index_beta numbers")
+            spec = PermanentalSpec(kernel_from_dict(header["spec"]["kernel"]), beta)
             seed, alpha = _read_seed(seed), float(alpha)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputFormatError(f"batch header lacks or garbles a field: {exc!r}") from exc

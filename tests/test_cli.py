@@ -808,6 +808,17 @@ class TestGreen:
                      ["check-id", "--input", path]):
             assert run_cli(argv, capsys)[0] == 1, argv
 
+    def test_green_and_id_both_fail_on_an_inverse_entry_just_above_zero(
+            self, capsys, tmp_path):
+        # condition number about 2: h(1,2) = 5e-11 closes an odd sign cycle,
+        # so G is not ID and so not Green, and both verdicts must say so
+        h = np.array([[1, -.3, -.3], [-.3, 1, 5e-11], [-.3, 5e-11, 1]])
+        g = np.linalg.inv(h)
+        path = tmp_path / "f7.csv"
+        save_matrix(kernel(0.5 * (g + g.T)), path)
+        for argv in (["green", "check", "--input", path], ["check-id", "--input", path]):
+            assert run_cli(argv, capsys)[0] == 1, argv
+
     def test_power(self, matrices, capsys, tmp_path):
         out_csv = tmp_path / "pow.csv"
         code, _, _ = run_cli(["green", "power", "--input", matrices["green2"],

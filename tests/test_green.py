@@ -15,11 +15,14 @@ from permacheck import (
     Verdict,
     green_from_chain,
     hadamard_power,
+    id_verdict,
+    invert,
     is_green,
     kernel,
     plus_constant_check,
     restriction,
 )
+from permacheck.defaults import ZERO_REL
 from oracles import random_chain_kernel, random_green
 
 TRI3 = [[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]]
@@ -124,6 +127,41 @@ class TestIsGreen:
         v = is_green(kernel(d @ g @ d))
         assert not v.fails
         assert not v.holds
+
+    def test_green_never_meets_a_failing_id_verdict_at_the_zero_band(self):
+        # M-matrix inverses, half of them nonsymmetric, with one inverse
+        # off-diagonal set to +eps * max|h| (200 kernels) or -eps * max|h|
+        # (200 controls), eps in (2e-12, 9e-11): just outside the ZERO_REL
+        # band that both verdicts read.  A Green kernel is ID with signature
+        # +1, so is_green may only hold where id_verdict does, and may only
+        # fail on an inverse entry outside the band.
+        rng = np.random.default_rng(35)
+        contradictions, outcomes = [], {"fails": 0, "not fails": 0}
+        for trial in range(400):
+            n, symmetric = int(rng.integers(3, 7)), trial % 2 == 0
+            h = -rng.uniform(0.05, 1.0, (n, n))
+            if symmetric:
+                h = 0.5 * (h + h.T)
+            np.fill_diagonal(h, 0.0)
+            np.fill_diagonal(h, -h.sum(axis=1) * rng.uniform(1.05, 1.5))
+            i, j = rng.choice(n, 2, replace=False)
+            h[i, j] = (1 if trial % 4 < 2 else -1) * rng.uniform(2e-12, 9e-11) * np.max(np.abs(h))
+            if symmetric:
+                h[j, i] = h[i, j]
+            g = np.linalg.inv(h)
+            G = kernel(0.5 * (g + g.T) if symmetric else g, symmetric=symmetric)
+            v = is_green(G)
+            outcomes["fails" if v.fails else "not fails"] += 1
+            if not v.fails:
+                iv = id_verdict(G)
+                if not (iv.holds and iv.signature.to_list() == [1] * n):
+                    contradictions.append((trial, "green holds, ID does not"))
+            elif v.detail == "inverse has a positive off-diagonal entry":
+                band = ZERO_REL * np.max(np.abs(invert(G).entries))
+                if not v.witness["value"] > band:
+                    contradictions.append((trial, "fails inside the zero band"))
+        assert contradictions == []
+        assert min(outcomes.values()) >= 150, outcomes
 
 
 class TestHadamardPower:

@@ -22,7 +22,7 @@ from permacheck import (
     resolvent,
     save_matrix,
 )
-from permacheck.defaults import TOL_ALGEBRAIC
+from permacheck.defaults import TOL_ALGEBRAIC, ZERO_REL
 from permacheck.matcore import _resolvents, sign_product_violation
 
 
@@ -270,15 +270,15 @@ class TestIsMMatrixOracle:
             m = -np.abs(a) * (1.0 - np.eye(n))
             np.fill_diagonal(m, np.abs(m).sum(axis=0) * rng.uniform(1.01, 1.5)
                              + 0.01 * np.max(np.abs(a)))
-            # ... with positive off-diagonals around the tolerance
+            # ... with positive off-diagonals straddling the inverse's zero band
             flip = (rng.random((n, n)) < 0.3) & (m < 0)
-            m[flip] *= -rng.choice([1e-11, 1e-10, 1e-9])
+            m[flip] *= -rng.choice([1e-13, 1e-12, 1e-11])
             G = kernel(np.linalg.inv(m))
             v = is_green(G)
             if np.min(G.entries) < -TOL_ALGEBRAIC * np.max(np.abs(G.entries)):
                 assert v.detail == "negative entry"  # the inverse is not tested
                 continue
-            off, row = naive_m_matrix_witnesses(invert(G).entries, TOL_ALGEBRAIC)
+            off, row = naive_m_matrix_witnesses(invert(G).entries, ZERO_REL)
             assert v.witness == off
             assert v.status == (Verdict.FAILS if off else
                                 Verdict.HOLDS_UP_TO_DENSITY if row else Verdict.HOLDS)

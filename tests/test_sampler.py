@@ -625,7 +625,9 @@ class TestBatchIO:
         "kernel of another dimension",
         # each of these once loaded: int() and float() read them as numbers
         "n_draws 50.7", "n_draws a digit string", "dim 2.5", "dim a digit string",
-        "alpha a digit string", "alpha true", "seed true"])
+        "alpha a digit string", "alpha true", "seed true",
+        # each of these once loaded too: True == 1.0 == the schema, and True > 0
+        "schema true", "schema 1.0", "index_beta true"])
     def test_malformed_file_raises_input_format_error(self, case, tmp_path):
         path = tmp_path / "batch.bin"
         save_batch(sample_gaussian(G2, 50, seed=19), path)
@@ -661,6 +663,10 @@ class TestBatchIO:
             header["spec"]["kernel"]["symmetric"] = "no"
         elif case == "seed true":
             header["seed"] = True
+        elif case.startswith("schema "):
+            header["schema"] = True if case == "schema true" else 1.0
+        elif case == "index_beta true":
+            header["spec"]["index_beta"] = True
         elif case.startswith("seed "):
             header["seed"] = 1.5 if case == "seed 1.5" else -1
         elif case.startswith(("n_draws ", "dim ", "alpha ")):
@@ -680,7 +686,7 @@ class TestBatchIO:
                 values[n_values if case == "inf weight" else 3] = np.inf
             body = values.tobytes()
         if case.startswith(("no ", "n_draws ", "dim ", "negative ", "alpha ", "symmetric ",
-                            "seed ", "kernel ")):
+                            "seed ", "kernel ", "schema ", "index_beta ")):
             line = json.dumps(header).encode("utf-8")
         path.write_bytes(line + b"\n" + body)
         with pytest.raises(InputFormatError):
