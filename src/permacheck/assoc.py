@@ -11,14 +11,13 @@ the closed form E|eta_alpha(i) eta_alpha(j)| along resolvent grids.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from . import defaults
-from .densities import _pd_pair, marginal_quantile_grid, squared_pair_density
+from .densities import _dyadic_scale, _pd_pair, marginal_quantile_grid, squared_pair_density
 from .errors import InputFormatError, NonFiniteError
 from .green import is_green
 from .matcore import KernelMatrix, _resolvents, alpha_grid, psd_eigh
@@ -114,9 +113,9 @@ def _projection(i):
 def _column_quantiles(x: np.ndarray, levels) -> np.ndarray:
     """np.quantile(x, levels, axis=0), bit for bit, one column per pool task.
 
-    Each task copies its column into its worker's scratch column and
-    finds the order statistics that numpy's linear method interpolates
-    by single-kth partitions of a shrinking prefix, highest rank first:
+    Each task copies its column into a fresh array and finds the order
+    statistics that numpy's linear method interpolates by single-kth
+    partitions of a shrinking prefix, highest rank first:
     after a partition at r, the first r entries are the r smallest, and
     the largest of them is rank r - 1.  The interpolation is numpy's
     _lerp on numpy's virtual index and weight.  A column with a NaN takes
@@ -133,13 +132,9 @@ def _column_quantiles(x: np.ndarray, levels) -> np.ndarray:
     lo = np.minimum(below, n - 1).astype(int).tolist()
     hi = np.minimum(np.add(lo, 1), n - 1).tolist()
     ranks = sorted(set(lo) | set(hi), reverse=True)
-    scratch = threading.local()
 
     def column(c):
-        if not hasattr(scratch, "column"):
-            scratch.column = np.empty(n)
-        work = scratch.column
-        np.copyto(work, c)
+        work = np.array(c)
         if math.isnan(work.max()):
             return np.quantile(c, levels)
         order, top = {}, n
@@ -163,11 +158,10 @@ def default_family(reference_draws, variance: float = 1.0) -> IncreasingFunction
     """Orthant indicators at marginal quantiles, projections, max, min,
     and one soft orthant; thresholds come from the reference draws.
 
-    variance is the kernel's largest variance.  The soft orthant's slope
-    is SOFT_INDICATOR_SLOPE / 4^j, with j = frexp(variance)[1] // 2 as in
-    _pair_lattice, so at 4^k x under 4^k G it takes the value it takes
-    at x under G.  The slope is SOFT_INDICATOR_SLOPE itself when the
-    largest variance lies in [0.5, 2).  It must be positive and finite.
+    variance is the kernel's largest variance, positive and finite.  The
+    soft orthant's slope is SOFT_INDICATOR_SLOPE / 4^j, with j =
+    _dyadic_scale(variance), so at 4^k x under 4^k G it takes the value
+    it takes at x under G.
     """
     if not (math.isfinite(variance) and variance > 0):
         raise InputFormatError(f"variance must be positive and finite, got {variance}")
@@ -185,7 +179,7 @@ def default_family(reference_draws, variance: float = 1.0) -> IncreasingFunction
     # is slow, and these operations are exact, so the values match axis=1
     members.append(("max", lambda v: reduce(np.maximum, v.T)))
     members.append(("min", lambda v: reduce(np.minimum, v.T)))
-    slope = math.ldexp(defaults.SOFT_INDICATOR_SLOPE, -2 * (math.frexp(variance)[1] // 2))
+    slope = math.ldexp(defaults.SOFT_INDICATOR_SLOPE, -2 * _dyadic_scale(variance))
     members.append(("soft_orthant", _soft_orthant(median, slope)))
     return IncreasingFunctionFamily(tuple(members))
 
@@ -249,8 +243,6 @@ def association_mc_test(spec: PermanentalSpec, family=None,
     grams = np.empty((blocks, len(names), len(names)))
     rest = n - np.diff(edges)
     firsts = range(0, blocks, _BLOCKS_PER_TASK)
-    width = max(edges[min(b + _BLOCKS_PER_TASK, blocks)] - edges[b] for b in firsts)
-    scratch = threading.local()
 
     def run(first):
         """Members on jackknife blocks first .. first + _BLOCKS_PER_TASK - 1
@@ -261,13 +253,10 @@ def association_mc_test(spec: PermanentalSpec, family=None,
         The members see draws[lo:hi], a view of the one column-major draw
         array, not a copy: its columns are contiguous runs, and numpy
         refuses to make it writable, since draws is read-only.  The values
-        fill the C-order rows of the worker's scratch, so the sums and
-        products are those of a fresh C-order array."""
+        fill the C-order rows of the task's own value array."""
         group = range(first, min(first + _BLOCKS_PER_TASK, blocks))
         lo, hi = edges[first], edges[group[-1] + 1]
-        if not hasattr(scratch, "v"):
-            scratch.v = np.empty((width, len(names)))
-        x, v = draws[lo:hi], scratch.v[:hi - lo]
+        x, v = draws[lo:hi], np.empty((hi - lo, len(names)))
         for j, (name, f) in enumerate(family.members):
             try:
                 values = np.asarray(f(x), dtype=float)
@@ -438,14 +427,12 @@ def _pair_lattice(G, r: float, r_lo: float):
     is geometric between the pooled marginal quantiles of the two
     shifted laws; when r = r_lo that is marginal_quantile_grid's grid.
     The test runs on the pair divided by 4^j and the shifts by 2^j, with
-    j = frexp(max variance)[1] // 2, so the largest variance lies in
-    [0.5, 2) whatever the kernel's scale.  The division is exact, so
-    4^k G with shifts 2^k r gets G's verdict and witness for every
-    integer k: lhs and rhs are the divided pair's, and x and y are
-    multiplied back with ldexp.
+    j = _dyadic_scale(max variance), so 4^k G with shifts 2^k r gets G's
+    verdict and witness for every integer k: lhs and rhs are the divided
+    pair's, and x and y are multiplied back with ldexp.
     """
     v1, v2, c = _pd_pair(G)
-    j = math.frexp(max(v1, v2))[1] // 2
+    j = _dyadic_scale(max(v1, v2))
     pair = np.ldexp([[v1, c], [c, v2]], -2 * j)
     # one key when r = r_lo, so FKG builds each grid and density once
     shifts = dict.fromkeys((math.ldexp(r, -j), math.ldexp(r_lo, -j)))

@@ -167,9 +167,9 @@ def report_render(report: dict, fmt: str = "json") -> str:
     """Stable rendering of a schema-1 report; table mode is lossy."""
     if not isinstance(report, dict):
         raise InputFormatError("a report must be a JSON object")
-    if report.get("schema") != defaults.SCHEMA_VERSION:
-        raise SchemaMismatchError(
-            f"report schema {report.get('schema')!r} is not {defaults.SCHEMA_VERSION}")
+    schema = report.get("schema")
+    if type(schema) is not int or schema != defaults.SCHEMA_VERSION:  # true == 1.0 == 1
+        raise SchemaMismatchError(f"report schema {schema!r} is not {defaults.SCHEMA_VERSION}")
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     if fmt != "table":
@@ -177,21 +177,28 @@ def report_render(report: dict, fmt: str = "json") -> str:
     out = io.StringIO()
     out.write(f"command: {report.get('command', '?')}\n")
     result = report.get("result", {})
+    if not isinstance(result, dict):
+        raise InputFormatError("report field 'result' must be an object")
     verdict = result.get("verdict")
     if isinstance(verdict, dict):
         out.write(f"verdict: {verdict.get('status')}\n")
         if verdict.get("detail"):
             out.write(f"detail:  {verdict['detail']}\n")
         witness = verdict.get("witness")
+        if witness and not isinstance(witness, dict):
+            raise InputFormatError("report field 'result.verdict.witness' must be an object")
         if witness:
             cells = "  ".join(f"{k}={witness[k]}" for k in sorted(witness))
             out.write(f"witness: {cells}\n")
     pairs = result.get("pairs")
     if isinstance(pairs, list):
         out.write("f\th\tcov\tse\tz\n")
-        for row in pairs:
-            out.write(f"{row['f']}\t{row['h']}\t{row['cov']:.6g}"
-                      f"\t{row['se']:.6g}\t{row['z']:.3f}\n")
+        for i, row in enumerate(pairs):
+            try:
+                out.write(f"{row['f']}\t{row['h']}\t{row['cov']:.6g}"
+                          f"\t{row['se']:.6g}\t{row['z']:.3f}\n")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputFormatError(f"report field 'result.pairs[{i}]' is malformed") from exc
     for key in sorted(result):
         if key in ("verdict", "pairs") or isinstance(result[key], (dict, list)):
             continue

@@ -35,6 +35,13 @@ _SQRT_HALF = math.sqrt(0.5)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
+def _dyadic_scale(variance: float) -> int:
+    """j with variance / 4^j in [0.5, 2), so j = 0 there: e // 2 for variance = m 2^e,
+    m in [0.5, 1).  Dividing by 4^j, or a shift by 2^j, only moves the exponent, so
+    it is exact while the quotient stays a normal float."""
+    return math.frexp(variance)[1] // 2
+
+
 def _pd_pair(C) -> tuple:
     """(v1, v2, c) of a symmetric 2x2 covariance that passes psd_eigh's strict screen."""
     a = np.asarray(C.entries if isinstance(C, KernelMatrix) else C, dtype=float)
@@ -48,9 +55,9 @@ def _pd_pair(C) -> tuple:
 
 def gaussian_pair_pdf(C):
     """Vectorized density of a centered bivariate normal with covariance C:
-    exactly C / 4^j's at (x, y) / 2^j times 4^-j, j as in assoc._pair_lattice."""
+    exactly C / 4^j's at (x, y) / 2^j times 4^-j, j = _dyadic_scale(max variance)."""
     v1, v2, c = _pd_pair(C)
-    j = math.frexp(max(v1, v2))[1] // 2
+    j = _dyadic_scale(max(v1, v2))
     v1, v2, c = (math.ldexp(v, -2 * j) for v in (v1, v2, c))
     det = v1 * v2 - c * c
     i11, i22, i12 = v2 / det, v1 / det, -c / det
@@ -155,7 +162,7 @@ def marginal_quantile_grid(variance: float, r: float = 0.0) -> np.ndarray:
     p-quantile is variance * t^2, where t solves P(|Z + mu| <= t) = p.
     t comes from _abs_shifted_quantile with math.erf/erfc only, so no
     special-function library is loaded.  The solve runs on variance / 4^j and |r| / 2^j
-    (j = frexp(variance)[1] // 2), which leaves mu as it is and keeps
+    (j = _dyadic_scale(variance)), which leaves mu as it is and keeps
     mu^2 = r^2 / variance finite; so 4^k variance with shift 2^k r gives
     exactly 4^k times these quantiles.
 
@@ -188,7 +195,7 @@ def marginal_quantile_grid(variance: float, r: float = 0.0) -> np.ndarray:
     """
     if variance <= 0:
         raise InputFormatError("variance must be positive")
-    j = math.frexp(variance)[1] // 2
+    j = _dyadic_scale(variance)
     v, a = math.ldexp(variance, -2 * j), math.ldexp(abs(r), -j)
     mu = a / math.sqrt(v)
     if not mu <= _MU_MAX:  # also NaN

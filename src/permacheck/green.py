@@ -73,6 +73,12 @@ def green_from_chain(chain: TransientChain) -> KernelMatrix:
     return KernelMatrix(np.maximum(g, 0.0))  # exact nonnegativity can lose to roundoff
 
 
+def _negative_entry(a: np.ndarray):
+    """(i, j) of a's smallest entry if it is below -TOL_ALGEBRAIC * max|a|, else None."""
+    i, j = np.unravel_index(np.argmin(a), a.shape)
+    return (int(i), int(j)) if a[i, j] < -defaults.TOL_ALGEBRAIC * np.max(np.abs(a)) else None
+
+
 def is_green(G: KernelMatrix) -> Verdict:
     """Recognize (a positive multiple of) a transient-chain potential.
 
@@ -85,12 +91,9 @@ def is_green(G: KernelMatrix) -> Verdict:
     floor, so the verdict on c*G (c > 0) is the verdict on G.
     """
     a = G.entries
-    tol = defaults.TOL_ALGEBRAIC * float(np.max(np.abs(a)))
-    i, j = np.unravel_index(np.argmin(a), a.shape)
-    if a[i, j] < -tol:
-        return Verdict.fail(
-            {"entry": [int(i), int(j)], "value": float(a[i, j])},
-            "negative entry")
+    neg = _negative_entry(a)
+    if neg is not None:
+        return Verdict.fail({"entry": list(neg), "value": float(a[neg])}, "negative entry")
     try:
         h, s, band = _inverse_signs(G)
     except SingularMatrixError as exc:
@@ -115,11 +118,10 @@ def hadamard_power(G: KernelMatrix, beta: float) -> KernelMatrix:
             f"entrywise power {beta} is rejected: stability is only "
             "asserted for exponents >= 1")
     a = G.entries
-    tol = defaults.TOL_ALGEBRAIC * float(np.max(np.abs(a)))
-    if np.min(a) < -tol:
-        i, j = np.unravel_index(np.argmin(a), a.shape)
+    neg = _negative_entry(a)
+    if neg is not None:
         raise InputFormatError(
-            f"entrywise power needs nonnegative entries; G({i},{j}) = {a[i, j]:g}")
+            f"entrywise power needs nonnegative entries; G({neg[0]},{neg[1]}) = {a[neg]:g}")
     with np.errstate(over="ignore"):
         powered = np.maximum(a, 0.0) ** float(beta)
     if not np.all(np.isfinite(powered)):

@@ -143,8 +143,8 @@ class SampleBatch:
 
 
 # rows per block of normals, each block with its own Philox key; the
-# working set beside the output is three arrays of this many rows per
-# worker, reused from block to block
+# working set beside the output is, per worker, the normal and product
+# blocks that _gaussian_rows reuses and one block of squared sums
 _BLOCK_ROWS = 8192
 
 # threads for the sampler's row blocks and the association statistics:
@@ -245,21 +245,17 @@ def _gaussian_rows(A: np.ndarray, n_draws: int, k: int, seed: int, into) -> None
 
 def _square_sums(A: np.ndarray, n_draws: int, k: int, seed: int, into) -> None:
     """Calls into(rows, psi) for each row block of n_draws permanental
-    draws, psi being the sum of the block's k squared Gaussian rows in
-    its worker's scratch, which the worker's next block overwrites.
+    draws, psi being a fresh array of the sum of the block's k squared
+    Gaussian rows.
 
     The squares are added in vector order, so psi matches an all-zero
     array to which each square is added in turn (+0.0 + x is x, bit for
     bit).  A block that is not finite, as from overflow, raises
     NonFiniteError before into sees it.
     """
-    scratch = threading.local()
-
     def squares(rows, etas):
-        if not hasattr(scratch, "psi"):
-            scratch.psi = np.empty((min(_BLOCK_ROWS, n_draws), A.shape[0]))
         eta = next(etas)
-        psi = np.multiply(eta, eta, out=scratch.psi[:len(eta)])
+        psi = eta * eta
         for eta in etas:
             eta *= eta
             psi += eta

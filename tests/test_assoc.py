@@ -127,6 +127,24 @@ class TestFamily:
 
 
 class TestAssociationMC:
+    def test_memory_beyond_the_draws_is_a_column_per_worker_and_a_few_blocks(
+            self, monkeypatch):
+        # each running quantile task copies one column, and each running
+        # statistics task fills one value array of four jackknife blocks
+        rng = np.random.default_rng(10)
+        spec = PermanentalSpec(kernel(random_green(rng, 4, symmetric=True)), 2.0)
+        n = 200_000
+        for workers in (1, 2):
+            monkeypatch.setattr(sampler, "_WORKERS", workers)
+            association_mc_test(spec, n_draws=1000, seed=10)  # imports outside the trace
+            tracemalloc.start()
+            try:
+                association_mc_test(spec, n_draws=n, seed=10)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= n * 4 * 8 + (workers + 0.5) * n * 8, (workers, peak)
+
     def test_independent_coordinates_hold(self):
         spec = PermanentalSpec(kernel(np.diag([1.0, 2.0])), 2.0)
         rep = association_mc_test(spec, n_draws=50_000, seed=53)

@@ -173,9 +173,9 @@ BAD_INPUTS = {
     # kernels that are not PSD have no Gaussian moments to scan
     "scan-monotone negative diagonal": (["scan-monotone", "--kernel", "{negdiag2}"], 3),
     "scan-monotone indefinite": (["scan-monotone", "--kernel", "{indefinite2}"], 3),
-    # a malformed pairs row raises KeyError inside the table renderer
+    # a pairs row without its fields, once a bare KeyError (exit 3)
     "render row KeyError": (["render", "--input", "{bad_rows}",
-                             "--format", "table"], 3),
+                             "--format", "table"], 2),
 }
 
 
@@ -1179,6 +1179,28 @@ class TestRender:
         bad.write_text('{"schema": 99, "command": "x", "result": {}}')
         code, _, err = run_cli(["render", "--input", str(bad)], capsys)
         assert code == 2
+
+    # true and 1.0 equal the schema 1 in Python, and the table renderer
+    # indexed the other four, each a bare Python error (exit 3)
+    @pytest.mark.parametrize("text, fmt, field", [
+        ('{"schema": true, "command": "x", "result": {}}', "json", "schema"),
+        ('{"schema": 1.0, "command": "x", "result": {}}', "json", "schema"),
+        ('{"schema": 1, "command": "x", "result": []}', "table", "'result'"),
+        ('{"schema": 1, "command": "x", "result": {"verdict": '
+         '{"status": "fails", "witness": [1, 2]}}}', "table", "'result.verdict.witness'"),
+        ('{"schema": 1, "command": "x", "result": {"pairs": [{"f": "a"}]}}', "table",
+         "'result.pairs[0]'"),
+        ('{"schema": 1, "command": "x", "result": {"pairs": [1]}}', "table",
+         "'result.pairs[0]'"),
+    ], ids=["schema true", "schema 1.0", "result list", "witness list",
+            "row without h", "row not an object"])
+    def test_malformed_report_exits_two_naming_the_field(self, text, fmt, field,
+                                                         capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run_cli(["render", "--input", str(bad), "--format", fmt], capsys)
+        assert (code, out) == (2, ""), err
+        assert field in _one_json_error(err)["message"]
 
     def test_render_function_rejects_unknown_format(self):
         from permacheck import InputFormatError

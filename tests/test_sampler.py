@@ -323,7 +323,8 @@ class TestStreamedBatch:
 
     def test_memory_is_a_few_blocks(self, tmp_path, monkeypatch):
         # no N x n array and no weights array: 200_000 draws of dimension 6
-        # would be 9.6 MB, and a worker holds three blocks of 384 kB
+        # would be 9.6 MB, and a worker holds its reused normal and product
+        # blocks and one fresh block of squared sums, 384 kB each
         monkeypatch.setattr(sampler, "_WORKERS", 2)
         spec = PermanentalSpec(_kernels(6)[0], 1.0)
         _stream_permanental(spec, 10, 1, tmp_path / "x.bin")  # imports outside the trace
