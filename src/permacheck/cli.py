@@ -164,21 +164,24 @@ def _run(handler, command: str, args) -> int:
 
 
 def report_render(report: dict, fmt: str = "json") -> str:
-    """Stable rendering of a schema-1 report; table mode is lossy."""
+    """Stable rendering of a schema-1 report (an object with the integer
+    schema 1, a string command and an object result); table mode is lossy."""
     if not isinstance(report, dict):
         raise InputFormatError("a report must be a JSON object")
     schema = report.get("schema")
     if type(schema) is not int or schema != defaults.SCHEMA_VERSION:  # true == 1.0 == 1
         raise SchemaMismatchError(f"report schema {schema!r} is not {defaults.SCHEMA_VERSION}")
+    if not isinstance(report.get("command"), str):
+        raise InputFormatError("report field 'command' must be a string")
+    result = report.get("result")
+    if not isinstance(result, dict):
+        raise InputFormatError("report field 'result' must be an object")
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     if fmt != "table":
         raise InputFormatError(f"unknown render format {fmt!r}")
     out = io.StringIO()
-    out.write(f"command: {report.get('command', '?')}\n")
-    result = report.get("result", {})
-    if not isinstance(result, dict):
-        raise InputFormatError("report field 'result' must be an object")
+    out.write(f"command: {report['command']}\n")
     verdict = result.get("verdict")
     if isinstance(verdict, dict):
         out.write(f"verdict: {verdict.get('status')}\n")

@@ -86,9 +86,11 @@ def is_green(G: KernelMatrix) -> Verdict:
     off-diagonals and nonnegative row sums.  When everything but the
     row-sum condition passes, the verdict is holds-up-to-density-factor:
     some positive diagonal D makes G = D g D with g a proper potential,
-    but G itself is not one.  The inverse's signs and row-sum band are
-    check-id's, from _inverse_signs, and no tolerance has an absolute
-    floor, so the verdict on c*G (c > 0) is the verdict on G.
+    but G itself is not one.  An inverse that invert refuses gives
+    inconclusive, with its condition estimate in the detail: a float
+    estimate proves no singularity.  The inverse's signs and row-sum
+    band are check-id's, from _inverse_signs, and no tolerance has an
+    absolute floor, so the verdict on c*G (c > 0) is the verdict on G.
     """
     a = G.entries
     neg = _negative_entry(a)
@@ -97,8 +99,7 @@ def is_green(G: KernelMatrix) -> Verdict:
     try:
         h, s, band = _inverse_signs(G)
     except SingularMatrixError as exc:
-        return Verdict.fail(
-            {"cond_estimate": exc.cond_estimate}, "kernel is numerically singular")
+        return Verdict.unknown(f"the inverse is not trusted: {exc}")
     bad = (s > 0) & ~np.eye(G.dim, dtype=bool)
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)

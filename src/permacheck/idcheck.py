@@ -15,11 +15,7 @@ import numpy as np
 
 from . import defaults
 from .betaperm import beta_positivity_scan, id_necessary_battery
-from .errors import (
-    InputFormatError,
-    NotPositiveDefiniteError,
-    SingularMatrixError,
-)
+from .errors import InputFormatError, NotPositiveDefiniteError, SingularMatrixError
 from .matcore import KernelMatrix, Signature, invert, psd_eigh, real_eigen_nonneg
 from .verdict import Verdict
 
@@ -137,26 +133,28 @@ def bapat_test(G: KernelMatrix) -> IdVerdict:
 def id_verdict(G: KernelMatrix) -> IdVerdict:
     """Is the permanental vector with this kernel infinitely divisible?
 
-    Prerequisites checked first: real eigenvalues nonnegative and the
-    necessary sign battery.  Symmetric positive definite kernels get the
-    exact signature criterion.  Otherwise: a sufficient inverse-M-matrix
-    route, then a positivity scan on the defaults table's grids, then an
-    honest inconclusive.  The verdict does not depend on the
-    index beta: infinite divisibility is a property of the kernel.
+    A real eigenvalue below psd_eigh's floor fails (real_eigen_nonneg).
+    When all clear it, symmetric kernels get the exact signature
+    criterion, and nonsymmetric ones the necessary sign battery, then a
+    sufficient inverse-M-matrix route.  A kernel left open (an eigenvalue
+    within the floor of 0, an inverse that invert refuses, no certificate)
+    gets the battery, then a positivity scan on the defaults table's
+    grids, then an honest inconclusive.  The verdict does not depend on
+    the index beta: infinite divisibility is a property of the kernel.
     """
     eig = real_eigen_nonneg(G)
-    if not eig.holds:
+    if eig.fails:
         return IdVerdict(eig, "battery-necessary")
-    if G.symmetric:
+    if G.symmetric and eig.holds:
         # exact criterion; the necessary battery can never disagree with it
         try:
             return bapat_test(G)
-        except NotPositiveDefiniteError:
-            pass  # PSD-singular: fall through to the scan stages
+        except (NotPositiveDefiniteError, SingularMatrixError):
+            pass  # on the floor for eigh, or invert refuses: the scan stages decide
     battery = id_necessary_battery(G)
     if not battery.holds:
         return IdVerdict(battery, "battery-necessary")
-    if not G.symmetric:
+    if not G.symmetric and eig.holds:
         # sufficient: sigma G^-1 sigma is a Z-matrix whose real eigenvalues,
         # the reciprocals of G's, are positive, hence an M-matrix
         try:

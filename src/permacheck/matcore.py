@@ -214,23 +214,24 @@ def psd_eigh(G: KernelMatrix, strict: bool = False) -> tuple:
 
 
 def real_eigen_nonneg(G: KernelMatrix) -> Verdict:
-    """Checks that every (numerically) real eigenvalue of G is nonnegative.
-
-    Both cuts are relative to ||G||_inf, with no absolute floor, so the
-    verdict on c*G is the verdict on G."""
+    """Reads G's real eigenvalues (|Im| <= EIGEN_IMAG_REL * ||G||_inf)
+    against psd_eigh's floor, PSD_REL * max|G|: fails on the first below
+    -floor, inconclusive when one lies within the floor of 0, holds when
+    every one exceeds it.  No cut has an absolute floor, so the verdict
+    on c*G is the verdict on G."""
     a = G.entries
     try:
         eig = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         return Verdict.unknown(f"eigenvalue solver did not converge: {exc}")
-    scale = float(np.linalg.norm(a, np.inf))
-    imag_cut = defaults.EIGEN_IMAG_REL * scale
-    tol = defaults.TOL_ALGEBRAIC * scale
-    for lam in eig:
-        if abs(lam.imag) <= imag_cut and lam.real < -tol:
-            return Verdict.fail(
-                {"eigenvalue": {"re": float(lam.real), "im": float(lam.imag)}},
-                "a real eigenvalue is negative")
+    real = eig[np.abs(eig.imag) <= defaults.EIGEN_IMAG_REL * float(np.linalg.norm(a, np.inf))]
+    floor = defaults.PSD_REL * float(np.max(np.abs(a)))
+    if np.any(real.real < -floor):
+        lam = real[np.argmax(real.real < -floor)]
+        return Verdict.fail({"eigenvalue": {"re": float(lam.real), "im": float(lam.imag)}},
+                            "a real eigenvalue is negative")
+    if np.any(real.real <= floor):
+        return Verdict.unknown("a real eigenvalue lies within PSD_REL * max|G| of 0")
     return Verdict.ok()
 
 

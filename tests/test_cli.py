@@ -771,6 +771,28 @@ class TestScan:
         assert rep["result"]["scanned"] == 2 * 3 * 5
 
 
+class TestEigenvalueFloor:
+    # check-id reads a spectrum against psd_eigh's floor, as scan, sample
+    # and check-assoc do, so no two of them contradict each other
+
+    def test_id_and_scan_both_fail_below_the_floor(self, capsys, tmp_path):
+        # eigenvalue -5e-11 is within the floor, so no certificate may hold;
+        # the scan's witness at alpha 0 is E psi_1 = -5e-12
+        path = tmp_path / "upper.csv"
+        path.write_text("1,0.5\n0,-5e-11\n")
+        for argv in (["check-id", "--input", path], ["scan", "--input", path]):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 1, argv
+            assert json.loads(out)["result"]["verdict"]["witness"]["indices"] == [1], argv
+
+    def test_id_is_open_where_sample_accepts(self, capsys, tmp_path):
+        path = tmp_path / "near.csv"
+        path.write_text("1,1.0000000005\n1.0000000005,1\n")
+        assert run_cli(["check-id", "--input", path], capsys)[0] == 4
+        assert run_cli(["sample", "--kernel", path, "--n", "10",
+                        "--out", tmp_path / "x.bin"], capsys)[0] == 0
+
+
 class TestGreen:
     def test_gen_writes_potential(self, matrices, capsys, tmp_path):
         out_csv = tmp_path / "green.csv"
@@ -818,6 +840,15 @@ class TestGreen:
         save_matrix(kernel(0.5 * (g + g.T)), path)
         for argv in (["green", "check", "--input", path], ["check-id", "--input", path]):
             assert run_cli(argv, capsys)[0] == 1, argv
+
+    def test_near_recurrent_walk_is_open_not_refuted(self, capsys, tmp_path):
+        # the walk's potential has cond 1.5e9, and invert refuses it: a Green
+        # kernel that neither green gen nor check-id may refute or crash on
+        chain = tmp_path / "walk.csv"
+        save_matrix(kernel(0.5 * (1 - 1e-9) * (np.ones((3, 3)) - np.eye(3))), chain)
+        out_csv = tmp_path / "walk-green.csv"
+        assert run_cli(["green", "gen", "--chain", chain, "--out", out_csv], capsys)[0] == 4
+        assert run_cli(["check-id", "--input", out_csv], capsys)[0] == 4
 
     def test_power(self, matrices, capsys, tmp_path):
         out_csv = tmp_path / "pow.csv"
@@ -1181,7 +1212,9 @@ class TestRender:
         assert code == 2
 
     # true and 1.0 equal the schema 1 in Python, and the table renderer
-    # indexed the other four, each a bare Python error (exit 3)
+    # indexed the next four, each a bare Python error (exit 3); the JSON
+    # renderer once passed any object with schema 1, the table one any
+    # command and a missing result
     @pytest.mark.parametrize("text, fmt, field", [
         ('{"schema": true, "command": "x", "result": {}}', "json", "schema"),
         ('{"schema": 1.0, "command": "x", "result": {}}', "json", "schema"),
@@ -1192,8 +1225,17 @@ class TestRender:
          "'result.pairs[0]'"),
         ('{"schema": 1, "command": "x", "result": {"pairs": [1]}}', "table",
          "'result.pairs[0]'"),
+        ('{"schema": 1, "command": "x", "result": []}', "json", "'result'"),
+        ('{"schema": 1}', "json", "'command'"),
+        ('{"schema": 1}', "table", "'command'"),
+        ('{"schema": 1, "command": 5, "result": {}}', "json", "'command'"),
+        ('{"schema": 1, "command": 5, "result": {}}', "table", "'command'"),
+        ('{"schema": 1, "command": "x"}', "json", "'result'"),
+        ('{"schema": 1, "command": "x"}', "table", "'result'"),
     ], ids=["schema true", "schema 1.0", "result list", "witness list",
-            "row without h", "row not an object"])
+            "row without h", "row not an object", "json result list",
+            "json no command", "table no command", "json command number",
+            "table command number", "json no result", "table no result"])
     def test_malformed_report_exits_two_naming_the_field(self, text, fmt, field,
                                                          capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -1205,7 +1247,7 @@ class TestRender:
     def test_render_function_rejects_unknown_format(self):
         from permacheck import InputFormatError
         with pytest.raises(InputFormatError):
-            report_render({"schema": 1}, fmt="yaml")
+            report_render({"schema": 1, "command": "x", "result": {}}, fmt="yaml")
 
 
 # one run of every reporting leaf, keyed by its subcommand path

@@ -9,6 +9,7 @@ from permacheck import (
     SingularMatrixError,
     TransientChain,
     bapat_test,
+    beta_positivity_scan,
     defaults,
     green_from_chain,
     id_necessary_battery,
@@ -19,6 +20,7 @@ from permacheck import (
     real_eigen_nonneg,
     shifted_pair_id_test,
 )
+from permacheck.matcore import psd_eigh
 from oracles import (
     exhaustive_bapat,
     loop_inverse_m_route,
@@ -175,6 +177,55 @@ class TestRandomChains:
             g = kernel(random_green(rng, n))
             v = id_verdict(g)
             assert not v.fails
+
+
+class TestEigenvalueFloor:
+    # one floor, psd_eigh's PSD_REL * max|G|, decides which kernels fail on
+    # an eigenvalue and which reach a certificate
+
+    def test_nonsymmetric_never_holds_where_the_scan_fails(self):
+        # upper-triangular kernels whose eigenvalues are the diagonal: all
+        # clear of 0 but one of size 10^-12.5 to 10^-9.5, of either sign
+        rng = np.random.default_rng(3401)
+        outcomes = {}
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            d = rng.uniform(0.5, 1.0, n)
+            d[rng.integers(n)] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.5, -9.5)
+            g = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1) + np.diag(d)
+            if rng.uniform() < 0.5:
+                p = rng.permutation(n)
+                g = g[np.ix_(p, p)]
+            G = kernel(g)
+            v = id_verdict(G)
+            assert not (v.holds and beta_positivity_scan(G).verdict.fails), g.tolist()
+            if d.min() < 0:
+                assert v.fails, g.tolist()  # the scan's alpha = 0 witness
+            outcomes[v.verdict.status] = outcomes.get(v.verdict.status, 0) + 1
+        assert outcomes.get("fails", 0) >= 100 and outcomes.get("inconclusive", 0) >= 50, outcomes
+
+    def test_symmetric_eigenvalue_fails_iff_psd_eigh_rejects(self):
+        # smallest eigenvalue -10^U(-10.5, -7.5) relative to the entries,
+        # straddling -PSD_REL * max|G|
+        rng = np.random.default_rng(2034)
+        rejected = accepted = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            a = rng.normal(size=(n, n))
+            a = 0.5 * (a + a.T)
+            t = -10.0 ** rng.uniform(-10.5, -7.5) * np.abs(a).max()
+            G = kernel(a + (t - np.linalg.eigvalsh(a)[0]) * np.eye(n))
+            v = id_verdict(G)
+            try:
+                psd_eigh(G)
+            except NotPSDError:
+                rejected += 1
+                floor = defaults.PSD_REL * np.abs(G.entries).max()
+                assert v.fails and v.witness["eigenvalue"]["re"] < -floor, G.entries.tolist()
+            else:
+                accepted += 1
+                assert not (v.fails and "eigenvalue" in v.witness), G.entries.tolist()
+        assert rejected >= 100 and accepted >= 100, (rejected, accepted)
 
 
 def _nonsymmetric_kernels(rng, count):
