@@ -198,18 +198,18 @@ def psd_eigh(G: KernelMatrix, strict: bool = False) -> tuple:
     """Ascending eigenvalues and eigenvectors (lam, V) of a symmetric kernel
     that passes the positive-semidefiniteness screen.
 
-    With floor = PSD_REL * max|G|: lam[0] < -floor raises NotPSDError;
-    with strict=True, lam[0] <= floor raises NotPositiveDefiniteError.
+    With floor = PSD_REL * max|G|: lam[0] < -floor raises NotPSDError; with
+    strict=True, lam[0] in [-floor, floor] raises NotPositiveDefiniteError.
     """
     if not G.symmetric:
         raise InputFormatError("positive-semidefiniteness screen needs a symmetric kernel")
     lam, vec = np.linalg.eigh(G.entries)
     floor = defaults.PSD_REL * float(np.max(np.abs(G.entries)))
+    if lam[0] < -floor:
+        raise NotPSDError(f"smallest eigenvalue {lam[0]:g} is negative", float(lam[0]))
     if strict and lam[0] <= floor:
         raise NotPositiveDefiniteError(
             f"smallest eigenvalue {lam[0]:g} is not positive", float(lam[0]))
-    if lam[0] < -floor:
-        raise NotPSDError(f"smallest eigenvalue {lam[0]:g} is negative", float(lam[0]))
     return lam, vec
 
 

@@ -257,11 +257,12 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("argv", [["check-fkg"], ["shifted-order", "--r-pairs", "1,0.5"]])
     def test_indefinite_pair_reports_its_eigenvalue(self, argv, matrices, capsys):
-        # the determinant -3 was once reported as the smallest eigenvalue
+        # the determinant -3 was once reported as the smallest eigenvalue;
+        # a negative eigenvalue is NotPSDError, as in sample and scan-monotone
         code, out, err = run_cli(argv + ["--kernel", matrices["indefinite2"]], capsys)
         assert (code, out) == (3, "")
         error = _one_json_error(err)
-        assert error["error"] == "NotPositiveDefiniteError"
+        assert error["error"] == "NotPSDError"
         assert error["min_eigenvalue"] == pytest.approx(-1.0, rel=1e-12)
 
     @pytest.mark.parametrize("vx, c, vy, eigenvalue", [
@@ -591,6 +592,33 @@ print(parse_and_dispatch(sys.argv[1:]), "scipy.special" in sys.modules)
 """
 
 
+# each command once, with its exit code
+_EVERY_COMMAND = pytest.mark.parametrize("argv, code", [
+    (["check-id", "--input", "{tri}"], 1),
+    (["perm", "--input", "{perm2}", "--beta", "1"], 0),
+    (["scan", "--input", "{tri}", "--m-max", "4"], 1),
+    (["green", "gen", "--chain", "{chain2}", "--out", "g.csv"], 0),
+    (["green", "power", "--input", "{green2}", "--beta", "2", "--out", "p.csv"], 0),
+    (["green", "plus-c", "--input", "{green2}"], 0),
+    (["green", "restrict", "--input", "{tri}", "--keep", "0,1", "--out", "r.csv"], 0),
+    (["sample", "--kernel", "{g2}", "--n", "1e4", "--seed", "5", "--out", "s.bin"], 0),
+    # 1.2e6 normals in 74 row blocks, on the pool
+    (["sample", "--kernel", "{g2}", "--n", "6e5", "--seed", "3", "--out", "s.bin"], 0),
+    (["check-assoc", "--kernel", "{g2}", "--n", "2e4", "--seed", "5"], 0),
+    (["scan-monotone", "--kernel", "{tri}", "--scalings", "random:5"], 0),
+    (["check-fkg", "--kernel", "{g2}", "--shift", "0.5"], 0),
+    (["check-fkg", "--kernel", "{neg2}", "--shift", "0.5"], 1),
+    (["check-fkg", "--kernel", "{g2}", "--shift", "1e10"], 3),
+    (["shifted-order", "--kernel", "{green2}", "--r-pairs", "1,0.5;2,1"], 0),
+    (["shifted-order", "--kernel", "{neg2}", "--r-pairs", "1,0.5"], 1),
+    (["check-shifted-pair", "--vx", "1", "--c", "0.5", "--vy", "1"], 0),
+    (["render", "--input", "{g2}"], 2),
+], ids=["check-id", "perm", "scan", "green-gen", "green-power", "green-plus-c",
+        "green-restrict", "sample", "sample-large", "check-assoc", "scan-monotone",
+        "check-fkg", "check-fkg-fails", "check-fkg-range", "shifted-order",
+        "shifted-order-fails", "check-shifted-pair", "render"])
+
+
 class TestStartup:
     def test_import_loads_no_scipy(self):
         proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
@@ -650,30 +678,7 @@ class TestStartup:
                          (tmp_path / "r.json").read_bytes()))
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("argv, code", [
-        (["check-id", "--input", "{tri}"], 1),
-        (["perm", "--input", "{perm2}", "--beta", "1"], 0),
-        (["scan", "--input", "{tri}", "--m-max", "4"], 1),
-        (["green", "gen", "--chain", "{chain2}", "--out", "g.csv"], 0),
-        (["green", "power", "--input", "{green2}", "--beta", "2", "--out", "p.csv"], 0),
-        (["green", "plus-c", "--input", "{green2}"], 0),
-        (["green", "restrict", "--input", "{tri}", "--keep", "0,1", "--out", "r.csv"], 0),
-        (["sample", "--kernel", "{g2}", "--n", "1e4", "--seed", "5", "--out", "s.bin"], 0),
-        # 1.2e6 normals in 74 row blocks, on the pool
-        (["sample", "--kernel", "{g2}", "--n", "6e5", "--seed", "3", "--out", "s.bin"], 0),
-        (["check-assoc", "--kernel", "{g2}", "--n", "2e4", "--seed", "5"], 0),
-        (["scan-monotone", "--kernel", "{tri}", "--scalings", "random:5"], 0),
-        (["check-fkg", "--kernel", "{g2}", "--shift", "0.5"], 0),
-        (["check-fkg", "--kernel", "{neg2}", "--shift", "0.5"], 1),
-        (["check-fkg", "--kernel", "{g2}", "--shift", "1e10"], 3),
-        (["shifted-order", "--kernel", "{green2}", "--r-pairs", "1,0.5;2,1"], 0),
-        (["shifted-order", "--kernel", "{neg2}", "--r-pairs", "1,0.5"], 1),
-        (["check-shifted-pair", "--vx", "1", "--c", "0.5", "--vy", "1"], 0),
-        (["render", "--input", "{g2}"], 2),
-    ], ids=["check-id", "perm", "scan", "green-gen", "green-power", "green-plus-c",
-            "green-restrict", "sample", "sample-large", "check-assoc", "scan-monotone",
-            "check-fkg", "check-fkg-fails", "check-fkg-range", "shifted-order",
-            "shifted-order-fails", "check-shifted-pair", "render"])
+    @_EVERY_COMMAND
     def test_commands_write_the_same_bytes_without_scipy(self, argv, code, matrices,
                                                          tmp_path):
         # relative output paths, since reports echo them, and a package path
@@ -694,6 +699,106 @@ class TestStartup:
             runs.append((proc.stdout, proc.stderr,
                          {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
         assert runs[0] == runs[1]
+
+
+_THREAD_PROBE = """
+import sys
+import threading
+import permacheck.sampler
+permacheck.sampler._WORKERS = 2  # the pool, on any CPU count
+from permacheck.cli import parse_and_dispatch
+code = parse_and_dispatch(sys.argv[1:])
+print(code, "concurrent.futures" in sys.modules, threading.active_count())
+"""
+
+
+class TestProcessExit:
+    """main() flushes stdout and stderr and ends the process with os._exit;
+    parse_and_dispatch, the in-process entry point, returns.  Each child
+    runs in its own directory, with a package path that holds there."""
+
+    ROUTES = {"main": ["-m", "permacheck.cli"],
+              "in-process": ["-c", _SCIPY_PROBE, "normal"],
+              # the interpreter's usual exit, for comparison
+              "finalized": ["-c", "import sys; from permacheck.cli import parse_and_dispatch;"
+                                  " sys.exit(parse_and_dispatch(sys.argv[1:]))"],
+              "threads": ["-c", _THREAD_PROBE]}
+
+    def _run(self, route, argv, cwd, buffered=True, **streams):
+        # stdout buffered, as by default, so that main's flush writes its tail
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(permacheck.__file__).parents[1])
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        cwd.mkdir()
+        return subprocess.run([sys.executable, *self.ROUTES[route], *argv], cwd=cwd,
+                              env=env, **streams)
+
+    def _both_routes(self, argv, tmp_path) -> list:
+        """[exit code, stdout, stderr, files] of main and of parse_and_dispatch;
+        the probe exits 0 and prints the code on its own last line."""
+        runs = []
+        for route in ("main", "in-process"):
+            proc = self._run(route, argv, tmp_path / route, capture_output=True)
+            runs.append([proc.returncode, proc.stdout, proc.stderr,
+                         {p.name: p.read_bytes() for p in sorted((tmp_path / route).iterdir())}])
+        main, probe = runs
+        last = f"[] {main[0]}\n".encode()
+        assert probe[0] == 0 and probe[1].endswith(last), (probe[1][-200:], probe[2])
+        probe[:2] = [main[0], probe[1][:-len(last)]]
+        return runs
+
+    @_EVERY_COMMAND
+    def test_main_writes_the_in_process_bytes(self, argv, code, matrices, tmp_path):
+        argv = [a.format(**matrices) for a in argv]
+        if argv[0] != "render":
+            argv += ["--report", "report.json"]
+        main, in_process = self._both_routes(argv, tmp_path)
+        assert main[0] == code
+        assert main == in_process
+
+    def test_stdout_past_a_pipe_buffer_arrives_whole(self, tmp_path):
+        # 22500 entries, about 490 KB, more than a pipe buffer holds
+        chain = tmp_path / "chain.csv"
+        save_matrix(kernel(np.full((150, 150), 0.5 / 150)), chain)
+        main, in_process = self._both_routes(["green", "gen", "--chain", str(chain)],
+                                             tmp_path)
+        assert main[0] == 0 and len(main[1]) > 400_000
+        assert main[1].count(b"\n") == 150
+        assert main == in_process
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_as_before(self, buffered, matrices, tmp_path):
+        # unbuffered, the write in dispatch raises: one JSON error, exit 2.
+        # Buffered, main's flush raises and the usual exit reports it again
+        runs = []
+        for route in ("main", "finalized"):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = self._run(route, ["check-id", "--input", matrices["tri"]],
+                                 tmp_path / route, buffered, stdout=write,
+                                 stderr=subprocess.PIPE, text=True)
+            finally:
+                os.close(write)
+            runs.append((proc.returncode, proc.stderr))
+        assert runs[0] == runs[1]
+        assert "BrokenPipeError" in runs[0][1]
+        if not buffered:
+            assert runs[0][0] == 2
+            assert _one_json_error(runs[0][1])["error"] == "BrokenPipeError"
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--kernel", "{g2}", "--n", "6e5", "--seed", "3", "--out", "s.bin"],
+        ["check-assoc", "--kernel", "{g2}", "--n", "2e4", "--seed", "5"],
+    ], ids=["sample", "check-assoc"])
+    def test_pooled_commands_join_their_threads(self, argv, matrices, tmp_path):
+        # os._exit would cut off a pool thread still writing
+        argv = [a.format(**matrices) for a in argv] + ["--report", "r.json"]
+        proc = self._run("threads", argv, tmp_path / "threads", capture_output=True,
+                         text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "True", "1"]
 
 
 class TestPerm:

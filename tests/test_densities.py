@@ -7,6 +7,7 @@ from scipy.stats import chi2, ncx2
 from permacheck import (
     InputFormatError,
     NonFiniteError,
+    NotPSDError,
     NotPositiveDefiniteError,
     fkg_lattice_test,
     gaussian_pair_pdf,
@@ -41,10 +42,14 @@ class TestGaussianPairPdf:
             assert pdf(x, y) == pytest.approx(ref.pdf([x, y]), rel=1e-12)
 
     def test_degenerate_covariance_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            gaussian_pair_pdf([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(NotPositiveDefiniteError):
-            gaussian_pair_pdf([[0.0, 0.0], [0.0, 1.0]])
+        # singular is NotPositiveDefiniteError; indefinite is its subclass
+        # NotPSDError, as every PSD screen raises it
+        for singular in ([[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]):
+            with pytest.raises(NotPositiveDefiniteError) as exc:
+                gaussian_pair_pdf(singular)
+            assert type(exc.value) is NotPositiveDefiniteError
+        with pytest.raises(NotPSDError):
+            gaussian_pair_pdf([[1.0, 2.0], [2.0, 1.0]])
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(InputFormatError):

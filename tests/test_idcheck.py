@@ -78,10 +78,13 @@ class TestBapat:
         assert off.max() <= 1e-12
 
     def test_not_positive_definite_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
+        # below -floor is NotPSDError; within the floor of 0, its base class
+        with pytest.raises(NotPSDError):
             bapat_test(kernel([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(NotPositiveDefiniteError):
-            bapat_test(kernel(np.zeros((2, 2))))
+        for singular in (np.zeros((2, 2)), np.ones((2, 2))):
+            with pytest.raises(NotPositiveDefiniteError) as exc:
+                bapat_test(kernel(singular))
+            assert type(exc.value) is NotPositiveDefiniteError
 
 
 class TestIdVerdict:
