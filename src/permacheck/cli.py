@@ -32,7 +32,6 @@ from .errors import (
     InputFormatError,
     InvalidIndexError,
     NonFiniteError,
-    PermacheckError,
     SchemaMismatchError,
 )
 from .green import (
@@ -459,27 +458,26 @@ def parse_and_dispatch(argv) -> int:
         return args.run(args)
     except SystemExit as exc:  # --help; argparse errors raise UsageError
         return exc.code if isinstance(exc.code, int) else 0
-    except InputFormatError as exc:
+    except (InputFormatError, OSError) as exc:
         return _fail(_error_object(exc), 2)
-    except PermacheckError as exc:
+    except Exception as exc:  # PermacheckError and any other
         return _fail(_error_object(exc), 3)
-    except OSError as exc:
-        return _fail({"error": type(exc).__name__, "message": str(exc)}, 2)
-    except Exception as exc:
-        return _fail({"error": type(exc).__name__, "message": str(exc)}, 3)
 
 
 def main() -> None:
     """Run one command, flush, and skip finalization (about 20 ms) with
-    os._exit; files are closed and pools joined by then.  A failed flush
-    takes the usual exit.  In-process callers use parse_and_dispatch."""
+    os._exit; files are closed and pools joined by then.  A flush that
+    fails (a closed pipe, a full disk) is one JSON error and exit 2, as in
+    parse_and_dispatch.  In-process callers use parse_and_dispatch."""
     code = parse_and_dispatch(sys.argv[1:])
     try:
         sys.stdout.flush()
         sys.stderr.flush()
-    except Exception:
-        sys.exit(code)
-    os._exit(code)
+    except OSError as exc:
+        code = 2  # also when stderr cannot take the error object
+        _fail(_error_object(exc), code)
+    finally:
+        os._exit(code)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 For symmetric positive definite kernels the signature M-matrix criterion
 is exact: the squared vector is infinitely divisible (equivalently,
 associated) iff some sign vector sigma makes sigma*G^(-1)*sigma an
-M-matrix.  Nonsymmetric kernels get a three-stage verdict combining a
-sufficient Green-kernel route with necessary positivity scans.
+M-matrix.  For nonsymmetric kernels the same certificate is sufficient,
+and necessary positivity scans decide where it is absent.  id_verdict
+runs one eigenvalue screen, then the certificate, then the scans.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import defaults
 from .betaperm import beta_positivity_scan, id_necessary_battery
-from .errors import InputFormatError, NotPositiveDefiniteError, SingularMatrixError
+from .errors import InputFormatError, SingularMatrixError
 from .matcore import KernelMatrix, Signature, invert, psd_eigh, real_eigen_nonneg
 from .verdict import Verdict
 
@@ -125,7 +126,8 @@ def _inverse_certificate(G: KernelMatrix, method: str) -> IdVerdict:
 
 def bapat_test(G: KernelMatrix) -> IdVerdict:
     """Exact ID verdict for symmetric positive definite kernels: the
-    inverse certificate, after a strict positive-definiteness screen."""
+    inverse certificate, after psd_eigh's strict screen.  id_verdict runs
+    the same certificate behind its own screen, without this one."""
     psd_eigh(G, strict=True)
     return _inverse_certificate(G, "bapat-exact")
 
@@ -134,35 +136,33 @@ def id_verdict(G: KernelMatrix) -> IdVerdict:
     """Is the permanental vector with this kernel infinitely divisible?
 
     A real eigenvalue below psd_eigh's floor fails (real_eigen_nonneg).
-    When all clear it, symmetric kernels get the exact signature
-    criterion, and nonsymmetric ones the necessary sign battery, then a
-    sufficient inverse-M-matrix route.  A kernel left open (an eigenvalue
-    within the floor of 0, an inverse that invert refuses, no certificate)
-    gets the battery, then a positivity scan on the defaults table's
-    grids, then an honest inconclusive.  The verdict does not depend on
-    the index beta: infinite divisibility is a property of the kernel.
+    When every one clears it, the inverse certificate comes first: it
+    decides a symmetric kernel both ways (bapat-exact) and a nonsymmetric
+    one when it holds (inverse-M-sufficient).  It is sufficient and the
+    battery necessary, so it never overrules a battery verdict; it only
+    spares a certified kernel the battery's scale^3 floor.  A kernel left
+    open (an eigenvalue within the floor of 0, an inverse that invert
+    refuses, no certificate) gets the battery, then a positivity scan on
+    the defaults table's grids, then an honest inconclusive.  The verdict
+    does not depend on the index beta: infinite divisibility is a
+    property of the kernel.
     """
     eig = real_eigen_nonneg(G)
     if eig.fails:
         return IdVerdict(eig, "battery-necessary")
-    if G.symmetric and eig.holds:
-        # exact criterion; the necessary battery can never disagree with it
+    if eig.holds:
+        # nonsymmetric: sigma G^-1 sigma is a Z-matrix whose real
+        # eigenvalues, the reciprocals of G's, are positive, so an M-matrix
         try:
-            return bapat_test(G)
-        except (NotPositiveDefiniteError, SingularMatrixError):
-            pass  # on the floor for eigh, or invert refuses: the scan stages decide
+            certificate = _inverse_certificate(
+                G, "bapat-exact" if G.symmetric else "inverse-M-sufficient")
+            if G.symmetric or certificate.holds:
+                return certificate
+        except SingularMatrixError:
+            pass  # invert refuses: the later stages decide
     battery = id_necessary_battery(G)
     if not battery.holds:
         return IdVerdict(battery, "battery-necessary")
-    if not G.symmetric and eig.holds:
-        # sufficient: sigma G^-1 sigma is a Z-matrix whose real eigenvalues,
-        # the reciprocals of G's, are positive, hence an M-matrix
-        try:
-            certificate = _inverse_certificate(G, "inverse-M-sufficient")
-            if certificate.holds:
-                return certificate
-        except SingularMatrixError:
-            pass
     scan = beta_positivity_scan(G)
     if scan.verdict.fails:
         return IdVerdict(scan.verdict, "battery-necessary")

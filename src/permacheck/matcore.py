@@ -147,11 +147,11 @@ def _cond_estimate(a: np.ndarray):
 
 
 def invert(G: KernelMatrix) -> KernelMatrix:
-    """Inverse of G.
-
-    Raises SingularMatrixError when the condition estimate exceeds the
-    configured cap or the residual ||G H - I||_inf misses tolerance.
-    """
+    """Inverse of G, refused (SingularMatrixError) by two rules.  The
+    residual ||G H - I||_inf <= TOL_ROUNDTRIP binds first, from cond ~1e8:
+    I - (J - I)/2*(1 - 1e-9), J all ones 3x3, has cond 1.5e9 and residual
+    5.6e-8.  cond <= COND_CAP binds only where the residual stays small,
+    as on diag(1, 1e-13), and in _resolvents' solves."""
     a = G.entries
     cond = float(_cond_estimate(a))
     if not math.isfinite(cond) or cond > defaults.COND_CAP:

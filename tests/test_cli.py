@@ -33,6 +33,8 @@ TRI3 = [[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]]
 MIX3 = [[1.0, -0.31, 0.58], [-0.31, 1.0, 0.58], [0.58, 0.58, 1.0]]
 PSD_SINGULAR3 = [[2.0, 1.0, 1.0], [1.0, 2.0, -1.0], [1.0, -1.0, 2.0]]
 NONSYM3 = [[2.0, 0.5, 0.2], [0.3, 2.0, 0.4], [0.1, 0.6, 2.0]]
+# nonsymmetric, with no inverse certificate: the battery fails it
+NONSYM3_OPEN = [[2.0, 1.0, 1.0], [0.1, 2.0, 1.0], [1.0, 0.1, 2.0]]
 
 
 @pytest.fixture
@@ -516,7 +518,8 @@ class TestContract:
          [[3, 1], [1, 3]]),
         (["check-id", "--input", "{m}"], 1e110 * np.array(PSD_SINGULAR3)),
         (["check-id", "--input", "{m}"], 1e160 * np.array(PSD_SINGULAR3)),
-        (["check-id", "--input", "{m}"], 1e160 * np.array(NONSYM3)),
+        # no certificate, so the battery's scale^3 floor decides, and overflows
+        (["check-id", "--input", "{m}"], 1e160 * np.array(NONSYM3_OPEN)),
         (["scan", "--input", "{m}"], 1e300 * np.array(MIX3)),
         (["sample", "--kernel", "{m}", "--n", "10", "--out", "{dir}/x.bin"],
          1e308 * np.eye(2)),
@@ -541,6 +544,19 @@ class TestContract:
         code, error = _contract_exit_code(tmp_path, capsys, argv,
                                           _json_text(np.array(entries, dtype=float)))
         assert (code, error["error"]) == (3, "NonFiniteError")
+
+    @pytest.mark.parametrize("scale", [1e103, 1e160, 1e300])
+    def test_certified_kernel_holds_at_any_scale(self, scale, tmp_path, capsys):
+        # the inverse certificate comes before the battery, whose scale^3
+        # floor overflowed from about 1e103 and exited 3
+        results = []
+        for c in (1.0, scale):
+            code, _ = _contract_exit_code(tmp_path, capsys, ["check-id", "--input", "{m}"],
+                                          _json_text(c * np.array(NONSYM3)))
+            result = json.loads((tmp_path / "report.json").read_text())["result"]
+            results.append((code, result["verdict"]["status"], result["method"],
+                            result["signature"]))
+        assert results[0] == results[1] == (0, "holds", "inverse-M-sufficient", [1, 1, 1])
 
     def test_report_that_is_not_json_is_three(self, monkeypatch, capsys):
         # json.dumps wrote Infinity, which no JSON parser reads
@@ -719,9 +735,6 @@ class TestProcessExit:
 
     ROUTES = {"main": ["-m", "permacheck.cli"],
               "in-process": ["-c", _SCIPY_PROBE, "normal"],
-              # the interpreter's usual exit, for comparison
-              "finalized": ["-c", "import sys; from permacheck.cli import parse_and_dispatch;"
-                                  " sys.exit(parse_and_dispatch(sys.argv[1:]))"],
               "threads": ["-c", _THREAD_PROBE]}
 
     def _run(self, route, argv, cwd, buffered=True, **streams):
@@ -769,24 +782,32 @@ class TestProcessExit:
 
     @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
     def test_closed_stdout_exits_as_before(self, buffered, matrices, tmp_path):
-        # unbuffered, the write in dispatch raises: one JSON error, exit 2.
-        # Buffered, main's flush raises and the usual exit reports it again
-        runs = []
-        for route in ("main", "finalized"):
-            read, write = os.pipe()
-            os.close(read)
-            try:
-                proc = self._run(route, ["check-id", "--input", matrices["tri"]],
-                                 tmp_path / route, buffered, stdout=write,
-                                 stderr=subprocess.PIPE, text=True)
-            finally:
-                os.close(write)
-            runs.append((proc.returncode, proc.stderr))
-        assert runs[0] == runs[1]
-        assert "BrokenPipeError" in runs[0][1]
-        if not buffered:
-            assert runs[0][0] == 2
-            assert _one_json_error(runs[0][1])["error"] == "BrokenPipeError"
+        # unbuffered, the write in dispatch raises; buffered, main's flush
+        # does, where the usual exit gave 120 and two lines of traceback.
+        # Either way: one JSON error, exit 2
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self._run("main", ["check-id", "--input", matrices["tri"]],
+                             tmp_path / "main", buffered, stdout=write,
+                             stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert _one_json_error(proc.stderr)["error"] == "BrokenPipeError"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["check-id", "--input", "{tri}"],
+                                      ["perm", "--input", "{perm2}", "--beta", "1"],
+                                      ["--help"]], ids=["check-id", "perm", "help"])
+    def test_full_stdout_is_one_json_error(self, argv, matrices, tmp_path):
+        argv = [a.format(**matrices) for a in argv]
+        with open("/dev/full", "w") as full:
+            proc = self._run("main", argv, tmp_path / "main", stdout=full,
+                             stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2
+        error = _one_json_error(proc.stderr)
+        assert (error["error"], "No space left" in error["message"]) == ("OSError", True)
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--kernel", "{g2}", "--n", "6e5", "--seed", "3", "--out", "s.bin"],

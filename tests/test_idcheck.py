@@ -295,6 +295,23 @@ class TestInverseCertificate:
                 outcomes[new[0]] += 1
         assert sum(outcomes.values()) >= 2000 and outcomes[False] >= 200, outcomes
 
+    def test_battery_holds_wherever_the_certificate_does(self):
+        # id_verdict tries the certificate before the necessary battery; it
+        # keeps every verdict only because a certified kernel passes it
+        certified = 0
+        for g in _nonsymmetric_kernels(np.random.default_rng(90), 3300):
+            G = kernel(g)
+            if not real_eigen_nonneg(G).holds:
+                continue
+            try:
+                holds = idcheck._inverse_certificate(G, "inverse-M-sufficient").holds
+            except SingularMatrixError:
+                continue
+            if holds:
+                certified += 1
+                assert id_necessary_battery(G).holds, g.tolist()
+        assert certified >= 1500, certified
+
 
 MIX3 = [[1.0, -0.31, 0.58], [-0.31, 1.0, 0.58], [0.58, 0.58, 1.0]]
 
@@ -316,15 +333,17 @@ class TestScaleInvariance:
         # on the way to a verdict must be relative to the kernel's size.
         # PSD-singular kernels are left out: the scan decides them, and
         # resolvent(cG, a) = c * resolvent(G, c*a) moves its alpha grid.
+        # From about 1e103 the battery's max(1, max|G|)^3 threshold
+        # overflows; the certificate, tried first, has no such floor.
         seen = set()
         for name, g in _scale_kernels():
             v0 = id_verdict(kernel(g))
             seen.add((v0.verdict.status, v0.method))
-            for k in (-12, 13, *range(-100, 101, 5)):
+            for k in (-12, 13, *range(-100, 101, 5), 103, 160, 250, 300):
                 G = kernel(10.0 ** k * g)
                 assert G.symmetric == kernel(g).symmetric, (name, k)
                 v = id_verdict(G)
-                assert (v.verdict.status, v.method) == (v0.verdict.status, v0.method), (name, k)
+                assert _outcome(v) + (_signs(v),) == _outcome(v0) + (_signs(v0),), (name, k)
         assert seen == {("holds", "bapat-exact"), ("fails", "bapat-exact"),
                         ("fails", "battery-necessary"),
                         ("holds", "inverse-M-sufficient")}, seen
