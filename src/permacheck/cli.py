@@ -61,6 +61,12 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
+    def _print_message(self, message, file=None):
+        # argparse's own catches OSError, so unbuffered --help text that
+        # meets a full disk or a closed pipe would exit 0, written nowhere
+        if message:
+            (file or sys.stderr).write(message)
+
 
 # argparse types; argparse names the function in its message on a
 # ValueError, e.g. "invalid finite_float value: 'nan'"

@@ -5,15 +5,19 @@ printed unbuffered so they appear even under output capture.
 """
 
 import itertools
+import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import permacheck
 from permacheck import (
     PermanentalSpec,
     association_mc_test,
@@ -365,11 +369,28 @@ def test_criterion_8_strong_order(capsys):
     assert ok, f"holds_ok={holds_ok} fails_ok={fails_ok} pair_rule_ok={pair_rule_ok}"
 
 
+# one child per setting runs every command in process, so that a child
+# pinned to one CPU is pinned before permacheck counts its workers; it
+# prints the sampler's worker count and the exit codes
+_COMMANDS_CHILD = """
+import json
+import os
+import sys
+if len(sys.argv) > 2:
+    os.sched_setaffinity(0, {int(sys.argv[2])})
+import permacheck.sampler
+from permacheck.cli import parse_and_dispatch
+codes = [parse_and_dispatch(argv) for argv in json.loads(sys.argv[1])]
+print(permacheck.sampler._WORKERS, *codes)
+"""
+
+
 def test_criterion_9_thread_reproducibility(capsys, tmp_path):
     t0 = time.monotonic()
     save_matrix(kernel(TRI3), tmp_path / "tri.csv")
     save_matrix(kernel([[1.0, 0.5], [0.5, 1.0]]), tmp_path / "g2.csv")
     save_matrix(kernel(GREEN2), tmp_path / "green2.csv")
+    # output paths are relative, since reports echo them
     jobs = {
         "scan": ["scan", "--input", str(tmp_path / "tri.csv"),
                  "--m-max", "4"],
@@ -380,34 +401,37 @@ def test_criterion_9_thread_reproducibility(capsys, tmp_path):
         "fkg": ["check-fkg", "--kernel", str(tmp_path / "g2.csv")],
         "order": ["shifted-order", "--kernel", str(tmp_path / "green2.csv"),
                   "--r-pairs", "1,0.5;2,1"],
+        # one row block, then 25 on the pool
+        "sample": ["sample", "--kernel", str(tmp_path / "g2.csv"), "--k", "2",
+                   "--n", "1000", "--seed", str(SEED), "--out", "sample.bin"],
+        "sample-pooled": ["sample", "--kernel", str(tmp_path / "g2.csv"), "--k", "2",
+                          "--n", "200000", "--seed", str(SEED), "--out", "pooled.bin"],
     }
-    mismatches = []
-    for name, argv in jobs.items():
-        blobs = []
-        for threads in (1, 2, 4):
-            rpt = tmp_path / f"{name}-{threads}.json"
-            cmd = [sys.executable, "-m", "permacheck.cli",
-                   "--threads", str(threads)] + argv + ["--report", str(rpt)]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            assert proc.returncode in (0, 1), (name, proc.stderr)
-            blobs.append(rpt.read_bytes())
-        if not (blobs[0] == blobs[1] == blobs[2]):
-            mismatches.append(name)
-    sample_blobs = []
-    for threads in (1, 4):
-        out = tmp_path / f"batch-{threads}.bin"
-        cmd = [sys.executable, "-m", "permacheck.cli",
-               "--threads", str(threads), "sample",
-               "--kernel", str(tmp_path / "g2.csv"), "--k", "2",
-               "--n", "1000", "--seed", str(SEED), "--out", str(out)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        sample_blobs.append(out.read_bytes())
-    if sample_blobs[0] != sample_blobs[1]:
-        mismatches.append("sample")
+    argvs = [argv + ["--report", f"{name}.json"] for name, argv in jobs.items()]
+    # the children run in their own directories, so the package path is absolute
+    package_root = str(Path(permacheck.__file__).parents[1])
+    cpus = os.sched_getaffinity(0)
+    settings = {"blas-1": ("1", []), "blas-2": ("2", []), "blas-4": ("4", []),
+                "one-cpu": ("2", [str(min(cpus))])}
+    runs = {}
+    for name, (blas, pin) in settings.items():
+        out = tmp_path / name
+        out.mkdir()
+        proc = subprocess.run([sys.executable, "-c", _COMMANDS_CHILD, json.dumps(argvs), *pin],
+                              capture_output=True, text=True, cwd=out,
+                              env=dict(os.environ, PYTHONPATH=package_root,
+                                       OPENBLAS_NUM_THREADS=blas))
+        assert proc.returncode == 0, (name, proc.stderr)
+        workers, *codes = map(int, proc.stdout.split())
+        assert workers == (1 if pin else len(cpus)), (name, workers)
+        assert len(codes) == len(jobs) and set(codes) <= {0, 1}, (name, codes)
+        runs[name] = (codes, {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    reference = runs["blas-1"]
+    assert len(reference[1]) == len(jobs) + 2  # a report each, and two batches
+    mismatches = [name for name, run in runs.items() if run != reference]
     elapsed = time.monotonic() - t0
     ok = not mismatches
     announce(capsys, 9, ok,
-             f"reports byte-identical across thread counts 1/2/4 for "
-             f"{len(jobs) + 1} commands; {elapsed:.1f}s")
-    assert ok, f"mismatching reports: {mismatches}"
+             f"reports and batches byte-identical at OPENBLAS_NUM_THREADS 1/2/4 on "
+             f"{len(cpus)} CPUs and on 1 CPU for {len(jobs)} commands; {elapsed:.1f}s")
+    assert ok, f"settings whose outputs differ from blas-1: {mismatches}"

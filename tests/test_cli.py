@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import os
@@ -152,6 +153,10 @@ BAD_INPUTS = {
     "scan-monotone random:x": (["scan-monotone", "--kernel", "{g2}",
                                 "--scalings", "random:x"], 2),
     "scan alphas 0:x:1": (["scan", "--input", "{g2}", "--alphas", "0:x:1"], 2),
+    "scan alphas 1:2": (["scan", "--input", "{g2}", "--alphas", "1:2"], 2),
+    "scan alphas 2:1:1": (["scan", "--input", "{g2}", "--alphas", "2:1:1"], 2),
+    "check-shifted-pair vx 0": (["check-shifted-pair", "--vx", "0", "--c", "0",
+                                 "--vy", "1"], 2),
     "scan betas nan": (["scan", "--input", "{g2}", "--betas", "0.5,nan"], 2),
     "check-fkg shift inf": (["check-fkg", "--kernel", "{g2}", "--shift", "inf"], 2),
     "restrict keep a": (["green", "restrict", "--input", "{tri}", "--keep", "0,a"], 2),
@@ -224,6 +229,15 @@ class TestBadInputs:
         code, out, err = run_cli([a.format(**matrices) for a in argv], capsys)
         assert (code, out) == (2, "")
         assert _one_json_error(err)["message"] == message
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--kernel", "{g2}", "--k", "0", "--n", "10", "--out", "{dir}/x.bin"],
+        ["check-assoc", "--kernel", "{g2}", "--k", "0", "--n", "100"],
+    ], ids=["sample", "check-assoc"])
+    def test_index_k_zero_is_invalid_index_error(self, argv, matrices, capsys):
+        code, out, err = run_cli([a.format(**matrices) for a in argv], capsys)
+        assert (code, out) == (2, "")
+        assert _one_json_error(err)["error"] == "InvalidIndexError"
 
     @pytest.mark.parametrize("argv", [
         ["check-fkg", "--kernel", "{neg2}", "--shift", "1e10"],
@@ -608,9 +622,12 @@ print(parse_and_dispatch(sys.argv[1:]), "scipy.special" in sys.modules)
 """
 
 
-# each command once, with its exit code
+# each command, with its exit code
 _EVERY_COMMAND = pytest.mark.parametrize("argv, code", [
     (["check-id", "--input", "{tri}"], 1),
+    # check-id and green check read G^-1's signs through one routine
+    (["check-id", "--input", "{g2}"], 0),
+    (["green", "check", "--input", "{g2}"], 0),
     (["perm", "--input", "{perm2}", "--beta", "1"], 0),
     (["scan", "--input", "{tri}", "--m-max", "4"], 1),
     (["green", "gen", "--chain", "{chain2}", "--out", "g.csv"], 0),
@@ -629,13 +646,33 @@ _EVERY_COMMAND = pytest.mark.parametrize("argv, code", [
     (["shifted-order", "--kernel", "{neg2}", "--r-pairs", "1,0.5"], 1),
     (["check-shifted-pair", "--vx", "1", "--c", "0.5", "--vy", "1"], 0),
     (["render", "--input", "{g2}"], 2),
-], ids=["check-id", "perm", "scan", "green-gen", "green-power", "green-plus-c",
-        "green-restrict", "sample", "sample-large", "check-assoc", "scan-monotone",
-        "check-fkg", "check-fkg-fails", "check-fkg-range", "shifted-order",
-        "shifted-order-fails", "check-shifted-pair", "render"])
+], ids=["check-id", "check-id-holds", "green-check", "perm", "scan", "green-gen",
+        "green-power", "green-plus-c", "green-restrict", "sample", "sample-large",
+        "check-assoc", "scan-monotone", "check-fkg", "check-fkg-fails", "check-fkg-range",
+        "shifted-order", "shifted-order-fails", "check-shifted-pair", "render"])
 
 
 class TestStartup:
+    def test_every_import_is_the_stdlib_numpy_or_permacheck(self):
+        # numpy is the only runtime dependency on every code path, the
+        # function-level imports included, where running commands without
+        # scipy shows it only for the paths those commands take
+        allowed = set(sys.stdlib_module_names) | {"numpy", "permacheck"}
+        seen, outside = set(), []
+        for path in sorted(Path(permacheck.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue  # a relative import is permacheck itself
+                seen.update(names)
+                outside += [f"{path.name}:{node.lineno}: {name}" for name in names
+                            if name.partition(".")[0] not in allowed]
+        assert "concurrent.futures" in seen  # sampler._in_pool's, inside the function
+        assert outside == []
+
     def test_import_loads_no_scipy(self):
         proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
                               capture_output=True, text=True)
@@ -780,6 +817,25 @@ class TestProcessExit:
         assert main[1].count(b"\n") == 150
         assert main == in_process
 
+    @pytest.mark.parametrize("argv, text, code", [
+        (["check-id", "--input", "/dev/stdin"], "1,0.5\n0.5,1\n", 0),
+        # eigenvalue -5e-11 lies within the PSD floor, and the scan refutes it
+        (["check-id", "--input", "/dev/stdin"], "1,0.5\n0,-5e-11\n", 1),
+        (["render", "--input", "/dev/stdin"], '{"schema": true}', 2),
+    ], ids=["check-id-holds", "check-id-floor", "render-schema-true"])
+    def test_piped_input_gives_a_whole_report_or_one_error(self, argv, text, code,
+                                                          tmp_path):
+        proc = self._run("main", argv, tmp_path / "main", input=text,
+                         capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        if code == 2:
+            assert proc.stdout == ""
+            _one_json_error(proc.stderr)
+        else:
+            assert proc.stderr == ""
+            assert json.loads(proc.stdout)["result"]["verdict"]["status"] == (
+                "holds" if code == 0 else "fails")
+
     @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
     def test_closed_stdout_exits_as_before(self, buffered, matrices, tmp_path):
         # unbuffered, the write in dispatch raises; buffered, main's flush
@@ -797,13 +853,18 @@ class TestProcessExit:
         assert _one_json_error(proc.stderr)["error"] == "BrokenPipeError"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("argv", [["check-id", "--input", "{tri}"],
-                                      ["perm", "--input", "{perm2}", "--beta", "1"],
-                                      ["--help"]], ids=["check-id", "perm", "help"])
-    def test_full_stdout_is_one_json_error(self, argv, matrices, tmp_path):
+    @pytest.mark.parametrize("argv, buffered", [
+        (["check-id", "--input", "{tri}"], True),
+        (["perm", "--input", "{perm2}", "--beta", "1"], True),
+        (["--help"], True),
+        # unbuffered, argparse's own _print_message would drop the write's OSError
+        (["--help"], False),
+        (["check-id", "--help"], False),
+    ], ids=["check-id", "perm", "help", "help-unbuffered", "check-id-help-unbuffered"])
+    def test_full_stdout_is_one_json_error(self, argv, buffered, matrices, tmp_path):
         argv = [a.format(**matrices) for a in argv]
         with open("/dev/full", "w") as full:
-            proc = self._run("main", argv, tmp_path / "main", stdout=full,
+            proc = self._run("main", argv, tmp_path / "main", buffered, stdout=full,
                              stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 2
         error = _one_json_error(proc.stderr)
@@ -849,18 +910,14 @@ class TestScan:
         rep = json.loads(out)
         assert rep["result"]["verdict"]["witness"]["value"] < 0
 
-    def test_reports_identical_across_threads(self, matrices, tmp_path):
-        outs = []
-        for threads in (1, 2, 4):
-            rpt = tmp_path / f"scan-{threads}.json"
-            cmd = [sys.executable, "-m", "permacheck.cli",
-                   "--threads", str(threads),
-                   "scan", "--input", matrices["tri"], "--m-max", "4",
-                   "--report", str(rpt)]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            assert proc.returncode == 1, proc.stderr
-            outs.append(rpt.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+    def test_reports_identical_across_threads(self, matrices, capsys):
+        # --threads is parsed and ignored, so that old command lines keep
+        # running; real thread and CPU counts are criterion 9's and
+        # TestThreadCount's
+        argv = ["scan", "--input", matrices["tri"], "--m-max", "4"]
+        runs = [run_cli(threads + argv, capsys) for threads in ([], ["--threads", "2"])]
+        assert runs[0][0] == 1
+        assert runs[0] == runs[1]
 
     def test_huge_kernel_scans_like_unit_kernel(self, matrices, capsys):
         # the scan's threshold scale**m was a Python power that overflowed
@@ -1330,6 +1387,17 @@ class TestRender:
         assert code == 0
         assert "command: check-id" in out
         assert "fails" in out
+
+    def test_table_lists_the_association_pairs(self, matrices, capsys, tmp_path):
+        rpt = tmp_path / "assoc.json"
+        run_cli(["check-assoc", "--kernel", matrices["g2"], "--n", "2e4",
+                 "--report", rpt], capsys)
+        pairs = json.loads(rpt.read_text())["result"]["pairs"]
+        code, out, _ = run_cli(["render", "--input", rpt, "--format", "table"], capsys)
+        assert code == 0 and pairs
+        rows = out.split("f\th\tcov\tse\tz\n", 1)[1].splitlines()[:len(pairs)]
+        assert rows == [f"{p['f']}\t{p['h']}\t{p['cov']:.6g}\t{p['se']:.6g}\t{p['z']:.3f}"
+                        for p in pairs]
 
     def test_schema_mismatch_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

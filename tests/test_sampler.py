@@ -17,8 +17,10 @@ from permacheck import (
     InputFormatError,
     InvalidIndexError,
     NonFiniteError,
+    NotPSDError,
     PermacheckError,
     PermanentalSpec,
+    SampleBatch,
     abs_product_moment,
     association_mc_test,
     empirical_laplace,
@@ -446,6 +448,11 @@ class TestLaplace:
         with pytest.raises(InputFormatError):
             empirical_laplace(batch, alpha)
 
+    def test_kernel_with_nonpositive_determinant_is_not_psd_error(self):
+        # det(I + G) = -5 for the indefinite [[1, 3], [3, 1]]
+        with pytest.raises(NotPSDError):
+            laplace_transform(kernel([[1.0, 3.0], [3.0, 1.0]]), 2.0, [1.0, 1.0])
+
     def test_scalar_alpha_broadcasts(self):
         assert laplace_transform(G2, 2.0, 0.7) == \
             pytest.approx(laplace_transform(G2, 2.0, [0.7, 0.7]))
@@ -609,6 +616,13 @@ class TestBatchIO:
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
         with pytest.raises(InputFormatError, match="batch body has"):
             load_batch(path)
+
+    @pytest.mark.parametrize("draws, weights", [
+        (np.empty((0, 2)), np.empty(0)), (np.ones((3, 2)), np.full(3, 2.0))],
+        ids=["no draws", "weights sum to 2N"])
+    def test_batch_rejects_empty_draws_and_weights_not_summing_to_n(self, draws, weights):
+        with pytest.raises(InputFormatError):
+            SampleBatch(draws, weights, 1, PermanentalSpec(G2, 2.0))
 
     def test_schema_guard(self, tmp_path):
         path = tmp_path / "bad.bin"
